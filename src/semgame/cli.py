@@ -281,26 +281,22 @@ def _cmd_compare(args, out_dir: Path) -> int:
         )
         wins = sum(1 for r in rows if r["snm_stddev"] < r["traditional_stddev"])
         summary_extra = {"snm_wins": wins, "win_fraction": wins / len(rows)}
-    elif args.experiment == "utilization":
+    else:  # utilization and cycles read different columns of the same rows
         rows = utilization_experiment(
             args.seeds, budget=args.budget, delta=args.delta, base_seed=args.seed
         )
-        summary_extra = {
-            "mean_snm_util": sum(r["snm_util"] for r in rows) / len(rows),
-            "mean_cobweb_util": sum(r["cobweb_mean_util"] for r in rows) / len(rows),
-        }
-    elif args.experiment == "cycles":
-        rows = utilization_experiment(
-            args.seeds, budget=args.budget, delta=args.delta, base_seed=args.seed
-        )
-        iters_cols = [k for k in rows[0] if k.startswith("cobweb_iters_")]
-        summary_extra = {
-            "mean_snm_rounds": sum(r["snm_rounds"] for r in rows) / len(rows),
-            "mean_cobweb_iters": sum(r[c] for r in rows for c in iters_cols)
-            / (len(rows) * len(iters_cols)),
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown experiment {args.experiment!r}")
+        if args.experiment == "utilization":
+            summary_extra = {
+                "mean_snm_util": sum(r["snm_util"] for r in rows) / len(rows),
+                "mean_cobweb_util": sum(r["cobweb_mean_util"] for r in rows) / len(rows),
+            }
+        else:
+            iters_cols = [k for k in rows[0] if k.startswith("cobweb_iters_")]
+            summary_extra = {
+                "mean_snm_rounds": sum(r["snm_rounds"] for r in rows) / len(rows),
+                "mean_cobweb_iters": sum(r[c] for r in rows for c in iters_cols)
+                / (len(rows) * len(iters_cols)),
+            }
 
     header = list(rows[0])
     _write_csv(out_dir / "compare.csv", header, [[r[k] for k in header] for r in rows])

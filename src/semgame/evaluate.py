@@ -30,7 +30,6 @@ __all__ = [
     "evaluate_pairs",
     "load_balance",
     "utilization",
-    "cycles_to_equilibrium",
     "COBWEB_GRID",
     "load_balance_experiment",
     "utilization_experiment",
@@ -201,19 +200,6 @@ def utilization(
     return min(1.0, max(0.0, useful / budget))
 
 
-def cycles_to_equilibrium(result) -> int:
-    """Recorded rounds (game) or iterations (cobweb) to reach equilibrium.
-
-    Non-converged runs report the round cap; check the result's
-    `converged` flag to tell saturation from genuine convergence.
-    """
-    for attr in ("rounds", "iters"):
-        count = getattr(result, attr, None)
-        if count is not None:
-            return count
-    raise ValidationError(f"no cycle count on {type(result).__name__}")
-
-
 # Adjustment-rate / slope grid for the cobweb comparison experiments;
 # combos with r * 2s >= 1 oscillate without settling.
 COBWEB_GRID: tuple[tuple[float, float], ...] = tuple(
@@ -294,7 +280,7 @@ def utilization_experiment(
         row = {
             "seed": seed,
             "snm_util": utilization(held, demands, budget),
-            "snm_rounds": cycles_to_equilibrium(outcome),
+            "snm_rounds": outcome.rounds,
             "snm_converged": outcome.converged,
             "snm_all_met": all(held[i] >= demand - met_tol for i in range(n_nodes)),
         }

@@ -13,6 +13,7 @@ limit is hit.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,7 +29,6 @@ __all__ = [
     "screen",
     "cost",
     "gain",
-    "utility",
     "rescale_to_budget",
     "best_response_round",
     "run_game",
@@ -58,16 +58,18 @@ class GameParams:
     budget: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValidationError(f"epsilon {self.epsilon} must be positive")
+        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise ValidationError(f"epsilon {self.epsilon} must be finite and positive")
         if self.max_rounds < 1:
             raise ValidationError(f"max_rounds {self.max_rounds} < 1")
-        if self.screen_threshold is not None and self.screen_threshold < 0:
-            raise ValidationError(f"screen_threshold {self.screen_threshold} < 0")
+        if self.screen_threshold is not None and not (
+            math.isfinite(self.screen_threshold) and self.screen_threshold >= 0
+        ):
+            raise ValidationError(f"screen_threshold {self.screen_threshold} must be finite and >= 0")
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError(f"delta {self.delta} outside [0, 1]")
-        if self.budget <= 0:
-            raise ValidationError(f"budget {self.budget} must be positive")
+        if not math.isfinite(self.budget) or self.budget <= 0:
+            raise ValidationError(f"budget {self.budget} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -109,16 +111,16 @@ def _participants(net: SemanticNetwork, state: ActivationState, params: GamePara
     )
 
 
-def cost(current: ActivationState, proposal: ActivationState) -> float:
-    """Root-mean-square change between the proposed and current distributions."""
-    if set(current.held) != set(proposal.incoming):
+def cost(current: ActivationState, offered: Mapping[int, float]) -> float:
+    """Root-mean-square change between the offered and current distributions."""
+    if set(current.held) != set(offered):
         raise ValidationError("cost: states keyed over different node sets")
     n = len(current.held)
     if n == 0:
         raise ValidationError("cost: empty states")
     total = 0.0
     for nid in sorted(current.held):
-        d = proposal.incoming[nid] - current.held[nid]
+        d = offered[nid] - current.held[nid]
         total += d * d
     return math.sqrt(total / n)
 
@@ -127,7 +129,7 @@ def gain(
     net: SemanticNetwork,
     i: int,
     current: ActivationState,
-    proposal: ActivationState,
+    offered: Mapping[int, float],
     delta: float,
 ) -> float:
     """Damped mean activation increase across node i's neighborhood.
@@ -141,15 +143,10 @@ def gain(
         raise ValidationError(f"gain undefined for node {i}: no neighbors")
     change = 0.0
     for x, _ in nbrs:
-        change += proposal.incoming.get(x, 0.0) - current.held.get(x, 0.0)
+        change += offered.get(x, 0.0) - current.held.get(x, 0.0)
     if change == 0.0:
         return 0.0
     return math.copysign(abs(change) ** (1.0 - delta), change) / len(nbrs)
-
-
-def utility(g: float, c: float) -> float:
-    """Net benefit of accepting a proposal: gain minus cost."""
-    return g - c
 
 
 def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
@@ -159,61 +156,51 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
         return state
     scale = budget / total
     held = {nid: state.held[nid] * scale for nid in state.held}
-    incoming = {nid: state.incoming[nid] * scale for nid in state.incoming}
-    return ActivationState(state.t, incoming, held, state.activated)
+    return ActivationState(state.t, held, state.activated)
 
 
-def _propose(net: SemanticNetwork, state: ActivationState, participants: list[int], delta: float) -> ActivationState:
-    """Offer state: incoming carries the redistribution, held stays current."""
-    arriving = _arrivals(net, state.held, frozenset(participants), delta)
-    incoming = {nid: state.held.get(nid, 0.0) + arriving[nid] for nid in net.node_ids()}
-    return ActivationState(state.t + 1, incoming, dict(state.held), frozenset(participants))
-
-
-def _play_round(
+def _offer(
     net: SemanticNetwork, state: ActivationState, params: GameParams
-) -> tuple[ActivationState, dict[int, Strategy], dict[int, float]]:
+) -> tuple[dict[int, float], dict[int, float]]:
+    """A round's offered values and each participant's accept-utility.
+
+    The offer is one spreading step over the screened participants. A
+    participant's accept-utility is its gain minus the global cost; an
+    isolated node has no neighborhood to gain from, so accepting is
+    worth 0.0 to it. Utilities are keyed by participant in ascending id
+    order; with no participants both mappings are empty.
+    """
     participants = _participants(net, state, params)
     if not participants:
-        return state, {}, {}
-
-    proposal = _propose(net, state, participants, params.delta)
-    c = cost(state, proposal)
-
-    strategies: dict[int, Strategy] = {}
-    utilities: dict[int, float] = {}
-    for i in participants:
-        if not net.neighbors(i):
-            # Nothing is offered to an isolated node; rejecting is the
-            # only meaningful move and costs nothing.
-            strategies[i] = Strategy.REJECT
-            utilities[i] = 0.0
-            continue
-        u_accept = utility(gain(net, i, state, proposal, params.delta), c)
-        if u_accept > 0.0:
-            strategies[i] = Strategy.ACCEPT
-            utilities[i] = u_accept
-        else:
-            strategies[i] = Strategy.REJECT
-            utilities[i] = 0.0
-
-    held = {}
-    for nid in net.node_ids():
-        if strategies.get(nid) is Strategy.ACCEPT:
-            held[nid] = proposal.incoming[nid]
-        else:
-            held[nid] = state.held.get(nid, 0.0)
-    accepted = frozenset(i for i, s in strategies.items() if s is Strategy.ACCEPT)
-    committed = ActivationState(state.t + 1, dict(held), held, accepted)
-    return rescale_to_budget(committed, params.budget), strategies, utilities
+        return {}, {}
+    arriving = _arrivals(net, state.held, frozenset(participants), params.delta)
+    offered = {nid: state.held.get(nid, 0.0) + arriving[nid] for nid in net.node_ids()}
+    c = cost(state, offered)
+    utilities = {
+        i: gain(net, i, state, offered, params.delta) - c if net.neighbors(i) else 0.0
+        for i in participants
+    }
+    return offered, utilities
 
 
 def best_response_round(
     net: SemanticNetwork, state: ActivationState, params: GameParams
-) -> tuple[ActivationState, dict[int, Strategy]]:
-    """Play one round: screen, propose, decide per node, commit, rescale."""
-    new_state, strategies, _ = _play_round(net, state, params)
-    return new_state, strategies
+) -> tuple[ActivationState, dict[int, Strategy], dict[int, float]]:
+    """Play one round: screen, offer, decide per node, commit, rescale.
+
+    A participant accepts iff its accept-utility is strictly positive.
+    Returns the committed state, every participant's strategy and the
+    utility it realized (0.0 on reject).
+    """
+    offered, accept_utilities = _offer(net, state, params)
+    if not accept_utilities:
+        return state, {}, {}
+    accepted = frozenset(i for i, u in accept_utilities.items() if u > 0.0)
+    strategies = {i: Strategy.ACCEPT if i in accepted else Strategy.REJECT for i in accept_utilities}
+    utilities = {i: u if i in accepted else 0.0 for i, u in accept_utilities.items()}
+    held = {nid: offered[nid] if nid in accepted else state.held.get(nid, 0.0) for nid in net.node_ids()}
+    committed = ActivationState(state.t + 1, held, accepted)
+    return rescale_to_budget(committed, params.budget), strategies, utilities
 
 
 def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams) -> GameOutcome:
@@ -231,8 +218,8 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     history: list[RoundRecord] = []
     converged = False
     for round_index in range(1, params.max_rounds + 1):
-        new_state, strategies, utilities = _play_round(net, state, params)
-        round_cost = cost(state, new_state)
+        new_state, strategies, utilities = best_response_round(net, state, params)
+        round_cost = cost(state, new_state.held)
         history.append(RoundRecord(round_index, new_state, strategies, utilities, round_cost))
         state = new_state
         if round_cost < params.epsilon:
@@ -261,22 +248,13 @@ def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) 
     if outcome.rounds == 0:
         return True
     pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-    participants = _participants(net, pre, params)
-    if set(participants) != set(outcome.strategies):
+    _, accept_utilities = _offer(net, pre, params)
+    if set(accept_utilities) != set(outcome.strategies):
         return False
-    if not participants:
-        return True
-
-    proposal = _propose(net, pre, participants, params.delta)
-    c = cost(pre, proposal)
-    for i in participants:
-        u_accept = (
-            utility(gain(net, i, pre, proposal, params.delta), c) if net.neighbors(i) else 0.0
-        )
-        chosen = outcome.strategies[i]
-        u_chosen = u_accept if chosen is Strategy.ACCEPT else 0.0
-        u_other = 0.0 if chosen is Strategy.ACCEPT else u_accept
-        if u_other > u_chosen:
+    # Switching pays off when an acceptor's utility is negative or a
+    # rejector's (who realizes 0.0) is positive.
+    for i, u in accept_utilities.items():
+        if (u < 0.0) if outcome.strategies[i] is Strategy.ACCEPT else (u > 0.0):
             return False
     return True
 

@@ -9,6 +9,7 @@ the adjacency index built at load time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,10 +48,10 @@ class ConceptNode:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValidationError(f"node {self.id}: empty label")
-        if self.threshold < 0:
-            raise ValidationError(f"node {self.id}: threshold {self.threshold} < 0")
-        if any(t < 0 for t in self.history):
-            raise ValidationError(f"node {self.id}: negative history timestamp")
+        if not math.isfinite(self.threshold) or self.threshold < 0:
+            raise ValidationError(f"node {self.id}: threshold {self.threshold} must be finite and >= 0")
+        if any(not math.isfinite(t) or t < 0 for t in self.history):
+            raise ValidationError(f"node {self.id}: negative or non-finite history timestamp")
         if any(a > b for a, b in zip(self.history, self.history[1:])):
             raise ValidationError(f"node {self.id}: history timestamps not sorted ascending")
 

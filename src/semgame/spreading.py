@@ -38,16 +38,11 @@ DEFAULT_DECAY = 0.5
 class ActivationState:
     """Per-node energies at one time step.
 
-    `held` is what each node currently holds. `incoming` is the value
-    each node was offered when this state was produced: for plain
-    spreading steps the offer is always taken, so incoming == held; a
-    game round's proposal state carries the offered values in
-    `incoming` while `held` still shows the pre-commit values.
-    `activated` is the set of nodes that fired at this step.
+    `held` is what each node currently holds; `activated` is the set of
+    nodes that fired (or, after a game round, accepted) at this step.
     """
 
     t: int
-    incoming: Mapping[int, float]
     held: Mapping[int, float]
     activated: frozenset[int]
 
@@ -62,12 +57,12 @@ class SpreadParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError(f"delta {self.delta} outside [0, 1]")
-        if self.fire_threshold < 0:
-            raise ValidationError(f"fire_threshold {self.fire_threshold} < 0")
+        if not math.isfinite(self.fire_threshold) or self.fire_threshold < 0:
+            raise ValidationError(f"fire_threshold {self.fire_threshold} must be finite and >= 0")
         if self.max_steps < 1:
             raise ValidationError(f"max_steps {self.max_steps} < 1")
-        if self.budget <= 0:
-            raise ValidationError(f"budget {self.budget} must be positive")
+        if not math.isfinite(self.budget) or self.budget <= 0:
+            raise ValidationError(f"budget {self.budget} must be finite and positive")
 
 
 def check_state(net: SemanticNetwork, state: ActivationState) -> None:
@@ -75,10 +70,7 @@ def check_state(net: SemanticNetwork, state: ActivationState) -> None:
     for key in state.held:
         if not net.has_node(key):
             raise ValidationError(f"state holds unknown node id {key}")
-    for key in state.incoming:
-        if not net.has_node(key):
-            raise ValidationError(f"state incoming has unknown node id {key}")
-    if any(v < 0 for v in state.held.values()) or any(v < 0 for v in state.incoming.values()):
+    if any(v < 0 for v in state.held.values()):
         raise ValidationError("negative energy in activation state")
     if not state.activated <= set(state.held):
         raise ValidationError("activated set contains nodes without a held value")
@@ -94,10 +86,10 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
     for nid, energy in sources.items():
         if not net.has_node(nid):
             raise ValidationError(f"source id {nid} not in network")
-        if energy < 0:
-            raise ValidationError(f"source {nid}: negative energy {energy}")
+        if not math.isfinite(energy) or energy < 0:
+            raise ValidationError(f"source {nid}: negative or non-finite energy {energy}")
     held = {nid: float(sources.get(nid, 0.0)) for nid in net.node_ids()}
-    return ActivationState(0, dict(held), held, frozenset(sources))
+    return ActivationState(0, held, frozenset(sources))
 
 
 def _arrivals(
@@ -128,7 +120,7 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
         new_held[nid] = new
         if new != old and new >= params.fire_threshold:
             fired.add(nid)
-    return ActivationState(state.t + 1, dict(new_held), new_held, frozenset(fired))
+    return ActivationState(state.t + 1, new_held, frozenset(fired))
 
 
 def iter_spread(

@@ -29,7 +29,6 @@ from semgame.game import (
     gain,
     rank_nodes,
     run_game,
-    utility,
     verify_nash,
 )
 from semgame.generate import complete_network, generate_network
@@ -61,8 +60,8 @@ def criterion(number: int, description: str):
     return decorate
 
 
-def _state(held: dict[int, float], incoming: dict[int, float] | None = None) -> ActivationState:
-    return ActivationState(0, dict(incoming if incoming is not None else held), dict(held), frozenset())
+def _state(held: dict[int, float]) -> ActivationState:
+    return ActivationState(0, dict(held), frozenset())
 
 
 def _connected(n: int, edges: list[tuple[int, int, float]]) -> bool:
@@ -90,23 +89,19 @@ def test_c01_equation_arithmetic():
     assert abs(edge_spread(2.0, 0.3, 0.1) - 0.54) < 1e-15
 
     st = _state({i: 1.0 for i in range(9)})
-    assert cost(st, st) == 0.0
+    assert cost(st, st.held) == 0.0
     moved = {i: 1.0 for i in range(9)}
     moved[0] = 4.0
-    assert cost(st, _state(st.held, moved)) == 1.0
+    assert cost(st, moved) == 1.0
 
     net2 = quick_net(3, [(0, 1, 0.5), (0, 2, 0.5)])
     held = {0: 0.0, 1: 1.0, 2: 1.0}
     offered = {0: 0.0, 1: 1.5, 2: 1.5}
-    assert gain(net2, 0, _state(held), _state(held, offered), 0.0) == 0.5
+    assert gain(net2, 0, _state(held), offered, 0.0) == 0.5
     net3 = quick_net(4, [(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5)])
     held = {i: 1.0 for i in range(4)}
     offered = {0: 1.0, 1: 3.0, 2: 2.0, 3: 2.0}
-    assert abs(gain(net3, 0, _state(held), _state(held, offered), 0.5) - 2.0 / 3.0) < 1e-15
-
-    assert abs(utility(0.5, 0.2) - 0.3) < 1e-16
-    assert utility(0.0, 0.0) == 0.0
-    assert utility(-0.1, 0.4) == -0.5
+    assert abs(gain(net3, 0, _state(held), offered, 0.5) - 2.0 / 3.0) < 1e-15
 
     params = CobwebParams(
         r=0.5, demand_intercept=10.0, demand_slope=1.0, supply_intercept=2.0, supply_slope=1.0
@@ -206,7 +201,7 @@ def test_c04_nash_verification():
             net = build_network(nodes, [WeightedEdge(*e) for e in edges])
             for seeding in seedings:
                 held = {i: seeding.get(i, 0.0) for i in range(n)}
-                initial = ActivationState(0, dict(held), held, frozenset(seeding))
+                initial = ActivationState(0, held, frozenset(seeding))
                 outcome = run_game(net, initial, params)
                 if not outcome.converged:
                     assert outcome.rounds == params.max_rounds
@@ -269,7 +264,7 @@ def test_c07_rank_stabilization():
     tops = [rank_nodes(rec.state, 1)[0][0] for rec in outcome.history]
     assert len(set(tops[1:])) == 1, f"top-1 changed after round 2: {tops}"
 
-    extra_state, _ = best_response_round(net, outcome.final, gp)
+    extra_state, _, _ = best_response_round(net, outcome.final, gp)
     before = [nid for nid, _ in rank_nodes(outcome.final, net.n)]
     after = [nid for nid, _ in rank_nodes(extra_state, net.n)]
     assert before == after
@@ -277,7 +272,7 @@ def test_c07_rank_stabilization():
     # Same stability holds at the default budget.
     outcome_default = run_pipeline(net, {0: 100.0}, SpreadParams(), GameParams())
     assert outcome_default.converged
-    extra_default, _ = best_response_round(net, outcome_default.final, GameParams())
+    extra_default, _, _ = best_response_round(net, outcome_default.final, GameParams())
     assert [n for n, _ in rank_nodes(extra_default, net.n)] == [
         n for n, _ in rank_nodes(outcome_default.final, net.n)
     ]

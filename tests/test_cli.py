@@ -203,13 +203,22 @@ class TestCompareCommand:
         assert 0.0 <= summary["win_fraction"] <= 1.0
 
     def test_utilization_and_cycles(self, tmp_path):
+        common = {"command", "experiment", "seeds", "base_seed"}
+        extra = {
+            "utilization": {"mean_snm_util", "mean_cobweb_util"},
+            "cycles": {"mean_snm_rounds", "mean_cobweb_iters"},
+        }
         for experiment in ("utilization", "cycles"):
             out = tmp_path / experiment
             code = main([
-                "compare", "--experiment", experiment, "--seeds", "2", "--out", str(out),
+                "compare", "--experiment", experiment, "--seeds", "2", "--seed", "3",
+                "--out", str(out),
             ])
             assert code == 0
-            assert (out / "compare.csv").exists()
+            assert set(read_summary(out)) == common | extra[experiment]
+        # Both experiments share one run: their row tables match byte for byte.
+        csvs = [(tmp_path / e / "compare.csv").read_bytes() for e in ("utilization", "cycles")]
+        assert csvs[0] == csvs[1]
 
     def test_same_seed_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -237,6 +246,12 @@ class TestExitCodes:
         code = main(["spread", "--network", str(net_path), "--source", "0=1",
                      "--out", str(blocker / "sub")])
         assert code == 3
+
+    def test_non_finite_source_exits_2(self, tmp_path):
+        _, net_path = write_chain(tmp_path)
+        code = main(["spread", "--network", str(net_path), "--source", "0=nan",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

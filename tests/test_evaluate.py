@@ -5,10 +5,8 @@ import random
 
 import pytest
 
-from semgame.baselines import CobwebParams, run_cobweb
 from semgame.errors import ValidationError
 from semgame.evaluate import (
-    cycles_to_equilibrium,
     evaluate_pairs,
     has_ties,
     load_balance,
@@ -18,10 +16,10 @@ from semgame.evaluate import (
     utilization,
     utilization_experiment,
 )
-from semgame.game import GameParams, run_game
+from semgame.game import GameParams
 from semgame.generate import complete_network, generate_network
 from semgame.network import PairJudgment
-from semgame.spreading import ActivationState, SpreadParams, seed_state
+from semgame.spreading import ActivationState, SpreadParams
 
 from conftest import quick_net
 from oracles import counting_ranks, pearson
@@ -186,7 +184,7 @@ class TestEvaluatePairs:
 
 class TestLoadBalance:
     def state(self, held):
-        return ActivationState(0, dict(held), dict(held), frozenset())
+        return ActivationState(0, dict(held), frozenset())
 
     def test_uniform_is_zero(self):
         assert load_balance(self.state({0: 2.0, 1: 2.0, 2: 2.0})) == 0.0
@@ -232,27 +230,6 @@ class TestUtilization:
     def test_mismatched_keys(self):
         with pytest.raises(ValidationError, match="different nodes"):
             utilization({0: 1.0}, {1: 1.0}, 10.0)
-
-
-class TestCyclesToEquilibrium:
-    def test_game_outcome_rounds(self):
-        net = quick_net(2, [(0, 1, 0.6)])
-        st = seed_state(net, {0: 60.0, 1: 40.0})
-        outcome = run_game(net, st, GameParams(budget=100.0))
-        assert cycles_to_equilibrium(outcome) == outcome.rounds == 1
-
-    def test_non_converged_run_reports_cap_and_flag(self):
-        params = CobwebParams(
-            r=0.9, demand_intercept=40.0, demand_slope=2.0,
-            supply_intercept=0.0, supply_slope=2.0, max_iters=100, tol=1e-6,
-        )
-        run = run_cobweb([(24.0, 20.0)], params, budget=100.0)
-        assert cycles_to_equilibrium(run) == 100
-        assert not run.converged
-
-    def test_unsupported_object(self):
-        with pytest.raises(ValidationError, match="no cycle count"):
-            cycles_to_equilibrium(object())
 
 
 class TestExperiments:

@@ -1,4 +1,4 @@
-"""Attention game: screening, cost/gain/utility, rounds, equilibrium checks."""
+"""Attention game: screening, cost/gain, rounds, equilibrium checks."""
 
 import dataclasses
 import itertools
@@ -18,7 +18,6 @@ from semgame.game import (
     rescale_to_budget,
     run_game,
     screen,
-    utility,
     verify_nash,
 )
 from semgame.generate import generate_network
@@ -28,8 +27,8 @@ from conftest import quick_net, two_cluster_net
 from oracles import enumerate_equilibria, round_utilities
 
 
-def state_of(held: dict[int, float], incoming: dict[int, float] | None = None, t: int = 0):
-    return ActivationState(t, dict(incoming if incoming is not None else held), dict(held), frozenset())
+def state_of(held: dict[int, float], t: int = 0):
+    return ActivationState(t, dict(held), frozenset())
 
 
 class TestScreen:
@@ -53,53 +52,53 @@ class TestScreen:
 class TestCost:
     def test_identical_states(self):
         st = state_of({0: 1.0, 1: 2.0})
-        assert cost(st, st) == 0.0
+        assert cost(st, st.held) == 0.0
 
     def test_single_difference(self):
         """Nine nodes, one moves by 3: sqrt(9 / 9) = 1."""
         held = {i: 1.0 for i in range(9)}
-        proposal_in = dict(held)
-        proposal_in[4] = 4.0
-        assert cost(state_of(held), state_of(held, proposal_in)) == 1.0
+        offered = dict(held)
+        offered[4] = 4.0
+        assert cost(state_of(held), offered) == 1.0
 
     def test_matches_scalar_rms_oracle(self):
         rng = random.Random(3)
         held = {i: rng.uniform(0, 10) for i in range(12)}
         offered = {i: rng.uniform(0, 10) for i in range(12)}
         expected = math.sqrt(sum((offered[i] - held[i]) ** 2 for i in range(12)) / 12)
-        assert cost(state_of(held), state_of(held, offered)) == pytest.approx(expected, rel=1e-15)
+        assert cost(state_of(held), offered) == pytest.approx(expected, rel=1e-15)
 
     def test_metric_like_on_committed_states(self):
         """Non-negative, zero only at equality, symmetric between states."""
         a = state_of({0: 1.0, 1: 4.0})
         b = state_of({0: 2.0, 1: 2.0})
-        assert cost(a, b) > 0
-        assert cost(a, b) == cost(b, a)
-        assert cost(a, a) == 0.0
+        assert cost(a, b.held) > 0
+        assert cost(a, b.held) == cost(b, a.held)
+        assert cost(a, a.held) == 0.0
 
     def test_mismatched_node_sets(self):
         with pytest.raises(ValidationError, match="different node sets"):
-            cost(state_of({0: 1.0}), state_of({0: 1.0, 1: 1.0}))
+            cost(state_of({0: 1.0}), {0: 1.0, 1: 1.0})
 
 
 class TestGain:
     def test_zero_change(self):
         net = quick_net(3, [(0, 1, 0.5), (0, 2, 0.5)])
         st = state_of({0: 1.0, 1: 1.0, 2: 1.0})
-        assert gain(net, 0, st, st, 0.5) == 0.0
+        assert gain(net, 0, st, st.held, 0.5) == 0.0
 
     def test_delta_zero_identity_power(self):
         net = quick_net(3, [(0, 1, 0.5), (0, 2, 0.5)])
         st = state_of({0: 0.0, 1: 1.0, 2: 1.0})
         offered = {0: 0.0, 1: 1.5, 2: 1.5}
-        assert gain(net, 0, st, state_of(st.held, offered), 0.0) == 0.5
+        assert gain(net, 0, st, offered, 0.0) == 0.5
 
     def test_fractional_power(self):
         """Three neighbors, change 4, delta 0.5: sign(4) * 4^0.5 / 3."""
         net = quick_net(4, [(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5)])
         held = {i: 1.0 for i in range(4)}
         offered = {0: 1.0, 1: 3.0, 2: 2.0, 3: 2.0}
-        result = gain(net, 0, state_of(held), state_of(held, offered), 0.5)
+        result = gain(net, 0, state_of(held), offered, 0.5)
         assert result == pytest.approx(math.copysign(abs(4.0) ** 0.5, 4.0) / 3, rel=1e-15)
         assert result == pytest.approx(2.0 / 3.0)
 
@@ -107,20 +106,13 @@ class TestGain:
         net = quick_net(2, [(0, 1, 0.5)])
         held = {0: 1.0, 1: 2.0}
         offered = {0: 1.0, 1: 1.0}
-        assert gain(net, 0, state_of(held), state_of(held, offered), 0.5) == -1.0
+        assert gain(net, 0, state_of(held), offered, 0.5) == -1.0
 
     def test_isolated_node_rejected(self):
         net = quick_net(2, [])
         st = state_of({0: 1.0, 1: 1.0})
         with pytest.raises(ValidationError, match="no neighbors"):
-            gain(net, 0, st, st, 0.2)
-
-
-class TestUtility:
-    def test_direct_arithmetic(self):
-        assert utility(0.5, 0.2) == pytest.approx(0.3)
-        assert utility(0.0, 0.0) == 0.0
-        assert utility(-0.1, 0.4) == -0.5
+            gain(net, 0, st, st.held, 0.2)
 
 
 class TestRescale:
@@ -140,8 +132,9 @@ class TestBestResponseRound:
         """No neighbors, no proposal: the lone node rejects and keeps the budget."""
         net = quick_net(1, [])
         st = state_of({0: 1.0})
-        new_state, strategies = best_response_round(net, st, GameParams(budget=1.0))
+        new_state, strategies, utilities = best_response_round(net, st, GameParams(budget=1.0))
         assert strategies == {0: Strategy.REJECT}
+        assert utilities == {0: 0.0}
         assert new_state.held == {0: 1.0}
         assert sum(new_state.held.values()) == 1.0
 
@@ -157,8 +150,9 @@ class TestBestResponseRound:
         expected = {nid: utilities[nid] > 0.0 for nid in (0, 1)}
         assert expected in equilibria
 
-        new_state, strategies = best_response_round(net, state_of(held), params)
+        new_state, strategies, realized = best_response_round(net, state_of(held), params)
         assert {nid: s is Strategy.ACCEPT for nid, s in strategies.items()} == expected
+        assert realized == pytest.approx({nid: max(utilities[nid], 0.0) for nid in (0, 1)}, abs=1e-12)
 
         offered = {
             0: held[0] + held[1] * 0.6 * 0.8,
@@ -177,28 +171,28 @@ class TestBestResponseRound:
             net = generate_network(rng.randrange(3, 12), 0.4, seed)
             held = {i: rng.uniform(0, 10) for i in net.node_ids()}
             params = GameParams(budget=50.0)
-            new_state, _ = best_response_round(net, state_of(held), params)
+            new_state, _, _ = best_response_round(net, state_of(held), params)
             assert sum(new_state.held.values()) == pytest.approx(50.0, rel=1e-9)
 
     def test_empty_participant_set_returns_state_unchanged(self):
         net = quick_net(2, [(0, 1, 0.5)])
         st = state_of({0: 1.0, 1: 1.0})
         params = GameParams(budget=2.0, screen_threshold=5.0)
-        new_state, strategies = best_response_round(net, st, params)
+        new_state, strategies, utilities = best_response_round(net, st, params)
         assert new_state is st
-        assert strategies == {}
+        assert strategies == {} and utilities == {}
 
     def test_screening_soundness(self):
         """Nodes below the threshold at round start take no strategy."""
         net = quick_net(3, [(0, 1, 0.5), (1, 2, 0.5)])
         st = state_of({0: 10.0, 1: 0.5, 2: 4.0})
-        _, strategies = best_response_round(net, st, GameParams(budget=14.5, screen_threshold=1.0))
+        _, strategies, _ = best_response_round(net, st, GameParams(budget=14.5, screen_threshold=1.0))
         assert set(strategies) == {0, 2}
 
     def test_per_node_thresholds_used_without_override(self):
         net = quick_net(2, [(0, 1, 0.5)], threshold=3.0)
         st = state_of({0: 5.0, 1: 1.0})
-        _, strategies = best_response_round(net, st, GameParams(budget=6.0))
+        _, strategies, _ = best_response_round(net, st, GameParams(budget=6.0))
         assert set(strategies) == {0}
 
 
@@ -257,7 +251,7 @@ class TestRunGame:
         st = rescale_to_budget(seed_state(net, {0: 1.0}), 1.0)
         outcome = run_game(net, st, params)
         assert outcome.converged
-        extra, _ = best_response_round(net, outcome.final, params)
+        extra, _, _ = best_response_round(net, outcome.final, params)
         before = [nid for nid, _ in rank_nodes(outcome.final, net.n)]
         after = [nid for nid, _ in rank_nodes(extra, net.n)]
         assert before == after
@@ -329,8 +323,16 @@ class TestRankNodes:
 
 class TestGameParams:
     def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            GameParams(epsilon=0.0)
+        for epsilon in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                GameParams(epsilon=epsilon)
+
+    def test_non_finite_budget_and_screen_threshold_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="budget"):
+                GameParams(budget=bad)
+            with pytest.raises(ValidationError, match="screen_threshold"):
+                GameParams(screen_threshold=bad)
 
     def test_max_rounds_at_least_one(self):
         with pytest.raises(ValidationError):

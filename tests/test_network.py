@@ -1,6 +1,7 @@
 """Network data model, file I/O, and weight-sum operations."""
 
 import json
+import math
 import random
 
 import pytest
@@ -103,12 +104,18 @@ class TestLoadNetwork:
 
 class TestNodeInvariants:
     def test_negative_threshold(self):
-        with pytest.raises(ValidationError, match="threshold"):
-            ConceptNode(id=0, label="a", threshold=-1.0)
+        for threshold in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="threshold"):
+                ConceptNode(id=0, label="a", threshold=threshold)
 
     def test_unsorted_history(self):
         with pytest.raises(ValidationError, match="sorted"):
             ConceptNode(id=0, label="a", history=(2.0, 1.0))
+
+    def test_negative_or_non_finite_history(self):
+        for stamp in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="non-finite history"):
+                ConceptNode(id=0, label="a", history=(stamp,))
 
     def test_empty_label(self):
         with pytest.raises(ValidationError, match="label"):

@@ -47,7 +47,7 @@ class TestEdgeSpread:
 class TestStep:
     def test_no_activated_nodes_only_ticks(self):
         net = quick_net(3, [(0, 1, 0.5)])
-        state = ActivationState(0, {0: 1.0, 1: 0.0, 2: 0.0}, {0: 1.0, 1: 0.0, 2: 0.0}, frozenset())
+        state = ActivationState(0, {0: 1.0, 1: 0.0, 2: 0.0}, frozenset())
         nxt = step(net, state, SpreadParams())
         assert nxt.t == 1
         assert dict(nxt.held) == dict(state.held)
@@ -160,6 +160,16 @@ class TestRunSpread:
     def test_negative_source_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
             run_spread(quick_net(2, []), {0: -1.0}, SpreadParams())
+        for energy in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="non-finite"):
+                seed_state(quick_net(2, []), {0: energy})
+
+    def test_non_finite_params_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="budget"):
+                SpreadParams(budget=bad)
+            with pytest.raises(ValidationError, match="fire_threshold"):
+                SpreadParams(fire_threshold=bad)
 
     def test_delta_one_stops_immediately(self):
         """Full attenuation: no energy ever leaves a source."""
@@ -214,7 +224,7 @@ class TestSpreadingProperties:
             ]
             net = quick_net(n, edges)
             held = {i: rng.uniform(0, 5) for i in range(n)}
-            state = ActivationState(0, dict(held), held, frozenset(range(n)))
+            state = ActivationState(0, held, frozenset(range(n)))
             params = SpreadParams(delta=0.3, fire_threshold=0.0, budget=100.0)
             nxt = step(net, state, params)
             bound = (n - 1) * max(held.values()) * (1 - params.delta)
@@ -223,7 +233,7 @@ class TestSpreadingProperties:
 
     def test_state_validation_rejects_unknown_ids(self):
         net = quick_net(2, [(0, 1, 0.5)])
-        bad = ActivationState(0, {5: 1.0}, {5: 1.0}, frozenset({5}))
+        bad = ActivationState(0, {5: 1.0}, frozenset({5}))
         with pytest.raises(ValidationError, match="unknown node"):
             from semgame.spreading import check_state
 
@@ -240,7 +250,7 @@ class TestAttention:
         """Symmetric star with equal held values gives equal leaf attention."""
         net = quick_net(5, [(0, i, 0.5) for i in range(1, 5)])
         held = {0: 0.0, 1: 2.0, 2: 2.0, 3: 2.0, 4: 2.0}
-        state = ActivationState(0, dict(held), held, frozenset())
+        state = ActivationState(0, held, frozenset())
         values = {attention(net, state, i) for i in range(1, 5)}
         assert len(values) == 1
 
@@ -254,7 +264,7 @@ class TestAttention:
         ]
         net = quick_net(7, edges)
         held = {i: rng.uniform(0, 5) for i in range(7)}
-        state = ActivationState(0, dict(held), held, frozenset())
+        state = ActivationState(0, held, frozenset())
         total = sum(w for _, _, w in edges)
         for x in range(7):
             incident = sum(w for a, b, w in edges if x in (a, b))
@@ -271,7 +281,7 @@ class TestAttention:
         edges = [(0, 1, 0.3), (1, 2, 0.9), (0, 2, 0.6)]
         net = quick_net(3, edges)
         held = {0: 1.0, 1: 2.0, 2: 3.0}
-        state = ActivationState(0, dict(held), held, frozenset())
+        state = ActivationState(0, held, frozenset())
 
         mapping = {0: 10, 1: 7, 2: 42}
         nodes = [ConceptNode(id=mapping[i], label=f"m{i}") for i in range(3)]
@@ -279,7 +289,7 @@ class TestAttention:
             nodes, [WeightedEdge(mapping[a], mapping[b], w) for a, b, w in edges]
         )
         perm_held = {mapping[i]: held[i] for i in range(3)}
-        perm_state = ActivationState(0, dict(perm_held), perm_held, frozenset())
+        perm_state = ActivationState(0, perm_held, frozenset())
         for i in range(3):
             assert attention(net, state, i) == attention(renamed, perm_state, mapping[i])
 
