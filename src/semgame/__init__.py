@@ -1,107 +1,32 @@
 """Spreading activation and game-theoretic attention allocation over
-weighted semantic networks, with baselines and an evaluation harness."""
+weighted semantic networks, with baselines and an evaluation harness.
 
-from .baselines import (
-    CobwebParams,
-    CobwebRun,
-    CobwebState,
-    cobweb_step,
-    run_cobweb,
-    run_traditional,
-)
+The package root holds the names of the README quick tour; everything
+else is imported from its submodule (`semgame.network`, `semgame.game`, ...).
+"""
+
 from .errors import ValidationError
-from .evaluate import (
-    EvalReport,
-    evaluate_pairs,
-    load_balance,
-    relatedness,
-    run_pipeline,
-    spearman,
-    utilization,
-)
-from .game import (
-    GameOutcome,
-    GameParams,
-    Strategy,
-    best_response_round,
-    cost,
-    gain,
-    rank_nodes,
-    rescale_to_budget,
-    run_game,
-    screen,
-    verify_nash,
-)
-from .generate import complete_network, generate_network
-from .network import (
-    ConceptNode,
-    PairJudgment,
-    SemanticNetwork,
-    WeightedEdge,
-    build_network,
-    load_network,
-    load_pairs,
-    neighbor_weight_sum,
-    save_network,
-    total_weight_sum,
-)
-from .spreading import (
-    ActivationState,
-    SpreadParams,
-    attention,
-    edge_spread,
-    initial_activation,
-    run_spread,
-    seed_state,
-    step,
-)
+from .evaluate import evaluate_pairs, relatedness, run_pipeline
+from .game import GameParams, rank_nodes, rescale_to_budget, run_game, verify_nash
+from .generate import generate_network
+from .network import load_network, load_pairs
+from .spreading import SpreadParams, run_spread
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationState",
-    "CobwebParams",
-    "CobwebRun",
-    "CobwebState",
-    "ConceptNode",
-    "EvalReport",
-    "GameOutcome",
     "GameParams",
-    "PairJudgment",
-    "SemanticNetwork",
     "SpreadParams",
-    "Strategy",
     "ValidationError",
-    "WeightedEdge",
-    "attention",
-    "best_response_round",
-    "build_network",
-    "cobweb_step",
-    "complete_network",
-    "cost",
-    "edge_spread",
     "evaluate_pairs",
-    "gain",
     "generate_network",
-    "initial_activation",
-    "load_balance",
     "load_network",
     "load_pairs",
-    "neighbor_weight_sum",
     "rank_nodes",
     "relatedness",
     "rescale_to_budget",
-    "run_cobweb",
     "run_game",
     "run_pipeline",
     "run_spread",
-    "run_traditional",
-    "save_network",
-    "screen",
-    "seed_state",
-    "spearman",
-    "step",
-    "total_weight_sum",
-    "utilization",
     "verify_nash",
 ]

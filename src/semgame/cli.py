@@ -24,12 +24,11 @@ from .evaluate import (
     run_pipeline,
     utilization_experiment,
 )
-from .game import GameParams, Strategy, rank_nodes, rescale_to_budget, run_game
-from .generate import generate_network
+from .game import GameParams, rank_nodes
 from .network import SemanticNetwork, load_network, load_pairs
 from .spreading import SpreadParams, initial_activation, iter_spread
 
-__all__ = ["main", "generate_network"]
+__all__ = ["main"]
 
 
 def _spread_params(args) -> SpreadParams:
@@ -313,66 +312,83 @@ def _cmd_compare(args, out_dir: Path) -> int:
     return 0
 
 
+# Every flag once; each subcommand below lists the ones it reads.
+_FLAGS = {
+    "--budget": dict(type=float, default=100.0, help="total activation energy"),
+    "--seed": dict(type=int, default=0, help="base seed for generated inputs"),
+    "--out": dict(default=".", help="output directory"),
+    "--delta": dict(type=float, default=0.2, help="attenuation factor in [0, 1]"),
+    "--fire-threshold": dict(type=float, default=None, help="minimum held energy to fire (default budget*1e-6)"),
+    "--max-steps": dict(type=int, default=20, help="spreading step limit"),
+    "--epsilon": dict(type=float, default=None, help="convergence threshold (default budget/1000)"),
+    "--screen-threshold": dict(type=float, default=None, help="global screening threshold (overrides per-node)"),
+    "--max-rounds": dict(type=int, default=100, help="game round limit (cobweb: iteration limit)"),
+    "--trace": dict(action="store_true", help="write trace.csv"),
+    "--network": dict(required=True, help="network JSON file"),
+    "--source": dict(action="append", help="source NODE or NODE=ENERGY (repeatable); default: node histories"),
+    "--pair": dict(required=True, help="two nodes, comma separated (ids or labels)"),
+    "--no-game": dict(action="store_true", help="score from spreading alone"),
+    "--pairs": dict(required=True, help="TSV file of scored pairs"),
+    "--scale": dict(choices=["unit", "five-point"], default="unit", help="score scale in the pairs file"),
+    "--nodes": dict(type=int, default=6, help="number of nodes"),
+    "--demand": dict(type=float, default=20.0, help="per-node demand target"),
+    "--r": dict(type=float, default=0.5, help="adjustment rate"),
+    "--demand-slope": dict(type=float, default=1.0),
+    "--supply-slope": dict(type=float, default=1.0),
+    "--experiment": dict(choices=["load-balance", "utilization", "cycles"], required=True),
+    "--seeds": dict(type=int, default=20, help="number of seeded repetitions"),
+    "--n": dict(type=int, default=30, help="generated network size"),
+    "--edge-prob": dict(type=float, default=0.15, help="extra-edge probability"),
+}
+_SPREADING = ("--delta", "--fire-threshold", "--max-steps")
+_GAME = ("--epsilon", "--screen-threshold", "--max-rounds")
+
+# name: (handler, help, flags it reads beyond --budget, --seed and --out)
+_COMMANDS = {
+    "spread": (
+        _cmd_spread,
+        "run spreading activation",
+        (*_SPREADING, "--trace", "--network", "--source"),
+    ),
+    "game": (
+        _cmd_game,
+        "spread then play the attention game",
+        (*_SPREADING, *_GAME, "--trace", "--network", "--source"),
+    ),
+    "relatedness": (
+        _cmd_relatedness,
+        "score one concept pair",
+        (*_SPREADING, *_GAME, "--network", "--pair", "--no-game"),
+    ),
+    "evaluate": (
+        _cmd_evaluate,
+        "correlate model scores with human judgments",
+        (*_SPREADING, *_GAME, "--network", "--pairs", "--scale", "--no-game"),
+    ),
+    "cobweb": (
+        _cmd_cobweb,
+        "run the cobweb baseline",
+        ("--max-rounds", "--trace", "--nodes", "--demand", "--r", "--demand-slope", "--supply-slope"),
+    ),
+    "compare": (
+        _cmd_compare,
+        "run a comparison experiment",
+        ("--delta", "--experiment", "--seeds", "--n", "--edge-prob"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semgame",
         description="Spreading activation and attention-game allocation over semantic networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--delta", type=float, default=0.2, help="attenuation factor in [0, 1]")
-    common.add_argument("--budget", type=float, default=100.0, help="total activation energy")
-    common.add_argument("--epsilon", type=float, default=None, help="convergence threshold (default budget/1000)")
-    common.add_argument("--screen-threshold", type=float, default=None, help="global screening threshold (overrides per-node)")
-    common.add_argument("--fire-threshold", type=float, default=None, help="minimum held energy to fire (default budget*1e-6)")
-    common.add_argument("--max-steps", type=int, default=20, help="spreading step limit")
-    common.add_argument("--max-rounds", type=int, default=100, help="game round limit")
-    common.add_argument("--seed", type=int, default=0, help="base seed for generated inputs")
-    common.add_argument("--trace", action="store_true", help="write trace.csv")
-    common.add_argument("--out", default=".", help="output directory")
-
-    net_arg = argparse.ArgumentParser(add_help=False)
-    net_arg.add_argument("--network", required=True, help="network JSON file")
-    src_arg = argparse.ArgumentParser(add_help=False)
-    src_arg.add_argument(
-        "--source",
-        action="append",
-        help="source NODE or NODE=ENERGY (repeatable); default: node histories",
-    )
-
-    p = sub.add_parser("spread", parents=[common, net_arg, src_arg], help="run spreading activation")
-    p.set_defaults(func=_cmd_spread)
-
-    p = sub.add_parser("game", parents=[common, net_arg, src_arg], help="spread then play the attention game")
-    p.set_defaults(func=_cmd_game)
-
-    p = sub.add_parser("relatedness", parents=[common, net_arg], help="score one concept pair")
-    p.add_argument("--pair", required=True, help="two nodes, comma separated (ids or labels)")
-    p.add_argument("--no-game", action="store_true", help="score from spreading alone")
-    p.set_defaults(func=_cmd_relatedness)
-
-    p = sub.add_parser("evaluate", parents=[common, net_arg], help="correlate model scores with human judgments")
-    p.add_argument("--pairs", required=True, help="TSV file of scored pairs")
-    p.add_argument("--scale", choices=["unit", "five-point"], default="unit", help="score scale in the pairs file")
-    p.add_argument("--no-game", action="store_true", help="score from spreading alone")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("cobweb", parents=[common], help="run the cobweb baseline")
-    p.add_argument("--nodes", type=int, default=6, help="number of nodes")
-    p.add_argument("--demand", type=float, default=20.0, help="per-node demand target")
-    p.add_argument("--r", type=float, default=0.5, help="adjustment rate")
-    p.add_argument("--demand-slope", type=float, default=1.0)
-    p.add_argument("--supply-slope", type=float, default=1.0)
-    p.set_defaults(func=_cmd_cobweb)
-
-    p = sub.add_parser("compare", parents=[common], help="run a comparison experiment")
-    p.add_argument("--experiment", choices=["load-balance", "utilization", "cycles"], required=True)
-    p.add_argument("--seeds", type=int, default=20, help="number of seeded repetitions")
-    p.add_argument("--n", type=int, default=30, help="generated network size")
-    p.add_argument("--edge-prob", type=float, default=0.15, help="extra-edge probability")
-    p.set_defaults(func=_cmd_compare)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in ("--budget", "--seed", "--out", *flags):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -23,14 +23,12 @@ from .spreading import ActivationState, SpreadParams, run_spread
 __all__ = [
     "EvalReport",
     "spearman",
-    "average_ranks",
     "has_ties",
     "run_pipeline",
     "relatedness",
     "evaluate_pairs",
     "load_balance",
     "utilization",
-    "COBWEB_GRID",
     "load_balance_experiment",
     "utilization_experiment",
 ]
@@ -52,7 +50,7 @@ class EvalReport:
             raise ValidationError("report needs at least 2 pairs and a matching count")
 
 
-def average_ranks(values: list[float]) -> list[float]:
+def _average_ranks(values: list[float]) -> list[float]:
     """1-based ranks; tied values share the average of their positions."""
     n = len(values)
     order = sorted(range(n), key=lambda i: values[i])
@@ -98,8 +96,8 @@ def spearman(xs: list[float], ys: list[float]) -> float:
     n = len(xs)
     if n < 2:
         raise ValidationError("need at least 2 observations")
-    rx = average_ranks(list(xs))
-    ry = average_ranks(list(ys))
+    rx = _average_ranks(list(xs))
+    ry = _average_ranks(list(ys))
     if has_ties(list(xs)) or has_ties(list(ys)):
         rho = _pearson(rx, ry)
     else:
@@ -202,7 +200,7 @@ def utilization(
 
 # Adjustment-rate / slope grid for the cobweb comparison experiments;
 # combos with r * 2s >= 1 oscillate without settling.
-COBWEB_GRID: tuple[tuple[float, float], ...] = tuple(
+_COBWEB_GRID: tuple[tuple[float, float], ...] = tuple(
     (r, s) for r in (0.2, 0.5, 0.9) for s in (0.5, 1.0, 2.0)
 )
 
@@ -285,7 +283,7 @@ def utilization_experiment(
             "snm_all_met": all(held[i] >= demand - met_tol for i in range(n_nodes)),
         }
         cobweb_utils = []
-        for r, slope in COBWEB_GRID:
+        for r, slope in _COBWEB_GRID:
             params = CobwebParams(
                 r=r,
                 demand_intercept=2 * demand,

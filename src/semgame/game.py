@@ -19,7 +19,7 @@ from enum import Enum
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import ActivationState, _arrivals, check_state
+from .spreading import ActivationState, _spread_once, check_state
 
 __all__ = [
     "Strategy",
@@ -173,8 +173,7 @@ def _offer(
     participants = _participants(net, state, params)
     if not participants:
         return {}, {}
-    arriving = _arrivals(net, state.held, frozenset(participants), params.delta)
-    offered = {nid: state.held.get(nid, 0.0) + arriving[nid] for nid in net.node_ids()}
+    offered = _spread_once(net, state.held, frozenset(participants), params.delta)
     c = cost(state, offered)
     utilities = {
         i: gain(net, i, state, offered, params.delta) - c if net.neighbors(i) else 0.0

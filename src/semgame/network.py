@@ -146,6 +146,18 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
     return SemanticNetwork(tuple(nodes), tuple(edges), frozen, by_id, tuple(sorted(frozen)))
 
 
+def _as_id(value, what: str) -> int:
+    """A node id read from JSON; bools and non-integral floats (inf, nan too) are rejected."""
+    if type(value) is int:  # the common case, checked first: files hold thousands of ids
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+_BAD_ENTRY = (ValidationError, KeyError, TypeError, ValueError, OverflowError)
+
+
 def network_from_dict(data: dict) -> SemanticNetwork:
     """Build a validated network from the JSON-format dict."""
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
@@ -156,24 +168,21 @@ def network_from_dict(data: dict) -> SemanticNetwork:
         try:
             nodes.append(
                 ConceptNode(
-                    id=int(raw["id"]),
+                    id=_as_id(raw["id"], "id"),
                     label=str(raw["label"]),
                     threshold=float(raw.get("threshold", 0.0)),
                     history=tuple(float(t) for t in raw.get("history", ())),
                 )
             )
-        except ValidationError as exc:
-            raise ValidationError(f"nodes[{i}]: {exc}") from None
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_ENTRY as exc:
             raise ValidationError(f"nodes[{i}]: {exc}") from None
 
     edges = []
     for i, raw in enumerate(data["edges"]):
         try:
-            edges.append(WeightedEdge(a=int(raw["a"]), b=int(raw["b"]), weight=float(raw["w"])))
-        except ValidationError as exc:
-            raise ValidationError(f"edges[{i}]: {exc}") from None
-        except (KeyError, TypeError, ValueError) as exc:
+            a, b = _as_id(raw["a"], "endpoint"), _as_id(raw["b"], "endpoint")
+            edges.append(WeightedEdge(a=a, b=b, weight=float(raw["w"])))
+        except _BAD_ENTRY as exc:
             raise ValidationError(f"edges[{i}]: {exc}") from None
 
     return build_network(nodes, edges)

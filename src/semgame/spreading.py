@@ -20,7 +20,6 @@ from .network import SemanticNetwork, neighbor_weight_sum, total_weight_sum
 __all__ = [
     "ActivationState",
     "SpreadParams",
-    "DEFAULT_DECAY",
     "edge_spread",
     "seed_state",
     "step",
@@ -29,10 +28,6 @@ __all__ = [
     "attention",
     "initial_activation",
 ]
-
-# Power-law decay exponent for history-based initial activation.
-DEFAULT_DECAY = 0.5
-
 
 @dataclass(frozen=True)
 class ActivationState:
@@ -92,16 +87,20 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
     return ActivationState(0, held, frozenset(sources))
 
 
-def _arrivals(
+def _spread_once(
     net: SemanticNetwork, held: Mapping[int, float], firing: frozenset[int], delta: float
 ) -> dict[int, float]:
-    """Energy arriving at each node from the firing set, summed in sorted order."""
+    """Every node's held energy plus what arrives from the firing set.
+
+    Arrivals are summed in ascending firing order before being added to
+    what the node already holds.
+    """
     arriving = {nid: 0.0 for nid in net.node_ids()}
     for x in sorted(firing):
         o_x = held[x]
         for y, w in net.neighbors(x):
             arriving[y] += edge_spread(o_x, w, delta)
-    return arriving
+    return {nid: held.get(nid, 0.0) + a for nid, a in arriving.items()}
 
 
 def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> ActivationState:
@@ -111,15 +110,9 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
     A node fires at the new step iff its held energy changed and sits
     at or above the fire threshold; unchanged nodes never re-fire.
     """
-    arriving = _arrivals(net, state.held, state.activated, params.delta)
-    new_held: dict[int, float] = {}
-    fired: set[int] = set()
-    for nid in net.node_ids():
-        old = state.held.get(nid, 0.0)
-        new = old + arriving[nid]
-        new_held[nid] = new
-        if new != old and new >= params.fire_threshold:
-            fired.add(nid)
+    old, threshold = state.held, params.fire_threshold
+    new_held = _spread_once(net, old, state.activated, params.delta)
+    fired = [nid for nid, new in new_held.items() if new >= threshold and new != old.get(nid, 0.0)]
     return ActivationState(state.t + 1, new_held, frozenset(fired))
 
 
@@ -136,6 +129,8 @@ def iter_spread(
     yield state
     while state.activated and state.t < params.max_steps:
         state = step(net, state, params)
+        if not math.isfinite(sum(state.held.values())):
+            raise ValidationError(f"spreading overflowed to a non-finite total at step {state.t}")
         yield state
 
 
@@ -158,7 +153,7 @@ def attention(net: SemanticNetwork, state: ActivationState, x: int) -> float:
     return neighbor_weight_sum(net, x) / total * state.held.get(x, 0.0)
 
 
-def initial_activation(history: tuple[float, ...] | list[float], now: float, decay: float = DEFAULT_DECAY) -> float:
+def initial_activation(history: tuple[float, ...] | list[float], now: float, decay: float = 0.5) -> float:
     """History-based starting energy with power-law forgetting.
 
     Each past use at age a contributes a**(-decay); the energy is the

@@ -9,7 +9,7 @@ from semgame.cli import main
 from semgame.errors import ValidationError
 from semgame.evaluate import relatedness
 from semgame.game import GameParams
-from semgame.generate import generate_network
+from semgame.generate import complete_network, generate_network
 from semgame.network import (
     ConceptNode,
     WeightedEdge,
@@ -253,10 +253,56 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_spread_overflow_exits_2(self, tmp_path):
+        net_path = tmp_path / "complete.json"
+        save_network(complete_network(30), net_path)
+        code = main(["spread", "--network", str(net_path), "--max-steps", "300",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--experiment", "bogus"])
         assert exc.value.code == 2
+
+
+# Flags a subcommand does not read are rejected, not silently ignored.
+IGNORED_FLAGS = [
+    ("spread", "--epsilon", "1"),
+    ("spread", "--screen-threshold", "1"),
+    ("spread", "--max-rounds", "5"),
+    ("relatedness", "--trace", None),
+    ("evaluate", "--trace", None),
+    ("cobweb", "--delta", "0.5"),
+    ("cobweb", "--epsilon", "1"),
+    ("cobweb", "--screen-threshold", "1"),
+    ("cobweb", "--fire-threshold", "1"),
+    ("cobweb", "--max-steps", "5"),
+    ("compare", "--epsilon", "1"),
+    ("compare", "--screen-threshold", "1"),
+    ("compare", "--fire-threshold", "1"),
+    ("compare", "--max-steps", "5"),
+    ("compare", "--max-rounds", "5"),
+    ("compare", "--trace", None),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS)
+def test_unread_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    _, net_path = write_chain(tmp_path)
+    required = {
+        "spread": ["--network", str(net_path)],
+        "relatedness": ["--network", str(net_path), "--pair", "n0,n1"],
+        "evaluate": ["--network", str(net_path), "--pairs", str(tmp_path / "pairs.tsv")],
+        "cobweb": [],
+        "compare": ["--experiment", "load-balance", "--seeds", "1"],
+    }[command]
+    argv = [command, *required, flag, *([value] if value else []), "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestGenerateNetwork:

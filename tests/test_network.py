@@ -57,6 +57,23 @@ class TestLoadNetwork:
         bad = {"nodes": MINIMAL["nodes"], "edges": [{"a": 0, "b": 9, "w": 0.5}]}
         with pytest.raises(ValidationError, match=r"edges\[0\].*9"):
             load_network(write_net(tmp_path, bad))
+        # Non-integer endpoints are rejected, not truncated onto node 1.
+        for endpoint in (1.2, True):
+            bad = {"nodes": MINIMAL["nodes"], "edges": [{"a": 0, "b": endpoint, "w": 0.5}]}
+            with pytest.raises(ValidationError, match=r"edges\[0\]: endpoint .* not an integer"):
+                load_network(write_net(tmp_path, bad))
+
+    def test_non_integer_node_id(self, tmp_path):
+        """Ids must be integral: 1.9 is not truncated, Infinity does not overflow."""
+        for node_id in ("1.9", "true", "Infinity", "NaN"):
+            path = tmp_path / "net.json"
+            path.write_text('{"nodes": [{"id": 0, "label": "a"}, {"id": %s, "label": "b"}], '
+                            '"edges": []}' % node_id)
+            with pytest.raises(ValidationError, match=r"nodes\[1\]: id .* not an integer"):
+                load_network(path)
+        # An integral float is still a valid id.
+        net = network_from_dict({"nodes": [{"id": 1.0, "label": "a"}], "edges": []})
+        assert net.node_ids() == (1,)
 
     def test_duplicate_node_id(self, tmp_path):
         bad = {"nodes": [{"id": 0, "label": "a"}, {"id": 0, "label": "b"}], "edges": []}

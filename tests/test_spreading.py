@@ -7,6 +7,7 @@ import random
 import pytest
 
 from semgame.errors import ValidationError
+from semgame.generate import complete_network
 from semgame.network import build_network, ConceptNode, WeightedEdge
 from semgame.spreading import (
     ActivationState,
@@ -170,6 +171,16 @@ class TestRunSpread:
                 SpreadParams(budget=bad)
             with pytest.raises(ValidationError, match="fire_threshold"):
                 SpreadParams(fire_threshold=bad)
+
+    def test_overflow_fails_loudly(self):
+        """Energy that grows past float range raises instead of turning inf.
+
+        On a complete graph the total grows by about (1 - delta) * (n - 1)
+        per step; at n=200 held values reach inf at step 139, after which
+        inf + x == inf would read as "unchanged" and stop the spread.
+        """
+        with pytest.raises(ValidationError, match="non-finite total at step 139"):
+            run_spread(complete_network(200), {0: 100.0}, SpreadParams(max_steps=200))
 
     def test_delta_one_stops_immediately(self):
         """Full attenuation: no energy ever leaves a source."""
