@@ -17,7 +17,6 @@ from pathlib import Path
 from .baselines import CobwebParams, run_cobweb
 from .errors import ValidationError
 from .evaluate import (
-    EvalReport,
     evaluate_pairs,
     load_balance_experiment,
     relatedness,
@@ -100,13 +99,11 @@ def _resolve_sources(net: SemanticNetwork, specs: list[str] | None, budget: floa
 
 
 def _write_summary(out_dir: Path, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     (out_dir / "summary.json").write_text(text, encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -117,76 +114,57 @@ def _held_json(state) -> dict[str, float]:
     return {str(nid): state.held[nid] for nid in sorted(state.held)}
 
 
-def _cmd_spread(args, out_dir: Path) -> int:
+def _cmd_spread(args) -> tuple[dict, dict]:
     net = load_network(args.network)
     sp = _spread_params(args)
     sources = _resolve_sources(net, args.source, args.budget)
     states = list(iter_spread(net, sources, sp))
     final = states[-1]
+    tables = {}
     if args.trace:
         rows = [[st.t, nid, st.held[nid]] for st in states for nid in sorted(st.held)]
-        _write_csv(out_dir / "trace.csv", ["step", "node", "held"], rows)
-    _write_summary(
-        out_dir,
-        {
-            "command": "spread",
-            "network": str(args.network),
-            "sources": {str(k): v for k, v in sorted(sources.items())},
-            "delta": sp.delta,
-            "budget": sp.budget,
-            "steps": final.t,
-            "final_held": _held_json(final),
-        },
-    )
-    return 0
+        tables["trace.csv"] = (["step", "node", "held"], rows)
+    summary = {
+        "network": str(args.network),
+        "sources": {str(k): v for k, v in sorted(sources.items())},
+        "delta": sp.delta,
+        "budget": sp.budget,
+        "steps": final.t,
+        "final_held": _held_json(final),
+    }
+    return summary, tables
 
 
-def _cmd_game(args, out_dir: Path) -> int:
+def _cmd_game(args) -> tuple[dict, dict]:
     net = load_network(args.network)
     sp = _spread_params(args)
     gp = _game_params(args)
     sources = _resolve_sources(net, args.source, args.budget)
     outcome = run_pipeline(net, sources, sp, gp)
+    tables = {}
     if args.trace:
-        rows = []
-        for rec in outcome.history:
-            for nid in sorted(rec.state.held):
-                strat = rec.strategies.get(nid)
-                rows.append(
-                    [
-                        rec.index,
-                        nid,
-                        rec.state.held[nid],
-                        strat.value if strat else "",
-                        rec.utilities.get(nid, ""),
-                        rec.cost,
-                    ]
-                )
-        _write_csv(
-            out_dir / "trace.csv",
-            ["round", "node", "held", "strategy", "utility", "round_cost"],
-            rows,
-        )
-    _write_summary(
-        out_dir,
-        {
-            "command": "game",
-            "network": str(args.network),
-            "sources": {str(k): v for k, v in sorted(sources.items())},
-            "converged": outcome.converged,
-            "rounds": outcome.rounds,
-            "round_costs": list(outcome.round_costs),
-            "ranking": [[nid, energy] for nid, energy in rank_nodes(outcome.final, 10)],
-            "final_held": _held_json(outcome.final),
-            "strategies": {
-                str(nid): strat.value for nid, strat in sorted(outcome.strategies.items())
-            },
-        },
-    )
-    return 0
+        rows = [
+            [rec.index, nid, rec.state.held[nid],
+             rec.strategies[nid].value if nid in rec.strategies else "",
+             rec.utilities.get(nid, ""), rec.cost]
+            for rec in outcome.history
+            for nid in sorted(rec.state.held)
+        ]
+        tables["trace.csv"] = (["round", "node", "held", "strategy", "utility", "round_cost"], rows)
+    summary = {
+        "network": str(args.network),
+        "sources": {str(k): v for k, v in sorted(sources.items())},
+        "converged": outcome.converged,
+        "rounds": outcome.rounds,
+        "round_costs": list(outcome.round_costs),
+        "ranking": [[nid, energy] for nid, energy in rank_nodes(outcome.final, 10)],
+        "final_held": _held_json(outcome.final),
+        "strategies": {str(nid): strat.value for nid, strat in sorted(outcome.strategies.items())},
+    }
+    return summary, tables
 
 
-def _cmd_relatedness(args, out_dir: Path) -> int:
+def _cmd_relatedness(args) -> tuple[dict, dict]:
     net = load_network(args.network)
     sp = _spread_params(args)
     gp = None if args.no_game else _game_params(args)
@@ -196,48 +174,35 @@ def _cmd_relatedness(args, out_dir: Path) -> int:
         raise ValidationError(f"--pair {args.pair!r}: expected two comma-separated nodes") from None
     a = _node_ref(net, ref_a)
     b = _node_ref(net, ref_b)
-    score = relatedness(net, a, b, sp, gp)
-    _write_summary(
-        out_dir,
-        {
-            "command": "relatedness",
-            "network": str(args.network),
-            "pair": [ref_a, ref_b],
-            "no_game": bool(args.no_game),
-            "score": score,
-        },
-    )
-    return 0
+    summary = {
+        "network": str(args.network),
+        "pair": [ref_a, ref_b],
+        "no_game": bool(args.no_game),
+        "score": relatedness(net, a, b, sp, gp),
+    }
+    return summary, {}
 
 
-def _cmd_evaluate(args, out_dir: Path) -> int:
+def _cmd_evaluate(args) -> tuple[dict, dict]:
     net = load_network(args.network)
     pairs = load_pairs(args.pairs, scale=args.scale)
     sp = _spread_params(args)
     gp = None if args.no_game else _game_params(args)
-    report: EvalReport = evaluate_pairs(net, pairs, sp, gp)
-    _write_csv(
-        out_dir / "pairs.csv",
-        ["label_a", "label_b", "human_score", "model_score"],
-        [list(row) for row in report.pairs],
-    )
-    _write_summary(
-        out_dir,
-        {
-            "command": "evaluate",
-            "network": str(args.network),
-            "pairs_file": str(args.pairs),
-            "scale": args.scale,
-            "no_game": bool(args.no_game),
-            "rho": report.rho,
-            "n_pairs": report.n_pairs,
-            "tie_warning": report.tie_warning,
-        },
-    )
-    return 0
+    report = evaluate_pairs(net, pairs, sp, gp)
+    summary = {
+        "network": str(args.network),
+        "pairs_file": str(args.pairs),
+        "scale": args.scale,
+        "no_game": bool(args.no_game),
+        "rho": report.rho,
+        "n_pairs": report.n_pairs,
+        "tie_warning": report.tie_warning,
+    }
+    header = ["label_a", "label_b", "human_score", "model_score"]
+    return summary, {"pairs.csv": (header, [list(row) for row in report.pairs])}
 
 
-def _cmd_cobweb(args, out_dir: Path) -> int:
+def _cmd_cobweb(args) -> tuple[dict, dict]:
     params = CobwebParams(
         r=args.r,
         demand_intercept=2 * args.demand,
@@ -250,66 +215,55 @@ def _cmd_cobweb(args, out_dir: Path) -> int:
     rng = random.Random(args.seed)
     nodes = [(args.demand * (0.5 + rng.random()), args.demand) for _ in range(args.nodes)]
     run = run_cobweb(nodes, params, args.budget)
+    tables = {}
     if args.trace:
         rows = [[t.iteration, t.node, t.o, t.excess_demand, t.allocated] for t in run.trace]
-        _write_csv(
-            out_dir / "trace.csv", ["iter", "node", "o", "excess_demand", "allocated"], rows
-        )
-    _write_summary(
-        out_dir,
-        {
-            "command": "cobweb",
-            "r": args.r,
-            "demand": args.demand,
-            "nodes": args.nodes,
-            "budget": args.budget,
-            "iters": run.iters,
-            "converged": run.converged,
-            "allocations": {str(k): v for k, v in sorted(run.allocations.items())},
-            "final_values": {str(k): v for k, v in sorted(run.final_values.items())},
-        },
-    )
-    return 0
+        tables["trace.csv"] = (["iter", "node", "o", "excess_demand", "allocated"], rows)
+    summary = {
+        "r": args.r,
+        "demand": args.demand,
+        "nodes": args.nodes,
+        "budget": args.budget,
+        "iters": run.iters,
+        "converged": run.converged,
+        "allocations": {str(k): v for k, v in sorted(run.allocations.items())},
+        "final_values": {str(k): v for k, v in sorted(run.final_values.items())},
+    }
+    return summary, tables
 
 
-def _cmd_compare(args, out_dir: Path) -> int:
+def _cmd_compare(args) -> tuple[dict, dict]:
+    # Only load-balance generates networks; its signature holds the size defaults.
+    sizes = {k: v for k, v in (("n", args.n), ("edge_prob", args.edge_prob)) if v is not None}
     if args.experiment == "load-balance":
         rows = load_balance_experiment(
-            args.seeds, n=args.n, edge_prob=args.edge_prob, budget=args.budget,
-            delta=args.delta, base_seed=args.seed,
+            args.seeds, budget=args.budget, delta=args.delta, base_seed=args.seed, **sizes
         )
         wins = sum(1 for r in rows if r["snm_stddev"] < r["traditional_stddev"])
-        summary_extra = {"snm_wins": wins, "win_fraction": wins / len(rows)}
+        extra = {"snm_wins": wins, "win_fraction": wins / len(rows)}
+    elif sizes:
+        flag = "--" + next(iter(sizes)).replace("_", "-")
+        raise ValidationError(f"{flag} is read only by --experiment load-balance")
     else:  # utilization and cycles read different columns of the same rows
         rows = utilization_experiment(
             args.seeds, budget=args.budget, delta=args.delta, base_seed=args.seed
         )
         if args.experiment == "utilization":
-            summary_extra = {
+            extra = {
                 "mean_snm_util": sum(r["snm_util"] for r in rows) / len(rows),
                 "mean_cobweb_util": sum(r["cobweb_mean_util"] for r in rows) / len(rows),
             }
         else:
             iters_cols = [k for k in rows[0] if k.startswith("cobweb_iters_")]
-            summary_extra = {
+            extra = {
                 "mean_snm_rounds": sum(r["snm_rounds"] for r in rows) / len(rows),
                 "mean_cobweb_iters": sum(r[c] for r in rows for c in iters_cols)
                 / (len(rows) * len(iters_cols)),
             }
 
     header = list(rows[0])
-    _write_csv(out_dir / "compare.csv", header, [[r[k] for k in header] for r in rows])
-    _write_summary(
-        out_dir,
-        {
-            "command": "compare",
-            "experiment": args.experiment,
-            "seeds": args.seeds,
-            "base_seed": args.seed,
-            **summary_extra,
-        },
-    )
-    return 0
+    summary = {"experiment": args.experiment, "seeds": args.seeds, "base_seed": args.seed, **extra}
+    return summary, {"compare.csv": (header, [[r[k] for k in header] for r in rows])}
 
 
 # Every flag once; each subcommand below lists the ones it reads.
@@ -337,13 +291,14 @@ _FLAGS = {
     "--supply-slope": dict(type=float, default=1.0),
     "--experiment": dict(choices=["load-balance", "utilization", "cycles"], required=True),
     "--seeds": dict(type=int, default=20, help="number of seeded repetitions"),
-    "--n": dict(type=int, default=30, help="generated network size"),
-    "--edge-prob": dict(type=float, default=0.15, help="extra-edge probability"),
+    "--n": dict(type=int, default=None, help="generated network size (load-balance only, default 30)"),
+    "--edge-prob": dict(type=float, default=None, help="extra-edge probability (load-balance only, default 0.15)"),
 }
 _SPREADING = ("--delta", "--fire-threshold", "--max-steps")
 _GAME = ("--epsilon", "--screen-threshold", "--max-rounds")
 
-# name: (handler, help, flags it reads beyond --budget, --seed and --out)
+# name: (handler, help, flags it reads beyond --budget, --seed and --out).
+# A handler returns (summary, {file name: (header, rows)}); main writes both.
 _COMMANDS = {
     "spread": (
         _cmd_spread,
@@ -393,11 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out_dir = Path(args.out)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out_dir)
+        summary, tables = args.func(args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            _write_csv(out_dir / name, header, rows)
+        _write_summary(out_dir, {"command": args.command, **summary})
+        return 0
     except ValidationError as exc:
         print(f"semgame: error: {exc}", file=sys.stderr)
         return 2

@@ -84,25 +84,18 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
 
 
 def spearman(xs: list[float], ys: list[float]) -> float:
-    """Rank correlation of two equally long samples.
+    """Rank correlation of two equally long samples: the Pearson
+    correlation of their average-rank vectors (tied values share the
+    mean of their positions).
 
-    Tie-free samples use the squared-rank-difference form, which is
-    exact (monotone agreement gives +1.0, reversal gives -1.0). Samples
-    with ties fall back to the Pearson correlation of the average-rank
-    vectors.
+    Ranks are multiples of 0.5, so the sums are exact: monotone
+    agreement gives +1.0 and reversal -1.0.
     """
     if len(xs) != len(ys):
         raise ValidationError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    n = len(xs)
-    if n < 2:
+    if len(xs) < 2:
         raise ValidationError("need at least 2 observations")
-    rx = _average_ranks(list(xs))
-    ry = _average_ranks(list(ys))
-    if has_ties(list(xs)) or has_ties(list(ys)):
-        rho = _pearson(rx, ry)
-    else:
-        d_sq = sum((a - b) ** 2 for a, b in zip(rx, ry))
-        rho = 1.0 - 6.0 * d_sq / (n * (n * n - 1))
+    rho = _pearson(_average_ranks(xs), _average_ranks(ys))
     return min(1.0, max(-1.0, rho))
 
 

@@ -147,12 +147,19 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
 
 
 def _as_id(value, what: str) -> int:
-    """A node id read from JSON; bools and non-integral floats (inf, nan too) are rejected."""
+    """A node id read from JSON: an int or an integral float (not a bool, string, inf or nan)."""
     if type(value) is int:  # the common case, checked first: files hold thousands of ids
         return value
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValidationError(f"{what} {value!r} is not an integer")
-    return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{what} {value!r} is not an integer")
+
+
+def _as_number(value, what: str) -> float:
+    """A threshold, timestamp or weight read from JSON: an int or a float (not a bool or string)."""
+    if type(value) is float or (isinstance(value, (int, float)) and not isinstance(value, bool)):
+        return float(value)
+    raise ValidationError(f"{what} {value!r} is not a number")
 
 
 _BAD_ENTRY = (ValidationError, KeyError, TypeError, ValueError, OverflowError)
@@ -166,12 +173,14 @@ def network_from_dict(data: dict) -> SemanticNetwork:
     nodes = []
     for i, raw in enumerate(data["nodes"]):
         try:
+            if not isinstance(raw["label"], str):
+                raise ValidationError(f"label {raw['label']!r} is not a string")
             nodes.append(
                 ConceptNode(
                     id=_as_id(raw["id"], "id"),
-                    label=str(raw["label"]),
-                    threshold=float(raw.get("threshold", 0.0)),
-                    history=tuple(float(t) for t in raw.get("history", ())),
+                    label=raw["label"],
+                    threshold=_as_number(raw.get("threshold", 0.0), "threshold"),
+                    history=tuple(_as_number(t, "history entry") for t in raw.get("history", ())),
                 )
             )
         except _BAD_ENTRY as exc:
@@ -181,7 +190,7 @@ def network_from_dict(data: dict) -> SemanticNetwork:
     for i, raw in enumerate(data["edges"]):
         try:
             a, b = _as_id(raw["a"], "endpoint"), _as_id(raw["b"], "endpoint")
-            edges.append(WeightedEdge(a=a, b=b, weight=float(raw["w"])))
+            edges.append(WeightedEdge(a=a, b=b, weight=_as_number(raw["w"], "weight")))
         except _BAD_ENTRY as exc:
             raise ValidationError(f"edges[{i}]: {exc}") from None
 

@@ -230,6 +230,26 @@ class TestCompareCommand:
         assert (out_a / "compare.csv").read_bytes() == (out_b / "compare.csv").read_bytes()
 
 
+    def test_explicit_default_sizes_byte_identical(self, tmp_path):
+        """Passing --n and --edge-prob at their defaults changes nothing."""
+        argv = ["compare", "--experiment", "load-balance", "--seeds", "2"]
+        main(argv + ["--out", str(tmp_path / "a")])
+        main(argv + ["--n", "30", "--edge-prob", "0.15", "--out", str(tmp_path / "b")])
+        for name in ("summary.json", "compare.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("experiment", ["utilization", "cycles"])
+    @pytest.mark.parametrize("flag, value", [("--n", "5"), ("--edge-prob", "0.9")])
+    def test_size_flags_rejected_outside_load_balance(self, tmp_path, capsys, experiment, flag, value):
+        """Only load-balance generates networks; the size flags are an error elsewhere."""
+        out = tmp_path / "o"
+        code = main(["compare", "--experiment", experiment, "--seeds", "1", flag, value,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"{flag} is read only by --experiment load-balance" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_missing_network_file(self, tmp_path):
         assert main(["spread", "--network", str(tmp_path / "nope.json")]) == 2

@@ -57,15 +57,21 @@ class TestLoadNetwork:
         bad = {"nodes": MINIMAL["nodes"], "edges": [{"a": 0, "b": 9, "w": 0.5}]}
         with pytest.raises(ValidationError, match=r"edges\[0\].*9"):
             load_network(write_net(tmp_path, bad))
-        # Non-integer endpoints are rejected, not truncated onto node 1.
-        for endpoint in (1.2, True):
+        # Non-integer endpoints are rejected, not truncated or parsed onto node 1.
+        for endpoint in (1.2, True, "1"):
             bad = {"nodes": MINIMAL["nodes"], "edges": [{"a": 0, "b": endpoint, "w": 0.5}]}
             with pytest.raises(ValidationError, match=r"edges\[0\]: endpoint .* not an integer"):
                 load_network(write_net(tmp_path, bad))
+        # A weight is a JSON number, not a numeric string or a bool.
+        for weight in ("0.5", True):
+            bad = {"nodes": MINIMAL["nodes"], "edges": [{"a": 0, "b": 1, "w": weight}]}
+            with pytest.raises(ValidationError, match=r"edges\[0\]: weight .* not a number"):
+                load_network(write_net(tmp_path, bad))
 
     def test_non_integer_node_id(self, tmp_path):
-        """Ids must be integral: 1.9 is not truncated, Infinity does not overflow."""
-        for node_id in ("1.9", "true", "Infinity", "NaN"):
+        """Ids must be integral numbers: 1.9 is not truncated, Infinity does not
+        overflow, and the strings " 1 " and "2" are not parsed."""
+        for node_id in ("1.9", "true", "Infinity", "NaN", '" 1 "', '"2"'):
             path = tmp_path / "net.json"
             path.write_text('{"nodes": [{"id": 0, "label": "a"}, {"id": %s, "label": "b"}], '
                             '"edges": []}' % node_id)
@@ -74,6 +80,18 @@ class TestLoadNetwork:
         # An integral float is still a valid id.
         net = network_from_dict({"nodes": [{"id": 1.0, "label": "a"}], "edges": []})
         assert net.node_ids() == (1,)
+        # The other node fields are not coerced either.
+        for field, value, message in (
+            ("label", 5, "label 5 is not a string"),
+            ("threshold", "0.5", "threshold '0.5' is not a number"),
+            ("threshold", True, "threshold True is not a number"),
+            ("history", "12", "history entry '1' is not a number"),
+            ("history", [1.0, False], "history entry False is not a number"),
+        ):
+            node = {"id": 1, "label": "b", field: value}
+            bad = {"nodes": [{"id": 0, "label": "a"}, node], "edges": []}
+            with pytest.raises(ValidationError, match=r"nodes\[1\]: " + message):
+                load_network(write_net(tmp_path, bad))
 
     def test_duplicate_node_id(self, tmp_path):
         bad = {"nodes": [{"id": 0, "label": "a"}, {"id": 0, "label": "b"}], "edges": []}
