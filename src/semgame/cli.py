@@ -62,10 +62,11 @@ def _node_ref(net: SemanticNetwork, ref: str) -> int:
 def _resolve_sources(net: SemanticNetwork, specs: list[str] | None, budget: float) -> dict[int, float]:
     """Source energies from --source specs, node histories, or the lowest id.
 
-    Specs look like "NODE" or "NODE=ENERGY" (NODE is an id or label);
-    bare specs split whatever budget the explicit ones leave. Without
-    specs, nodes with activation histories are seeded from them and
-    scaled to the budget; a history-free network seeds its lowest id.
+    Specs look like "NODE" or "NODE=ENERGY" (NODE is an id or label,
+    and each node may be named once); bare specs split whatever budget
+    the explicit ones leave. Without specs, nodes with activation
+    histories are seeded from them and scaled to the budget; a
+    history-free network seeds its lowest id.
     """
     if specs:
         explicit: dict[int, float] = {}
@@ -73,6 +74,8 @@ def _resolve_sources(net: SemanticNetwork, specs: list[str] | None, budget: floa
         for spec in specs:
             name, eq, energy = spec.partition("=")
             nid = _node_ref(net, name.strip())
+            if nid in explicit or nid in bare:
+                raise ValidationError(f"--source names node {nid} more than once")
             if eq:
                 try:
                     explicit[nid] = float(energy)

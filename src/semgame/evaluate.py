@@ -116,6 +116,8 @@ def relatedness(
     b: int,
     sp: SpreadParams,
     gp: GameParams | None,
+    *,
+    _finals: dict[int, Mapping[int, float]] | None = None,
 ) -> float:
     """Model relatedness of two concepts, in [0, 1].
 
@@ -123,23 +125,33 @@ def relatedness(
     reads the other concept's final energy relative to the maximum;
     the two directions are averaged, so the score is symmetric. Pass
     gp=None to score from spreading alone (no game phase).
+
+    A direction depends only on its source, so each source's final
+    `held` mapping is kept in `_finals` (source id -> held) and reused
+    when that source comes up again. The dict must only ever be shared
+    between calls with the same network and parameters; evaluate_pairs
+    creates one per call.
     """
     for nid in (a, b):
         if not net.has_node(nid):
             raise ValidationError(f"unknown node id {nid}")
     if total_weight_sum(net) <= 0:
         raise ValidationError("relatedness undefined on an edgeless network")
+    finals = {} if _finals is None else _finals
 
     def one_direction(src: int, dst: int) -> float:
-        sources = {src: sp.budget}
-        if gp is None:
-            final = run_spread(net, sources, sp)
-        else:
-            final = run_pipeline(net, sources, sp, gp).final
-        peak = max(final.held.values())
+        held = finals.get(src)
+        if held is None:
+            sources = {src: sp.budget}
+            if gp is None:
+                final = run_spread(net, sources, sp)
+            else:
+                final = run_pipeline(net, sources, sp, gp).final
+            held = finals[src] = final.held
+        peak = max(held.values())
         if peak <= 0.0:
             return 0.0
-        return final.held[dst] / peak
+        return held[dst] / peak
 
     return (one_direction(a, b) + one_direction(b, a)) / 2.0
 
@@ -150,14 +162,24 @@ def evaluate_pairs(
     sp: SpreadParams,
     gp: GameParams | None,
 ) -> EvalReport:
-    """Score every pair with the model and rank-correlate against humans."""
+    """Score every pair with the model and rank-correlate against humans.
+
+    The pipeline runs once per distinct concept: a concept's final
+    state is kept from its first pair to its last and then dropped.
+    """
     if len(pairs) < 2:
         raise ValidationError("need at least 2 pairs to correlate")
+    labels = dict.fromkeys(label for p in pairs for label in (p.label_a, p.label_b))
+    ids = {label: net.id_by_label(label) for label in labels}
+    last_use = {ids[label]: i for i, p in enumerate(pairs) for label in (p.label_a, p.label_b)}
+    finals: dict[int, Mapping[int, float]] = {}
     table = []
-    for p in pairs:
-        ia = net.id_by_label(p.label_a)
-        ib = net.id_by_label(p.label_b)
-        model = relatedness(net, ia, ib, sp, gp)
+    for i, p in enumerate(pairs):
+        ia, ib = ids[p.label_a], ids[p.label_b]
+        model = relatedness(net, ia, ib, sp, gp, _finals=finals)
+        for nid in (ia, ib):
+            if last_use[nid] == i:
+                finals.pop(nid, None)
         table.append((p.label_a, p.label_b, p.human_score, model))
     humans = [row[2] for row in table]
     models = [row[3] for row in table]

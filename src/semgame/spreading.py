@@ -95,11 +95,15 @@ def _spread_once(
     Arrivals are summed in ascending firing order before being added to
     what the node already holds.
     """
-    arriving = {nid: 0.0 for nid in net.node_ids()}
+    arriving = dict.fromkeys(net.node_ids(), 0.0)
+    keep = 1.0 - delta
+    neighbors = net.neighbors
     for x in sorted(firing):
         o_x = held[x]
-        for y, w in net.neighbors(x):
-            arriving[y] += edge_spread(o_x, w, delta)
+        for y, w in neighbors(x):
+            # edge_spread(o_x, w, delta) inlined; evaluated left to right, as
+            # there: folding w * keep into one factor changes the last bit.
+            arriving[y] += o_x * w * keep
     return {nid: held.get(nid, 0.0) + a for nid, a in arriving.items()}
 
 

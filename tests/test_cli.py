@@ -273,6 +273,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("first, second", [("0=30", "0=50"), ("0", "0=50"), ("0", "n0")])
+    def test_node_named_twice_in_source_exits_2(self, tmp_path, capsys, first, second):
+        _, net_path = write_chain(tmp_path)
+        out = tmp_path / "o"
+        code = main(["spread", "--network", str(net_path), "--source", first,
+                     "--source", second, "--out", str(out)])
+        assert code == 2
+        assert "node 0 more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spread_overflow_exits_2(self, tmp_path):
         net_path = tmp_path / "complete.json"
         save_network(complete_network(30), net_path)

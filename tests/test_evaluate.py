@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from semgame import evaluate
 from semgame.errors import ValidationError
 from semgame.evaluate import (
     evaluate_pairs,
@@ -180,6 +181,58 @@ class TestEvaluatePairs:
     def test_too_few_pairs(self):
         with pytest.raises(ValidationError, match="at least 2"):
             evaluate_pairs(self.star(), [PairJudgment("n0", "n1", 0.5)], SP, GP)
+
+    # Concepts repeat across pairs, in both positions, and (c4, c4) is a self-pair.
+    REPEATS = [(1, 6), (6, 1), (1, 4), (4, 4), (7, 1), (4, 6), (2, 7)]
+
+    def repeat_pairs(self):
+        return [PairJudgment(f"c{a}", f"c{b}", 0.1 * k) for k, (a, b) in enumerate(self.REPEATS)]
+
+    @pytest.mark.parametrize("gp", [GP, None], ids=["game", "no-game"])
+    def test_scores_equal_per_pair_relatedness(self, gp):
+        net = generate_network(9, 0.3, 21)
+        report = evaluate_pairs(net, self.repeat_pairs(), SP, gp)
+        assert [row[3] for row in report.pairs] == [relatedness(net, a, b, SP, gp) for a, b in self.REPEATS]
+
+    @pytest.mark.parametrize("gp, runner", [(GP, "run_pipeline"), (None, "run_spread")], ids=["game", "no-game"])
+    def test_one_run_per_distinct_concept(self, monkeypatch, gp, runner):
+        net = generate_network(9, 0.3, 21)
+        real = getattr(evaluate, runner)
+        seeded = []
+
+        def counting(net, sources, *rest):
+            seeded.extend(sources)
+            return real(net, sources, *rest)
+
+        monkeypatch.setattr(evaluate, runner, counting)
+        evaluate_pairs(net, self.repeat_pairs(), SP, gp)
+        assert sorted(seeded) == sorted({nid for pair in self.REPEATS for nid in pair})
+        seeded.clear()
+        relatedness(net, 4, 4, SP, gp)
+        assert seeded == [4]
+
+    def test_final_states_dropped_after_last_pair(self, monkeypatch):
+        net = generate_network(9, 0.3, 21)
+        real = evaluate.relatedness
+        held_before, memos = [], []
+
+        def spy(net, a, b, sp, gp, *, _finals):
+            held_before.append(set(_finals))
+            memos.append(_finals)
+            return real(net, a, b, sp, gp, _finals=_finals)
+
+        monkeypatch.setattr(evaluate, "relatedness", spy)
+        evaluate_pairs(net, self.repeat_pairs(), SP, GP)
+        for k, held in enumerate(held_before):
+            assert held <= {nid for pair in self.REPEATS[k:] for nid in pair}
+        assert memos[-1] == {}
+
+    def test_memo_does_not_outlive_a_call(self):
+        net = generate_network(9, 0.3, 21)
+        pairs = self.repeat_pairs()
+        for sp in (SP, SpreadParams(delta=0.6, max_steps=3, budget=100.0)):
+            report = evaluate_pairs(net, pairs, sp, GP)
+            assert [row[3] for row in report.pairs] == [relatedness(net, a, b, sp, GP) for a, b in self.REPEATS]
 
 
 class TestLoadBalance:

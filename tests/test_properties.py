@@ -7,13 +7,15 @@ scale with the budget the way the CLI sets them.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semgame.evaluate import relatedness, run_pipeline
+from semgame.errors import ValidationError
+from semgame.evaluate import evaluate_pairs, relatedness, run_pipeline
 from semgame.game import GameParams
 from semgame.generate import generate_network
-from semgame.network import ConceptNode, WeightedEdge, build_network
+from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
 from semgame.spreading import SpreadParams
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -67,3 +69,19 @@ def test_relabelling_leaves_final_energies_unchanged(case, data):
     assert len(moved) == len(held)
     for nid, energy in held.items():
         assert math.isclose(moved[perm[nid]], energy, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@SETTINGS
+@given(cases(), st.data())
+def test_evaluate_pairs_scores_equal_per_pair_relatedness(case, data):
+    net, sp, gp, _ = case
+    node = st.integers(0, net.n - 1)
+    ids = data.draw(st.lists(st.tuples(node, node), min_size=2, max_size=8))
+    pairs = [PairJudgment(f"c{a}", f"c{b}", k / len(ids)) for k, (a, b) in enumerate(ids)]
+    for game in (gp, None):
+        expected = [relatedness(net, a, b, sp, game) for a, b in ids]
+        if len(set(expected)) < 2:
+            with pytest.raises(ValidationError, match="zero rank variance"):
+                evaluate_pairs(net, pairs, sp, game)
+        else:
+            assert [row[3] for row in evaluate_pairs(net, pairs, sp, game).pairs] == expected

@@ -83,6 +83,21 @@ class TestStep:
             assert dict(state.held) == held
             assert set(state.activated) == activated
 
+    def test_non_dyadic_weights_match_oracle_exactly(self):
+        """With weights that are not dyadic, o * w * (1 - delta) rounds
+        differently once w * (1 - delta) is folded into one factor."""
+        edges = [(0, 1, 0.37), (1, 2, 0.91), (2, 3, 0.13), (0, 3, 0.58), (1, 3, 0.29)]
+        net = quick_net(4, edges)
+        params = SpreadParams(delta=0.3, fire_threshold=1e-6, budget=2.0)
+        state = seed_state(net, {0: 2.0})
+        held = dict(state.held)
+        activated = set(state.activated)
+        for _ in range(4):
+            state = step(net, state, params)
+            held, activated = step_oracle(4, edges, held, activated, 0.3, 1e-6)
+            assert dict(state.held) == held
+            assert set(state.activated) == activated
+
     def test_deterministic(self):
         net = quick_net(5, [(0, 1, 0.4), (1, 2, 0.6), (2, 3, 0.8), (3, 4, 0.2), (0, 4, 0.9)])
         params = SpreadParams()
