@@ -159,10 +159,10 @@ def _cmd_game(args) -> tuple[dict, dict]:
         "sources": {str(k): v for k, v in sorted(sources.items())},
         "converged": outcome.converged,
         "rounds": outcome.rounds,
-        "round_costs": list(outcome.round_costs),
+        "round_costs": [rec.cost for rec in outcome.history],
         "ranking": [[nid, energy] for nid, energy in rank_nodes(outcome.final, 10)],
         "final_held": _held_json(outcome.final),
-        "strategies": {str(nid): strat.value for nid, strat in sorted(outcome.strategies.items())},
+        "strategies": {str(nid): strat.value for nid, strat in sorted(outcome.history[-1].strategies.items())},
     }
     return summary, tables
 

@@ -219,6 +219,9 @@ _COBWEB_GRID: tuple[tuple[float, float], ...] = tuple(
     (r, s) for r in (0.2, 0.5, 0.9) for s in (0.5, 1.0, 2.0)
 )
 
+# Shortfall below demand that still counts as met in utilization_experiment.
+_MET_TOL = 1e-6
+
 
 def _default_params(budget: float, delta: float = 0.2) -> tuple[SpreadParams, GameParams]:
     sp = SpreadParams(delta=delta, fire_threshold=1e-6 * budget, max_steps=20, budget=budget)
@@ -267,7 +270,6 @@ def utilization_experiment(
     demand: float = 20.0,
     delta: float = 0.2,
     base_seed: int = 0,
-    met_tol: float = 1e-6,
 ) -> list[dict]:
     """Budget utilization and cycle counts: game model vs. cobweb grid.
 
@@ -275,7 +277,7 @@ def utilization_experiment(
     demanding the same energy; seeds vary the initial distribution.
     Both models start from the identical initial values. Cobweb runs
     once per (r, slope) grid combo; a demand counts as met when the
-    allocation reaches it within met_tol.
+    allocation reaches it within _MET_TOL.
     """
     net = complete_network(n_nodes, 1.0)
     demands = {i: demand for i in range(n_nodes)}
@@ -295,7 +297,7 @@ def utilization_experiment(
             "snm_util": utilization(held, demands, budget),
             "snm_rounds": outcome.rounds,
             "snm_converged": outcome.converged,
-            "snm_all_met": all(held[i] >= demand - met_tol for i in range(n_nodes)),
+            "snm_all_met": all(held[i] >= demand - _MET_TOL for i in range(n_nodes)),
         }
         cobweb_utils = []
         for r, slope in _COBWEB_GRID:
@@ -316,7 +318,7 @@ def utilization_experiment(
             row[f"cobweb_iters_{tag}"] = run.iters
             row[f"cobweb_converged_{tag}"] = run.converged
             row[f"cobweb_all_met_{tag}"] = all(
-                run.allocations[i] >= demand - met_tol for i in range(n_nodes)
+                run.allocations[i] >= demand - _MET_TOL for i in range(n_nodes)
             )
         row["cobweb_mean_util"] = sum(cobweb_utils) / len(cobweb_utils)
         rows.append(row)

@@ -86,11 +86,8 @@ class RoundRecord:
 @dataclass(frozen=True)
 class GameOutcome:
     final: ActivationState
-    strategies: dict[int, Strategy]
-    utilities: dict[int, float]
     rounds: int
     converged: bool
-    round_costs: tuple[float, ...]
     history: tuple[RoundRecord, ...]
     initial: ActivationState
 
@@ -225,14 +222,10 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
             converged = True
             break
 
-    last = history[-1]
     return GameOutcome(
         final=state,
-        strategies=last.strategies,
-        utilities=last.utilities,
         rounds=len(history),
         converged=converged,
-        round_costs=tuple(r.cost for r in history),
         history=tuple(history),
         initial=initial,
     )
@@ -244,16 +237,15 @@ def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) 
     Reconstructs the final round's offer from the state that entered it
     and compares both strategies for every participant.
     """
-    if outcome.rounds == 0:
-        return True
     pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
     _, accept_utilities = _offer(net, pre, params)
-    if set(accept_utilities) != set(outcome.strategies):
+    strategies = outcome.history[-1].strategies
+    if set(accept_utilities) != set(strategies):
         return False
     # Switching pays off when an acceptor's utility is negative or a
     # rejector's (who realizes 0.0) is positive.
     for i, u in accept_utilities.items():
-        if (u < 0.0) if outcome.strategies[i] is Strategy.ACCEPT else (u > 0.0):
+        if (u < 0.0) if strategies[i] is Strategy.ACCEPT else (u > 0.0):
             return False
     return True
 

@@ -26,7 +26,6 @@ __all__ = [
     "network_from_dict",
     "network_to_dict",
     "load_pairs",
-    "neighbor_weight_sum",
     "total_weight_sum",
 ]
 
@@ -293,11 +292,6 @@ def load_pairs(path: str | Path, scale: str = "unit") -> list[PairJudgment]:
             score = raw
         pairs.append(PairJudgment(cols[0], cols[1], score))
     return pairs
-
-
-def neighbor_weight_sum(net: SemanticNetwork, x: int) -> float:
-    """Sum of edge weights incident to node x (0 for isolated nodes)."""
-    return sum(w for _, w in net.neighbors(x))
 
 
 def total_weight_sum(net: SemanticNetwork) -> float:

@@ -15,17 +15,15 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .network import SemanticNetwork, neighbor_weight_sum, total_weight_sum
+from .network import SemanticNetwork
 
 __all__ = [
     "ActivationState",
     "SpreadParams",
-    "edge_spread",
     "seed_state",
     "step",
     "iter_spread",
     "run_spread",
-    "attention",
     "initial_activation",
 ]
 
@@ -71,11 +69,6 @@ def check_state(net: SemanticNetwork, state: ActivationState) -> None:
         raise ValidationError("activated set contains nodes without a held value")
 
 
-def edge_spread(o_x: float, weight: float, delta: float) -> float:
-    """Energy delivered across one edge: o_x * weight * (1 - delta)."""
-    return o_x * weight * (1.0 - delta)
-
-
 def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> ActivationState:
     """Initial state: sources hold their energies and are marked activated."""
     for nid, energy in sources.items():
@@ -101,8 +94,8 @@ def _spread_once(
     for x in sorted(firing):
         o_x = held[x]
         for y, w in neighbors(x):
-            # edge_spread(o_x, w, delta) inlined; evaluated left to right, as
-            # there: folding w * keep into one factor changes the last bit.
+            # Left to right, bit for bit as tests/oracles.step_oracle and
+            # criterion 2 compute it: folding w * keep changes the last bit.
             arriving[y] += o_x * w * keep
     return {nid: held.get(nid, 0.0) + a for nid, a in arriving.items()}
 
@@ -149,26 +142,19 @@ def run_spread(
     return state
 
 
-def attention(net: SemanticNetwork, state: ActivationState, x: int) -> float:
-    """Attention share of node x: incident-weight fraction times held energy."""
-    total = total_weight_sum(net)
-    if total <= 0:
-        raise ValidationError("attention undefined on an edgeless network")
-    return neighbor_weight_sum(net, x) / total * state.held.get(x, 0.0)
+_HISTORY_DECAY = 0.5
 
 
-def initial_activation(history: tuple[float, ...] | list[float], now: float, decay: float = 0.5) -> float:
+def initial_activation(history: tuple[float, ...] | list[float], now: float) -> float:
     """History-based starting energy with power-law forgetting.
 
-    Each past use at age a contributes a**(-decay); the energy is the
-    log of the summed contributions, clamped at zero so stale or empty
-    histories simply start cold. Same-moment uses (age 0) are ignored.
+    Each past use at age a contributes a**-0.5 (`_HISTORY_DECAY`); the
+    energy is the log of the summed contributions, clamped at zero so
+    stale or empty histories start cold. Same-moment uses are ignored.
     """
-    if decay <= 0:
-        raise ValidationError(f"decay {decay} must be positive")
     if any(t > now for t in history):
         raise ValidationError("history timestamp in the future")
-    terms = [(now - t) ** (-decay) for t in history if now - t > 0]
+    terms = [(now - t) ** (-_HISTORY_DECAY) for t in history if now - t > 0]
     if not terms:
         return 0.0
     return max(0.0, math.log(sum(terms)))

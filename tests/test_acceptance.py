@@ -33,7 +33,7 @@ from semgame.game import (
 )
 from semgame.generate import complete_network, generate_network
 from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
-from semgame.spreading import ActivationState, SpreadParams, edge_spread, seed_state, step
+from semgame.spreading import ActivationState, SpreadParams, seed_state, step
 
 from conftest import quick_net, two_cluster_net
 from oracles import counting_ranks, enumerate_equilibria, pearson, round_utilities, step_oracle
@@ -83,10 +83,14 @@ def _connected(n: int, edges: list[tuple[int, int, float]]) -> bool:
 def test_c01_equation_arithmetic():
     start = time.perf_counter()
 
-    assert edge_spread(1.0, 0.5, 0.2) == 0.4
-    assert edge_spread(1.0, 0.5, 1.0) == 0.0
-    assert edge_spread(2.0, 0.3, 0.1) == 2.0 * 0.3 * (1 - 0.1)
-    assert abs(edge_spread(2.0, 0.3, 0.1) - 0.54) < 1e-15
+    def one_edge_delivery(o, w, delta):
+        net = quick_net(2, [(0, 1, w)])
+        return step(net, seed_state(net, {0: o}), SpreadParams(delta=delta)).held[1]
+
+    assert one_edge_delivery(1.0, 0.5, 0.2) == 0.4
+    assert one_edge_delivery(1.0, 0.5, 1.0) == 0.0
+    assert one_edge_delivery(2.0, 0.3, 0.1) == 2.0 * 0.3 * (1 - 0.1)
+    assert abs(one_edge_delivery(2.0, 0.3, 0.1) - 0.54) < 1e-15
 
     st = _state({i: 1.0 for i in range(9)})
     assert cost(st, st.held) == 0.0
@@ -122,23 +126,26 @@ def test_c02_spreading_oracle_equivalence():
     Full Cartesian weight enumeration for n <= 4; at n = 5 the grid has
     4^10 weightings (beyond the stated runtime in pure Python), so every
     connected 5-node topology is swept with all uniform weights plus
-    seeded mixed assignments instead.
+    seeded mixed assignments instead. The grid's weights are dyadic and
+    delta is 0.25, so every edge product there is exact; a second sweep
+    draws non-dyadic weights at delta 0.2, where o * w * (1 - delta) and
+    o * (w * (1 - delta)) round differently.
     """
     start = time.perf_counter()
     weights = (0.0, 0.25, 0.5, 1.0)
     checked = 0
 
-    def check(n, edges):
+    def check(n, edges, delta=0.25):
         nonlocal checked
         nodes = [ConceptNode(id=i, label=f"n{i}") for i in range(n)]
         net = build_network(nodes, [WeightedEdge(a, b, w) for a, b, w in edges])
-        params = SpreadParams(delta=0.25, fire_threshold=1e-6, budget=1.0)
+        params = SpreadParams(delta=delta, fire_threshold=1e-6, budget=1.0)
         state = seed_state(net, {0: 1.0})
         held = dict(state.held)
         activated = set(state.activated)
         for _ in range(3):
             state = step(net, state, params)
-            held, activated = step_oracle(n, edges, held, activated, 0.25, 1e-6)
+            held, activated = step_oracle(n, edges, held, activated, delta, 1e-6)
             assert dict(state.held) == held, (n, edges)
             assert set(state.activated) == activated, (n, edges)
         checked += 1
@@ -166,6 +173,18 @@ def test_c02_spreading_oracle_equivalence():
 
     assert topologies == 728  # connected labeled graphs on 5 vertices
     assert checked > 9000
+
+    non_dyadic = (0.1, 0.3, 0.7, 0.9)
+    for n in (2, 3, 4, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            present = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            if not _connected(n, [(a, b, 1.0) for a, b in present]):
+                continue
+            rng = random.Random(1000 * n + mask)
+            for _ in range(2):
+                check(n, [(a, b, rng.choice(non_dyadic)) for a, b in present], delta=0.2)
+    assert checked > 9000 + 2 * 728
     assert time.perf_counter() - start < 30.0
 
 
@@ -211,7 +230,8 @@ def test_c04_nash_verification():
                 pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
                 participants = sorted(pre.held)
                 utils = round_utilities(n, edges, dict(pre.held), participants, params.delta)
-                chosen = {nid: s is Strategy.ACCEPT for nid, s in outcome.strategies.items()}
+                last = outcome.history[-1]
+                chosen = {nid: s is Strategy.ACCEPT for nid, s in last.strategies.items()}
                 assert chosen in enumerate_equilibria(participants, utils)
     assert converged_count > 8000
     assert time.perf_counter() - start < 60.0
@@ -243,7 +263,7 @@ def test_c06_convergence():
         outcome = run_pipeline(net, {source: 100.0}, sp, gp)
         if outcome.converged:
             converged += 1
-            assert outcome.round_costs[-1] < gp.epsilon
+            assert outcome.history[-1].cost < gp.epsilon
         else:
             # Non-convergence is reported, never silent.
             assert outcome.rounds == gp.max_rounds

@@ -204,7 +204,7 @@ class TestRunGame:
         outcome = run_game(net, st, params)
         assert outcome.converged
         assert outcome.rounds == 1
-        assert outcome.round_costs[0] < params.epsilon
+        assert outcome.history[0].cost < params.epsilon
         assert outcome.final.held == st.held
 
     def test_converged_implies_last_cost_below_epsilon(self):
@@ -215,7 +215,7 @@ class TestRunGame:
             outcome = run_game(net, st, params)
             assert outcome.rounds <= params.max_rounds
             if outcome.converged:
-                assert outcome.round_costs[-1] < params.epsilon
+                assert outcome.history[-1].cost < params.epsilon
 
     def test_deterministic(self):
         net = generate_network(12, 0.3, 4)
@@ -241,8 +241,10 @@ class TestRunGame:
         st = rescale_to_budget(seed_state(net, {0: 1.0}), 1.0)
         params = GameParams(budget=1.0, epsilon=1e-3)
         outcome = run_game(net, st, params)
-        assert set(outcome.strategies) == set(outcome.history[-1].strategies)
-        assert set(outcome.utilities) == set(outcome.strategies)
+        last = outcome.history[-1]
+        pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
+        participants = {nid for nid in net.node_ids() if pre.held[nid] >= net.node(nid).threshold}
+        assert set(last.strategies) == set(last.utilities) == participants
 
     def test_rank_stable_after_convergence(self):
         """One extra round after convergence must not reorder the ranking."""
@@ -277,10 +279,12 @@ class TestVerifyNash:
                                     if outcome.rounds > 1 else dict(st.held), [0, 1], 0.2)
         victim = min(utilities, key=utilities.get)
         assert utilities[victim] < 0.0
-        flipped = dict(outcome.strategies)
+        last = outcome.history[-1]
+        flipped = dict(last.strategies)
         assert flipped[victim] is Strategy.REJECT
         flipped[victim] = Strategy.ACCEPT
-        tampered = dataclasses.replace(outcome, strategies=flipped)
+        history = (*outcome.history[:-1], dataclasses.replace(last, strategies=flipped))
+        tampered = dataclasses.replace(outcome, history=history)
         assert not verify_nash(net, tampered, params)
 
     def test_small_networks_agree_with_profile_enumeration(self):
@@ -299,7 +303,7 @@ class TestVerifyNash:
             pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
             utilities = round_utilities(3, edges, dict(pre.held), sorted(pre.held), params.delta)
             equilibria = enumerate_equilibria(sorted(pre.held), utilities)
-            chosen = {nid: s is Strategy.ACCEPT for nid, s in outcome.strategies.items()}
+            chosen = {nid: s is Strategy.ACCEPT for nid, s in outcome.history[-1].strategies.items()}
             assert chosen in equilibria
 
 

@@ -14,7 +14,6 @@ from semgame.network import (
     build_network,
     load_network,
     load_pairs,
-    neighbor_weight_sum,
     network_from_dict,
     network_to_dict,
     save_network,
@@ -207,18 +206,10 @@ class TestLoadPairs:
 
 
 class TestWeightSums:
-    def test_isolated_node(self):
-        net = quick_net(2, [])
-        assert neighbor_weight_sum(net, 0) == 0.0
-
-    def test_two_incident_weights(self):
-        net = quick_net(3, [(0, 1, 0.3), (0, 2, 0.5)])
-        assert neighbor_weight_sum(net, 0) == pytest.approx(0.8)
-
     def test_unknown_node(self):
         net = quick_net(2, [])
         with pytest.raises(ValidationError, match="unknown node"):
-            neighbor_weight_sum(net, 5)
+            net.neighbors(5)
 
     def test_edgeless_total(self):
         assert total_weight_sum(quick_net(3, [])) == 0.0
@@ -227,21 +218,9 @@ class TestWeightSums:
         net = quick_net(3, [(0, 1, 0.2), (1, 2, 0.7)])
         assert total_weight_sum(net) == pytest.approx(0.9)
 
-    def test_neighbor_sum_matches_edge_scan_oracle(self):
-        """Random 6-node network against a direct per-edge summation."""
-        rng = random.Random(20)
-        edges = []
-        for a in range(6):
-            for b in range(a + 1, 6):
-                if rng.random() < 0.6:
-                    edges.append((a, b, rng.random()))
-        net = quick_net(6, edges)
-        for x in range(6):
-            oracle = sum(w for a, b, w in edges if x in (a, b))
-            assert neighbor_weight_sum(net, x) == pytest.approx(oracle, abs=1e-15)
-
     def test_handshake_identity(self):
-        """Sum of per-node incident weights is twice the total edge weight."""
+        """Adjacency is symmetric, and the per-node incident weights sum to
+        twice the total edge weight."""
         for seed in range(10):
             rng = random.Random(seed)
             n = rng.randrange(2, 12)
@@ -252,7 +231,10 @@ class TestWeightSums:
                 if rng.random() < 0.4
             ]
             net = quick_net(n, edges)
-            per_node = sum(neighbor_weight_sum(net, x) for x in net.node_ids())
+            for x in net.node_ids():
+                for y, w in net.neighbors(x):
+                    assert (x, w) in net.neighbors(y)
+            per_node = sum(w for x in net.node_ids() for _, w in net.neighbors(x))
             assert per_node == pytest.approx(2.0 * total_weight_sum(net), rel=1e-12)
 
 

@@ -1,11 +1,19 @@
-"""The package root: the README quick tour runs against exactly its names."""
+"""The package surface: the README quick tour runs against exactly the
+root's names, and every submodule name in `__all__` has a caller."""
 
+import ast
 import re
 from pathlib import Path
 
 import semgame
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+REPO = Path(__file__).resolve().parents[1]
+README = REPO / "README.md"
+
+# Exported names that no package or benchmark code calls, with the reason.
+UNCALLED_BY_DESIGN = {
+    "save_network": "writes the format load_network reads; the test fixtures use it",
+}
 
 ROOT_NAMES = {
     "GameParams",
@@ -35,3 +43,32 @@ def test_readme_quick_tour_runs_on_the_root_names(capsys):
     assert len(semgame.__all__) == len(ROOT_NAMES) == 14
     assert set(semgame.__all__) == ROOT_NAMES
     assert all(hasattr(semgame, name) for name in semgame.__all__)
+
+
+def test_public_names_have_callers():
+    """Every name in a submodule's `__all__` is read somewhere in the
+    package or the benchmark, so test-only surface does not grow back."""
+    files = sorted((REPO / "src" / "semgame").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+    used: set[str] = set()
+    exported: dict[str, list[str]] = {}
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        if path.parent.name == "semgame" and path.name != "__init__.py":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    exported[path.stem] = ast.literal_eval(node.value)
+    assert set(UNCALLED_BY_DESIGN) <= {name for names in exported.values() for name in names}
+    uncalled = {
+        f"{module}.{name}"
+        for module, names in exported.items()
+        for name in names
+        if name not in used and name not in UNCALLED_BY_DESIGN
+    }
+    assert not uncalled

@@ -1,4 +1,4 @@
-"""Spreading activation: per-edge transfer, stepping, full runs, attention."""
+"""Spreading activation: per-edge transfer, stepping, full runs, history seeding."""
 
 import itertools
 import math
@@ -8,12 +8,9 @@ import pytest
 
 from semgame.errors import ValidationError
 from semgame.generate import complete_network
-from semgame.network import build_network, ConceptNode, WeightedEdge
 from semgame.spreading import (
     ActivationState,
     SpreadParams,
-    attention,
-    edge_spread,
     initial_activation,
     iter_spread,
     run_spread,
@@ -25,23 +22,29 @@ from conftest import chain_net, quick_net
 from oracles import step_oracle
 
 
+def one_edge_delivery(o: float, w: float, delta: float) -> float:
+    """What one step carries across a single edge from a source holding o."""
+    net = quick_net(2, [(0, 1, w)])
+    return step(net, seed_state(net, {0: o}), SpreadParams(delta=delta)).held[1]
+
+
 class TestEdgeSpread:
     def test_basic_attenuation(self):
-        assert edge_spread(1.0, 0.5, 0.2) == 0.4
-        assert edge_spread(1.0, 0.5, 0.2) == 1.0 * 0.5 * (1 - 0.2)
+        assert one_edge_delivery(1.0, 0.5, 0.2) == 0.4
+        assert one_edge_delivery(1.0, 0.5, 0.2) == 1.0 * 0.5 * (1 - 0.2)
 
     def test_total_attenuation(self):
-        assert edge_spread(1.0, 0.5, 1.0) == 0.0
+        assert one_edge_delivery(1.0, 0.5, 1.0) == 0.0
 
     def test_scaled_source(self):
-        assert edge_spread(2.0, 0.3, 0.1) == 2.0 * 0.3 * (1 - 0.1)
-        assert edge_spread(2.0, 0.3, 0.1) == pytest.approx(0.54)
+        assert one_edge_delivery(2.0, 0.3, 0.1) == 2.0 * 0.3 * (1 - 0.1)
+        assert one_edge_delivery(2.0, 0.3, 0.1) == pytest.approx(0.54)
 
     def test_never_exceeds_source(self):
         rng = random.Random(5)
         for _ in range(200):
             o, w, d = rng.uniform(0, 10), rng.random(), rng.random()
-            out = edge_spread(o, w, d)
+            out = one_edge_delivery(o, w, d)
             assert 0.0 <= out <= o
 
 
@@ -222,7 +225,7 @@ class TestSpreadingProperties:
             final = run_spread(net, {0: 3.0}, params)
             expected = 3.0
             for w in weights:
-                expected = edge_spread(expected, w, delta)
+                expected = expected * w * (1 - delta)
             assert final.held[k] == expected
             assert final.held[k] <= 3.0 * (1 - delta) ** k + 1e-12
 
@@ -266,75 +269,21 @@ class TestSpreadingProperties:
             check_state(net, bad)
 
 
-class TestAttention:
-    def test_single_edge_ratio_collapses(self):
-        net = quick_net(2, [(0, 1, 0.4)])
-        state = seed_state(net, {0: 1.0})
-        assert attention(net, state, 0) == 1.0
-
-    def test_star_leaves_equal(self):
-        """Symmetric star with equal held values gives equal leaf attention."""
-        net = quick_net(5, [(0, i, 0.5) for i in range(1, 5)])
-        held = {0: 0.0, 1: 2.0, 2: 2.0, 3: 2.0, 4: 2.0}
-        state = ActivationState(0, held, frozenset())
-        values = {attention(net, state, i) for i in range(1, 5)}
-        assert len(values) == 1
-
-    def test_matches_raw_sum_recomputation(self):
-        rng = random.Random(11)
-        edges = [
-            (a, b, rng.random())
-            for a in range(7)
-            for b in range(a + 1, 7)
-            if rng.random() < 0.5
-        ]
-        net = quick_net(7, edges)
-        held = {i: rng.uniform(0, 5) for i in range(7)}
-        state = ActivationState(0, held, frozenset())
-        total = sum(w for _, _, w in edges)
-        for x in range(7):
-            incident = sum(w for a, b, w in edges if x in (a, b))
-            assert attention(net, state, x) == pytest.approx(incident / total * held[x])
-
-    def test_edgeless_network_rejected(self):
-        net = quick_net(3, [])
-        state = seed_state(net, {0: 1.0})
-        with pytest.raises(ValidationError, match="edgeless"):
-            attention(net, state, 0)
-
-    def test_invariant_under_relabeling(self):
-        """Attention depends on structure, not on the id values chosen."""
-        edges = [(0, 1, 0.3), (1, 2, 0.9), (0, 2, 0.6)]
-        net = quick_net(3, edges)
-        held = {0: 1.0, 1: 2.0, 2: 3.0}
-        state = ActivationState(0, held, frozenset())
-
-        mapping = {0: 10, 1: 7, 2: 42}
-        nodes = [ConceptNode(id=mapping[i], label=f"m{i}") for i in range(3)]
-        renamed = build_network(
-            nodes, [WeightedEdge(mapping[a], mapping[b], w) for a, b, w in edges]
-        )
-        perm_held = {mapping[i]: held[i] for i in range(3)}
-        perm_state = ActivationState(0, perm_held, frozenset())
-        for i in range(3):
-            assert attention(net, state, i) == attention(renamed, perm_state, mapping[i])
-
-
 class TestInitialActivation:
     def test_empty_history(self):
         assert initial_activation((), now=10.0) == 0.0
 
     def test_single_event_age_one(self):
-        assert initial_activation((9.0,), now=10.0, decay=0.5) == 0.0
+        assert initial_activation((9.0,), now=10.0) == 0.0
 
     def test_matches_scalar_oracle(self):
         ages = (1.0, 2.0, 4.0)
         history = tuple(10.0 - a for a in ages)
         expected = math.log(1.0 + 2.0 ** -0.5 + 4.0 ** -0.5)
-        assert initial_activation(history, now=10.0, decay=0.5) == pytest.approx(expected, rel=1e-15)
+        assert initial_activation(history, now=10.0) == pytest.approx(expected, rel=1e-15)
 
     def test_clamped_at_zero_for_stale_history(self):
-        assert initial_activation((0.0,), now=100.0, decay=0.5) == 0.0
+        assert initial_activation((0.0,), now=100.0) == 0.0
 
     def test_same_moment_events_ignored(self):
         assert initial_activation((10.0,), now=10.0) == 0.0
@@ -342,7 +291,3 @@ class TestInitialActivation:
     def test_future_timestamp_rejected(self):
         with pytest.raises(ValidationError, match="future"):
             initial_activation((11.0,), now=10.0)
-
-    def test_nonpositive_decay_rejected(self):
-        with pytest.raises(ValidationError, match="decay"):
-            initial_activation((1.0,), now=10.0, decay=0.0)
