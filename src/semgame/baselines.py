@@ -9,6 +9,7 @@ in for allocation without any adjustment at all.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -18,20 +19,23 @@ from .spreading import ActivationState, SpreadParams, run_spread
 
 __all__ = [
     "CobwebParams",
-    "CobwebState",
     "CobwebTraceRow",
     "CobwebRun",
-    "cobweb_step",
     "run_cobweb",
     "run_traditional",
 ]
+
+# Convergence tolerance of run_cobweb: on the value's move and on the
+# fixed-point residual.
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class CobwebParams:
     """Linear demand D(o) = demand_intercept - demand_slope * o and
     supply S(o') = supply_intercept + supply_slope * o', with adjustment
-    rate r applied to the excess demand each iteration."""
+    rate r applied to the excess demand each iteration. All five numbers
+    must be finite, and the slopes >= 0."""
 
     r: float
     demand_intercept: float
@@ -39,28 +43,21 @@ class CobwebParams:
     supply_intercept: float
     supply_slope: float
     max_iters: int = 100
-    tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        coefficients = (self.r, self.demand_intercept, self.demand_slope, self.supply_intercept, self.supply_slope)
+        if not all(map(math.isfinite, coefficients)):
+            raise ValidationError("cobweb rate, intercepts and slopes must be finite")
         if self.demand_slope < 0 or self.supply_slope < 0:
             raise ValidationError("demand/supply slopes must be >= 0")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters {self.max_iters} < 1")
-        if self.tol <= 0:
-            raise ValidationError(f"tol {self.tol} must be positive")
 
     def demand(self, o: float) -> float:
         return self.demand_intercept - self.demand_slope * o
 
     def supply(self, expected: float) -> float:
         return self.supply_intercept + self.supply_slope * expected
-
-
-@dataclass(frozen=True)
-class CobwebState:
-    o: float
-    expected: float
-    incoming: float
 
 
 @dataclass(frozen=True)
@@ -81,20 +78,6 @@ class CobwebRun:
     trace: tuple[CobwebTraceRow, ...]
 
 
-def cobweb_step(state: CobwebState, params: CobwebParams) -> CobwebState:
-    """One lagged adjustment: o moves by r times the excess demand.
-
-    Expectations are naive: next period's expected value is this
-    period's actual. The incoming base value carries forward unchanged.
-    """
-    excess = params.demand(state.o) - params.supply(state.expected)
-    return CobwebState(
-        o=state.incoming + params.r * excess,
-        expected=state.o,
-        incoming=state.incoming,
-    )
-
-
 def run_cobweb(
     nodes: list[tuple[float, float]],
     params: CobwebParams,
@@ -102,22 +85,30 @@ def run_cobweb(
 ) -> CobwebRun:
     """Iterate per-node cobweb recurrences, granting budget greedily each cycle.
 
-    `nodes` is a list of (initial value, demand target) pairs. Each
-    node's base incoming value is chosen so its demand target is the
-    fixed point of its recurrence; whether the oscillation around that
-    point settles is governed by r and the curve slopes. Budget is
-    granted in node order every cycle: each node receives
-    min(max(o, 0), remaining). Convergence means every node's value
-    moved less than tol in the last cycle.
+    `nodes` is a non-empty list of finite (initial value, demand target)
+    pairs; `budget` is finite and positive. A node keeps a value o and a
+    naive expectation e (both start at the initial value) and a base
+    b = target - r * (D(target) - S(target)), which makes the target the
+    fixed point. Each cycle visits the nodes in list order: o becomes
+    b + r * (D(o) - S(e)) and e the old o, and the node is granted
+    min(max(o, 0), remaining budget). A trace row holds the cycle, the
+    node, the new o, the excess D(o) - S(e) at the old values and the
+    grant. The run converges in the first cycle where every node moved
+    less than 1e-6 and has |b + r * (D(o) - S(o)) - o| < 1e-6, and stops
+    after max_iters cycles otherwise. An overflowing value raises
+    ValidationError.
     """
-    if budget <= 0:
-        raise ValidationError(f"budget {budget} must be positive")
-    states: dict[int, CobwebState] = {}
-    for idx, (initial_o, target) in enumerate(nodes):
-        base = target - params.r * (params.demand(target) - params.supply(target))
-        states[idx] = CobwebState(o=float(initial_o), expected=float(initial_o), incoming=base)
+    if not nodes:
+        raise ValidationError("cobweb needs at least one node")
+    if not math.isfinite(budget) or budget <= 0:
+        raise ValidationError(f"budget {budget} must be finite and positive")
+    if not all(math.isfinite(v) for node in nodes for v in node):
+        raise ValidationError("cobweb initial values and targets must be finite")
+    values = [float(initial) for initial, _ in nodes]
+    expected = list(values)
+    bases = [target - params.r * (params.demand(target) - params.supply(target)) for _, target in nodes]
 
-    allocations = {idx: 0.0 for idx in states}
+    allocations = [0.0] * len(nodes)
     trace: list[CobwebTraceRow] = []
     converged = False
     iters = 0
@@ -125,30 +116,33 @@ def run_cobweb(
         iters = iteration
         remaining = budget
         all_quiet = True
-        for idx in sorted(states):
-            prev = states[idx]
-            excess = params.demand(prev.o) - params.supply(prev.expected)
-            nxt = cobweb_step(prev, params)
-            states[idx] = nxt
+        for idx, base in enumerate(bases):
+            prev = values[idx]
+            excess = params.demand(prev) - params.supply(expected[idx])
+            o = base + params.r * excess
+            if not math.isfinite(o):
+                raise ValidationError(f"cobweb value of node {idx} overflowed in iteration {iteration}")
+            expected[idx] = prev
+            values[idx] = o
             # Quiet means the value stopped moving AND sits at a genuine
             # fixed point; the residual test keeps periodic orbits with
             # repeated values from masquerading as equilibria.
-            residual = nxt.incoming + params.r * (params.demand(nxt.o) - params.supply(nxt.o)) - nxt.o
-            if abs(nxt.o - prev.o) >= params.tol or abs(residual) >= params.tol:
+            residual = base + params.r * (params.demand(o) - params.supply(o)) - o
+            if abs(o - prev) >= _TOL or abs(residual) >= _TOL:
                 all_quiet = False
-            granted = min(max(nxt.o, 0.0), remaining)
+            granted = min(max(o, 0.0), remaining)
             remaining -= granted
             allocations[idx] = granted
-            trace.append(CobwebTraceRow(iteration, idx, nxt.o, excess, granted))
+            trace.append(CobwebTraceRow(iteration, idx, o, excess, granted))
         if all_quiet:
             converged = True
             break
 
     return CobwebRun(
-        allocations=allocations,
+        allocations=dict(enumerate(allocations)),
         iters=iters,
         converged=converged,
-        final_values={idx: st.o for idx, st in states.items()},
+        final_values=dict(enumerate(values)),
         trace=tuple(trace),
     )
 

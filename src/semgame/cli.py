@@ -147,10 +147,10 @@ def _cmd_game(args) -> tuple[dict, dict]:
     tables = {}
     if args.trace:
         rows = [
-            [rec.index, nid, rec.state.held[nid],
+            [index, nid, rec.state.held[nid],
              rec.strategies[nid].value if nid in rec.strategies else "",
              rec.utilities.get(nid, ""), rec.cost]
-            for rec in outcome.history
+            for index, rec in enumerate(outcome.history, 1)
             for nid in sorted(rec.state.held)
         ]
         tables["trace.csv"] = (["round", "node", "held", "strategy", "utility", "round_cost"], rows)
@@ -198,7 +198,7 @@ def _cmd_evaluate(args) -> tuple[dict, dict]:
         "scale": args.scale,
         "no_game": bool(args.no_game),
         "rho": report.rho,
-        "n_pairs": report.n_pairs,
+        "n_pairs": len(report.pairs),
         "tie_warning": report.tie_warning,
     }
     header = ["label_a", "label_b", "human_score", "model_score"]
@@ -213,7 +213,6 @@ def _cmd_cobweb(args) -> tuple[dict, dict]:
         supply_intercept=0.0,
         supply_slope=args.supply_slope,
         max_iters=args.max_rounds,
-        tol=1e-6,
     )
     rng = random.Random(args.seed)
     nodes = [(args.demand * (0.5 + rng.random()), args.demand) for _ in range(args.nodes)]

@@ -76,7 +76,6 @@ class GameParams:
 class RoundRecord:
     """What one round produced: committed state, choices, realized utilities."""
 
-    index: int
     state: ActivationState
     strategies: dict[int, Strategy]
     utilities: dict[int, float]
@@ -213,10 +212,10 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     state = initial
     history: list[RoundRecord] = []
     converged = False
-    for round_index in range(1, params.max_rounds + 1):
+    for _ in range(params.max_rounds):
         new_state, strategies, utilities = best_response_round(net, state, params)
         round_cost = cost(state, new_state.held)
-        history.append(RoundRecord(round_index, new_state, strategies, utilities, round_cost))
+        history.append(RoundRecord(new_state, strategies, utilities, round_cost))
         state = new_state
         if round_cost < params.epsilon:
             converged = True

@@ -168,6 +168,8 @@ def network_from_dict(data: dict) -> SemanticNetwork:
     """Build a validated network from the JSON-format dict."""
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ValidationError("network file must be an object with 'nodes' and 'edges'")
+    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+        raise ValidationError("network 'nodes' and 'edges' must be lists")
 
     nodes = []
     for i, raw in enumerate(data["nodes"]):

@@ -11,7 +11,7 @@ import math
 import random
 import time
 
-from semgame.baselines import CobwebParams, CobwebState, cobweb_step
+from semgame.baselines import CobwebParams, run_cobweb
 from semgame.cli import main
 from semgame.evaluate import (
     evaluate_pairs,
@@ -110,11 +110,13 @@ def test_c01_equation_arithmetic():
     params = CobwebParams(
         r=0.5, demand_intercept=10.0, demand_slope=1.0, supply_intercept=2.0, supply_slope=1.0
     )
-    assert cobweb_step(CobwebState(4.0, 4.0, 4.0), params).o == 4.0
+    # One node at its target 4 (base 4): 4 + 0.5*((10-4)-(2+4)) = 4.
+    assert run_cobweb([(4.0, 4.0)], params, 100.0).trace[0].o == 4.0
     zero_r = CobwebParams(
         r=0.0, demand_intercept=10.0, demand_slope=1.0, supply_intercept=2.0, supply_slope=1.0
     )
-    assert cobweb_step(CobwebState(7.0, 3.0, 5.0), zero_r).o == 5.0
+    # r = 0 moves a node from any start straight to its base, the target 5.
+    assert run_cobweb([(7.0, 5.0)], zero_r, 100.0).trace[0].o == 5.0
 
     assert time.perf_counter() - start < 1.0
 
@@ -245,9 +247,9 @@ def test_c05_energy_conservation():
         net = generate_network(50, 0.15, seed)
         source = random.Random(seed).randrange(50)
         outcome = run_pipeline(net, {source: 100.0}, sp, gp)
-        for record in outcome.history:
+        for index, record in enumerate(outcome.history, 1):
             total = sum(record.state.held.values())
-            assert abs(total - 100.0) / 100.0 < 1e-9, (seed, record.index)
+            assert abs(total - 100.0) / 100.0 < 1e-9, (seed, index)
 
 
 @criterion(6, "game converges within 100 rounds on >= 95% of random networks")
@@ -310,14 +312,14 @@ def test_c08_load_balance():
 @criterion(9, "budget utilization beats the cobweb model in both regimes")
 def test_c09_utilization():
     # Scarcity: budget 100 against total demand 120.
-    scarcity = utilization_experiment(10, budget=100.0, n_nodes=6, demand=20.0)
+    scarcity = utilization_experiment(10, budget=100.0)
     for row in scarcity:
         assert row["snm_util"] >= row["cobweb_mean_util"], row["seed"]
 
     # Surplus: budget 120 covers six demands of 20; the game meets all of
     # them while an unstable cobweb setting (|r|*(slopes sum) = 3.6 > 1)
     # leaves demand unmet.
-    surplus = utilization_experiment(10, budget=120.0, n_nodes=6, demand=20.0)
+    surplus = utilization_experiment(10, budget=120.0)
     for row in surplus:
         assert row["snm_all_met"], row["seed"]
         assert not row["cobweb_all_met_r0.9_s2.0"], row["seed"]

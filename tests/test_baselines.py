@@ -1,16 +1,10 @@
 """Cobweb dynamics and the spread-only traditional baseline."""
 
-import random
+import math
 
 import pytest
 
-from semgame.baselines import (
-    CobwebParams,
-    CobwebState,
-    cobweb_step,
-    run_cobweb,
-    run_traditional,
-)
+from semgame.baselines import CobwebParams, run_cobweb, run_traditional
 from semgame.errors import ValidationError
 from semgame.generate import generate_network
 from semgame.spreading import SpreadParams, run_spread
@@ -25,28 +19,29 @@ def linear_params(r: float, ds: float = 1.0, ss: float = 1.0, **kw) -> CobwebPar
 
 
 class TestCobwebStep:
-    def test_zero_adjustment_rate(self):
-        state = CobwebState(o=7.0, expected=3.0, incoming=5.0)
-        nxt = cobweb_step(state, linear_params(r=0.0))
-        assert nxt.o == 5.0
-        assert nxt.expected == 7.0
-        assert nxt.incoming == 5.0
+    """One node's first cycles. D(o) = 10 - o and S(e) = 2 + e, so a node
+    with target t has base t - r * (8 - 2t)."""
 
-    def test_zero_excess_demand(self):
-        # D(o) = 10 - o, S(e) = 2 + e: D(4) = S(4) = 6.
-        state = CobwebState(o=4.0, expected=4.0, incoming=9.0)
-        assert cobweb_step(state, linear_params(r=0.8)).o == 9.0
+    def test_zero_adjustment_rate(self):
+        # r = 0 makes the base the target and pins o there from any start.
+        run = run_cobweb([(7.0, 5.0)], linear_params(r=0.0, max_iters=1), budget=100.0)
+        assert run.trace[0].o == 5.0
+        assert run.final_values[0] == 5.0
 
     def test_scalar_re_evaluation(self):
-        """r=0.5, D=10-O, S=2+O', state (4, 4, 4): 4 + 0.5*((10-4)-(2+4)) = 4."""
-        state = CobwebState(o=4.0, expected=4.0, incoming=4.0)
-        nxt = cobweb_step(state, linear_params(r=0.5))
-        assert nxt.o == 4.0 + 0.5 * ((10.0 - 4.0) - (2.0 + 4.0))
-        assert nxt.o == 4.0
+        """r=0.5, start 4 and target 4 (base 4): 4 + 0.5*((10-4)-(2+4)) = 4."""
+        run = run_cobweb([(4.0, 4.0)], linear_params(r=0.5), budget=100.0)
+        assert run.trace[0].o == 4.0 + 0.5 * ((10.0 - 4.0) - (2.0 + 4.0))
+        assert run.trace[0].o == 4.0
+        assert run.trace[0].excess_demand == 0.0
 
     def test_expectation_becomes_previous_value(self):
-        state = CobwebState(o=6.0, expected=2.0, incoming=1.0)
-        assert cobweb_step(state, linear_params(r=0.25)).expected == 6.0
+        # r = 0.25, target 2 (base 1), start 6: o goes 6 -> 0, and the
+        # second cycle's supply is evaluated at the previous value 6.
+        run = run_cobweb([(6.0, 2.0)], linear_params(r=0.25, max_iters=2), budget=100.0)
+        assert run.trace[0].o == 0.0
+        assert run.trace[1].excess_demand == (10.0 - 0.0) - (2.0 + 6.0)
+        assert run.final_values[0] == 1.0 + 0.25 * 2.0
 
 
 class TestRunCobweb:
@@ -58,7 +53,7 @@ class TestRunCobweb:
 
     def test_five_node_recurrence_replay(self):
         """Final values and allocations match an independent scalar replay."""
-        params = linear_params(r=0.3, ds=0.8, ss=0.9, max_iters=40, tol=1e-9)
+        params = linear_params(r=0.3, ds=0.8, ss=0.9, max_iters=40)
         nodes = [(12.0, 10.0), (25.0, 20.0), (8.0, 15.0), (30.0, 20.0), (18.0, 12.0)]
         budget = 60.0
         run = run_cobweb(nodes, params, budget)
@@ -91,7 +86,7 @@ class TestRunCobweb:
                     continue
                 params = CobwebParams(
                     r=r, demand_intercept=40.0, demand_slope=s,
-                    supply_intercept=0.0, supply_slope=s, max_iters=200, tol=1e-6,
+                    supply_intercept=0.0, supply_slope=s, max_iters=200,
                 )
                 run = run_cobweb([(28.0, 20.0)], params, budget=100.0)
                 assert run.converged, (r, s)
@@ -101,7 +96,7 @@ class TestRunCobweb:
         """Oscillation on |r|*(slopes) > 1 misses targets even with spare budget."""
         params = CobwebParams(
             r=0.9, demand_intercept=40.0, demand_slope=2.0,
-            supply_intercept=0.0, supply_slope=2.0, max_iters=100, tol=1e-6,
+            supply_intercept=0.0, supply_slope=2.0, max_iters=100,
         )
         nodes = [(24.0, 20.0), (17.0, 20.0), (22.0, 20.0)]
         run = run_cobweb(nodes, params, budget=1000.0)
@@ -119,14 +114,53 @@ class TestRunCobweb:
         assert run.allocations[2] == pytest.approx(10.0)
 
     def test_trace_rows_cover_every_iteration_and_node(self):
-        params = linear_params(r=0.4, max_iters=10, tol=1e-9)
+        params = linear_params(r=0.4, max_iters=10)
         run = run_cobweb([(5.0, 4.0), (3.0, 4.0)], params, budget=10.0)
         assert len(run.trace) == run.iters * 2
         assert run.trace[0].iteration == 1
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            run_cobweb([(1.0, 1.0)], linear_params(r=0.1), budget=0.0)
+        for budget in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="budget"):
+                run_cobweb([(1.0, 1.0)], linear_params(r=0.1), budget=budget)
+
+    @pytest.mark.parametrize("node", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_initial_value_and_target_must_be_finite(self, node):
+        with pytest.raises(ValidationError, match="must be finite"):
+            run_cobweb([(1.0, 1.0), node], linear_params(r=0.1), budget=10.0)
+
+    def test_needs_a_node(self):
+        with pytest.raises(ValidationError, match="at least one node"):
+            run_cobweb([], linear_params(r=0.1), budget=10.0)
+
+    def test_overflowing_value_raises(self):
+        """At r = 0.9 and slopes 10 the oscillation grows about 7.9x per
+        cycle and overflows in cycle 344. Unchecked, the value turned into
+        NaN a cycle later, and a NaN move compares as quiet, so the run
+        reported convergence."""
+        params = CobwebParams(
+            r=0.9, demand_intercept=40.0, demand_slope=10.0,
+            supply_intercept=0.0, supply_slope=10.0, max_iters=1000,
+        )
+        with pytest.raises(ValidationError, match="overflowed"):
+            run_cobweb([(24.0, 20.0)], params, budget=100.0)
+
+
+class TestCobwebParams:
+    @pytest.mark.parametrize(
+        "field", ["r", "demand_intercept", "demand_slope", "supply_intercept", "supply_slope"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_coefficients_must_be_finite(self, field, value):
+        kw = dict(r=0.5, demand_intercept=10.0, demand_slope=1.0, supply_intercept=2.0, supply_slope=1.0)
+        with pytest.raises(ValidationError, match="must be finite"):
+            CobwebParams(**{**kw, field: value})
+
+    def test_negative_slope_and_zero_iterations_rejected(self):
+        with pytest.raises(ValidationError, match="slopes"):
+            linear_params(r=0.5, ds=-1.0)
+        with pytest.raises(ValidationError, match="max_iters"):
+            linear_params(r=0.5, max_iters=0)
 
 
 class TestRunTraditional:

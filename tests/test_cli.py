@@ -256,8 +256,14 @@ class TestExitCodes:
 
     def test_invalid_network_content(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"nodes": [{"id": 0, "label": "a"}], "edges": [{"a": 0, "b": 9, "w": 2}]}')
-        assert main(["spread", "--network", str(bad)]) == 2
+        for text in (
+            '{"nodes": [{"id": 0, "label": "a"}], "edges": [{"a": 0, "b": 9, "w": 2}]}',
+            '{"nodes": 5, "edges": []}',
+            '{"nodes": null, "edges": []}',
+            '{"nodes": [{"id": 0, "label": "a"}], "edges": 3}',
+        ):
+            bad.write_text(text)
+            assert main(["spread", "--network", str(bad), "--out", str(tmp_path / "o")]) == 2, text
 
     def test_runtime_error_exits_3(self, tmp_path):
         _, net_path = write_chain(tmp_path)
@@ -289,6 +295,32 @@ class TestExitCodes:
         code = main(["spread", "--network", str(net_path), "--max-steps", "300",
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+    # Each of these once exited 0 and wrote NaN, Infinity or empty
+    # allocations into summary.json; the last overflowed to NaN values
+    # that compared as quiet, so the run reported convergence.
+    @pytest.mark.parametrize("args", [
+        ["--r", "nan"],
+        ["--demand", "inf"],
+        ["--demand-slope", "nan"],
+        ["--budget", "nan"],
+        ["--nodes", "0"],
+        ["--r", "0.9", "--demand-slope", "10", "--supply-slope", "10", "--max-rounds", "1000"],
+    ], ids=lambda args: " ".join(args))
+    def test_bad_cobweb_numbers_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "o"
+        assert main(["cobweb", *args, "--out", str(out)]) == 2
+        assert "semgame: error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["load-balance", "utilization"])
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_compare_without_seeds_exits_2(self, tmp_path, capsys, experiment, seeds):
+        out = tmp_path / "o"
+        code = main(["compare", "--experiment", experiment, "--seeds", seeds, "--out", str(out)])
+        assert code == 2
+        assert f"seeds {seeds} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

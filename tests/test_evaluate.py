@@ -142,7 +142,7 @@ class TestEvaluatePairs:
         pairs = [PairJudgment("n0", f"n{i}", humans[i]) for i in (1, 2, 3)]
         report = evaluate_pairs(net, pairs, SP, GP)
         assert report.rho == 1.0
-        assert report.n_pairs == 3
+        assert len(report.pairs) == 3
         assert not report.tie_warning
 
     def test_two_pairs_reversed_give_rho_minus_one(self):
@@ -292,11 +292,17 @@ class TestExperiments:
         assert {"seed", "snm_stddev", "traditional_stddev"} <= set(rows[0])
 
     def test_utilization_rows_have_grid_columns(self):
-        rows = utilization_experiment(2, budget=100.0, n_nodes=4, demand=30.0)
+        rows = utilization_experiment(2, budget=100.0)
         assert len(rows) == 2
         assert "cobweb_util_r0.2_s0.5" in rows[0]
         assert "cobweb_mean_util" in rows[0]
         assert 0.0 <= rows[0]["snm_util"] <= 1.0
+
+    @pytest.mark.parametrize("experiment", [load_balance_experiment, utilization_experiment])
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_experiments_need_a_seed(self, experiment, seeds):
+        with pytest.raises(ValidationError, match="seeds"):
+            experiment(seeds)
 
     def test_experiments_deterministic_per_seed(self):
         a = load_balance_experiment(2, n=10, edge_prob=0.3, base_seed=5)

@@ -92,6 +92,16 @@ class TestLoadNetwork:
             with pytest.raises(ValidationError, match=r"nodes\[1\]: " + message):
                 load_network(write_net(tmp_path, bad))
 
+    @pytest.mark.parametrize("data", [
+        {"nodes": 5, "edges": []},
+        {"nodes": None, "edges": []},
+        {"nodes": {"id": 0, "label": "a"}, "edges": []},
+        {"nodes": [{"id": 0, "label": "a"}], "edges": 3},
+    ])
+    def test_nodes_and_edges_must_be_lists(self, tmp_path, data):
+        with pytest.raises(ValidationError, match="must be lists"):
+            load_network(write_net(tmp_path, data))
+
     def test_duplicate_node_id(self, tmp_path):
         bad = {"nodes": [{"id": 0, "label": "a"}, {"id": 0, "label": "b"}], "edges": []}
         with pytest.raises(ValidationError, match=r"nodes\[1\].*duplicate"):

@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semgame.baselines import CobwebParams, run_cobweb
 from semgame.errors import ValidationError
 from semgame.evaluate import evaluate_pairs, relatedness, run_pipeline
 from semgame.game import GameParams
 from semgame.generate import generate_network
 from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
 from semgame.spreading import SpreadParams, run_spread
+
+from oracles import cobweb_oracle
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -86,6 +89,42 @@ def test_evaluate_pairs_scores_equal_per_pair_relatedness(case, data):
                 evaluate_pairs(net, pairs, sp, game)
         else:
             assert [row[3] for row in evaluate_pairs(net, pairs, sp, game).pairs] == expected
+
+
+def _finite(lo: float, hi: float):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cobweb_cases(draw):
+    """(nodes, params, budget) that cannot overflow: the oscillation grows
+    at most about (1 + r * (slopes)) ≤ 7x per cycle over ≤ 60 cycles."""
+    nodes = draw(st.lists(st.tuples(_finite(-100, 100), _finite(-100, 100)), min_size=1, max_size=6))
+    params = CobwebParams(
+        r=draw(st.one_of(st.sampled_from([0.0, 0.2, 0.5, 0.9]), _finite(0, 1))),
+        demand_intercept=draw(_finite(-100, 100)),
+        demand_slope=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), _finite(0, 3))),
+        supply_intercept=draw(_finite(-100, 100)),
+        supply_slope=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), _finite(0, 3))),
+        max_iters=draw(st.integers(1, 60)),
+    )
+    return nodes, params, draw(_finite(1e-3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cobweb_cases())
+def test_cobweb_equals_its_replay_and_stays_within_budget(case):
+    nodes, params, budget = case
+    run = run_cobweb(nodes, params, budget)
+    grants, values, iters, converged, trace = cobweb_oracle(nodes, params, budget)
+    assert run.allocations == dict(enumerate(grants))
+    assert run.final_values == dict(enumerate(values))
+    assert (run.iters, run.converged) == (iters, converged)
+    assert [(t.iteration, t.node, t.o, t.excess_demand, t.allocated) for t in run.trace] == trace
+    assert all(a >= 0.0 for a in run.allocations.values())
+    # Each grant is at most what the running remainder holds; only the
+    # rounding of that remainder can carry the total past the budget.
+    assert math.fsum(run.allocations.values()) <= budget * (1 + 1e-12)
 
 
 @pytest.mark.xfail(
