@@ -58,6 +58,9 @@ class GameParams:
     budget: float = 100.0
 
     def __post_init__(self) -> None:
+        # The budget first: callers derive the default epsilon from it.
+        if not math.isfinite(self.budget) or self.budget <= 0:
+            raise ValidationError(f"budget {self.budget} must be finite and positive")
         if not math.isfinite(self.epsilon) or self.epsilon <= 0:
             raise ValidationError(f"epsilon {self.epsilon} must be finite and positive")
         if self.max_rounds < 1:
@@ -68,8 +71,6 @@ class GameParams:
             raise ValidationError(f"screen_threshold {self.screen_threshold} must be finite and >= 0")
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError(f"delta {self.delta} outside [0, 1]")
-        if not math.isfinite(self.budget) or self.budget <= 0:
-            raise ValidationError(f"budget {self.budget} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,9 @@ def _offer(
     participants = _participants(net, state, params)
     if not participants:
         return {}, {}
-    offered = _spread_once(net, state.held, frozenset(participants), params.delta)
+    ids = net.node_ids()
+    values = [state.held.get(nid, 0.0) for nid in ids]
+    offered = dict(zip(ids, _spread_once(net, values, participants, params.delta)))
     c = cost(state, offered)
     utilities = {
         i: gain(net, i, state, offered, params.delta) - c if net.neighbors(i) else 0.0

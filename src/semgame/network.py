@@ -2,8 +2,10 @@
 
 A network is an undirected graph of concept nodes with edge weights in
 [0, 1]. Networks are immutable after construction and safe to share
-across threads; all mutation-free accessors precompute nothing beyond
-the adjacency index built at load time.
+across threads. `build_network` precomputes, once at load time, the
+ascending id order, each id's dense position in it, and one
+node-ordered adjacency (see `SemanticNetwork`); nothing is cached
+later.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ class SemanticNetwork:
 
     Adjacency is symmetric by construction: every edge is indexed under
     both endpoints with the same weight.
+
+    Node `node_ids()[k]` sits at dense position k, and `_positions` maps
+    each id to its position. `_dense[k]` holds node k's `(position,
+    weight)` entries in ascending position order, which is ascending id
+    order; the spreading kernel indexes flat lists with them. Each
+    node's entries are allocated together, in node order, so a pass over
+    the whole graph walks memory in order. When the ids are exactly
+    0..n-1, positions equal ids and `_adjacency`, which `neighbors()`
+    reads, shares the same tuples instead of holding a second copy.
     """
 
     nodes: tuple[ConceptNode, ...]
@@ -85,6 +96,8 @@ class SemanticNetwork:
     _adjacency: dict[int, tuple[tuple[int, float], ...]] = field(repr=False, compare=False)
     _by_id: dict[int, ConceptNode] = field(repr=False, compare=False)
     _sorted_ids: tuple[int, ...] = field(repr=False, compare=False)
+    _positions: dict[int, int] = field(repr=False, compare=False)
+    _dense: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -127,22 +140,35 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
             raise ValidationError(f"nodes[{i}]: duplicate node id {nd.id}")
         seen_ids.add(nd.id)
 
+    ids = tuple(sorted(seen_ids))
+    positions = {nid: k for k, nid in enumerate(ids)}
+    # Per position, the neighbours' positions and the weights, in edge order.
+    targets: list[list[int]] = [[] for _ in ids]
+    weights: list[list[float]] = [[] for _ in ids]
     seen_pairs: set[tuple[int, int]] = set()
-    adjacency: dict[int, list[tuple[int, float]]] = {nd.id: [] for nd in nodes}
     for i, e in enumerate(edges):
-        for endpoint in (e.a, e.b):
-            if endpoint not in seen_ids:
-                raise ValidationError(f"edges[{i}]: endpoint {endpoint} references no node")
-        pair = (min(e.a, e.b), max(e.a, e.b))
+        a, b = positions.get(e.a), positions.get(e.b)
+        if a is None or b is None:
+            missing = e.a if a is None else e.b
+            raise ValidationError(f"edges[{i}]: endpoint {missing} references no node")
+        pair = (a, b) if a < b else (b, a)
         if pair in seen_pairs:
-            raise ValidationError(f"edges[{i}]: duplicate edge for pair {pair}")
+            raise ValidationError(f"edges[{i}]: duplicate edge for pair {(min(e.a, e.b), max(e.a, e.b))}")
         seen_pairs.add(pair)
-        adjacency[e.a].append((e.b, e.weight))
-        adjacency[e.b].append((e.a, e.weight))
+        w = e.weight
+        targets[a].append(b)
+        weights[a].append(w)
+        targets[b].append(a)
+        weights[b].append(w)
 
-    frozen = {nid: tuple(sorted(nbrs)) for nid, nbrs in adjacency.items()}
+    # zip makes each node's entry tuples together, node after node.
+    dense = tuple(tuple(sorted(zip(ts, ws))) for ts, ws in zip(targets, weights))
+    if ids == tuple(range(len(ids))):
+        adjacency = dict(zip(ids, dense))
+    else:
+        adjacency = {nid: tuple([(ids[y], w) for y, w in row]) for nid, row in zip(ids, dense)}
     by_id = {nd.id: nd for nd in nodes}
-    return SemanticNetwork(tuple(nodes), tuple(edges), frozen, by_id, tuple(sorted(frozen)))
+    return SemanticNetwork(tuple(nodes), tuple(edges), adjacency, by_id, ids, positions, dense)
 
 
 def _as_id(value, what: str) -> int:

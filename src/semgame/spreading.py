@@ -11,7 +11,7 @@ energy budget.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -48,14 +48,15 @@ class SpreadParams:
     budget: float = 100.0
 
     def __post_init__(self) -> None:
+        # The budget first: callers derive the default fire_threshold from it.
+        if not math.isfinite(self.budget) or self.budget <= 0:
+            raise ValidationError(f"budget {self.budget} must be finite and positive")
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError(f"delta {self.delta} outside [0, 1]")
         if not math.isfinite(self.fire_threshold) or self.fire_threshold < 0:
             raise ValidationError(f"fire_threshold {self.fire_threshold} must be finite and >= 0")
         if self.max_steps < 1:
             raise ValidationError(f"max_steps {self.max_steps} < 1")
-        if not math.isfinite(self.budget) or self.budget <= 0:
-            raise ValidationError(f"budget {self.budget} must be finite and positive")
 
 
 def check_state(net: SemanticNetwork, state: ActivationState) -> None:
@@ -81,23 +82,29 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
 
 
 def _spread_once(
-    net: SemanticNetwork, held: Mapping[int, float], firing: frozenset[int], delta: float
-) -> dict[int, float]:
-    """Every node's held energy plus what arrives from the firing set.
+    net: SemanticNetwork, values: list[float], firing: Iterable[int], delta: float
+) -> list[float]:
+    """Every node's value plus what arrives from the firing set, by position.
 
-    Arrivals are summed in ascending firing order before being added to
-    what the node already holds.
+    `values[k]` is the energy of node `net.node_ids()[k]` (callers count
+    a node missing from their mapping as 0.0); `firing` holds node ids.
+    Sources are visited in ascending position, which is ascending id
+    order, so each target sums its arrivals `o * w * keep` left to right
+    in ascending source order, starting from 0.0, and only then adds
+    them to its own value: bit for bit what tests/oracles.step_oracle
+    and criterion 2 compute.
     """
-    arriving = dict.fromkeys(net.node_ids(), 0.0)
+    positions, adjacency = net._positions, net._dense
+    arriving = [0.0] * len(values)
     keep = 1.0 - delta
-    neighbors = net.neighbors
-    for x in sorted(firing):
-        o_x = held[x]
-        for y, w in neighbors(x):
-            # Left to right, bit for bit as tests/oracles.step_oracle and
-            # criterion 2 compute it: folding w * keep changes the last bit.
-            arriving[y] += o_x * w * keep
-    return {nid: held.get(nid, 0.0) + a for nid, a in arriving.items()}
+    for x in sorted([positions[nid] for nid in firing]):
+        o = values[x]
+        for y, w in adjacency[x]:
+            # Accumulated here, never with sum(): from Python 3.12 sum()
+            # of floats is compensated, which changes the last bit. And
+            # left to right: folding w * keep changes it too.
+            arriving[y] += o * w * keep
+    return [v + a for v, a in zip(values, arriving)]
 
 
 def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> ActivationState:
@@ -107,10 +114,11 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
     A node fires at the new step iff its held energy changed and sits
     at or above the fire threshold; unchanged nodes never re-fire.
     """
-    old, threshold = state.held, params.fire_threshold
-    new_held = _spread_once(net, old, state.activated, params.delta)
-    fired = [nid for nid, new in new_held.items() if new >= threshold and new != old.get(nid, 0.0)]
-    return ActivationState(state.t + 1, new_held, frozenset(fired))
+    ids, threshold = net.node_ids(), params.fire_threshold
+    old = [state.held.get(nid, 0.0) for nid in ids]
+    new = _spread_once(net, old, state.activated, params.delta)
+    fired = [nid for nid, o, v in zip(ids, old, new) if v >= threshold and v != o]
+    return ActivationState(state.t + 1, dict(zip(ids, new)), frozenset(fired))
 
 
 def iter_spread(

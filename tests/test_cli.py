@@ -322,6 +322,22 @@ class TestExitCodes:
         assert f"seeds {seeds} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    # The default fire threshold and epsilon are derived from --budget;
+    # a bad budget is reported as the budget, not as either of them.
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["spread", "game", "compare"])
+    def test_bad_budget_exits_2_naming_the_budget(self, tmp_path, capsys, command, budget):
+        _, net_path = write_chain(tmp_path)
+        required = {
+            "spread": ["--network", str(net_path)],
+            "game": ["--network", str(net_path)],
+            "compare": ["--experiment", "load-balance", "--seeds", "1"],
+        }[command]
+        out = tmp_path / "o"
+        assert main([command, *required, "--budget", budget, "--out", str(out)]) == 2
+        assert f"budget {float(budget)} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--experiment", "bogus"])

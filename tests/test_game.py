@@ -236,6 +236,25 @@ class TestRunGame:
         with pytest.raises(ValidationError, match="exceeds budget"):
             run_game(net, state_of({0: 150.0, 1: 0.0}), GameParams(budget=100.0))
 
+    def test_partial_initial_state(self):
+        """An initial state that leaves nodes 1 and 3 out. The offer counts
+        them as holding 0.0, so it is keyed by all five nodes and the
+        round's cost rejects the mismatch; with no participant there is
+        no offer and the state comes back as given."""
+        net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9), (0, 4, 0.6)])
+        initial = ActivationState(0, {0: 0.6, 2: 0.3, 4: 0.1}, frozenset({0, 2}))
+        # Screened by held energy, only nodes in the mapping take part.
+        with pytest.raises(ValidationError, match="different node sets"):
+            run_game(net, initial, GameParams(budget=1.0, epsilon=1e-3, screen_threshold=0.2))
+        # Screened by the nodes' own thresholds (0.0), the missing nodes
+        # 1 and 3 take part too and fire with 0.0.
+        with pytest.raises(ValidationError, match="different node sets"):
+            run_game(net, initial, GameParams(budget=1.0, epsilon=1e-3))
+        outcome = run_game(net, initial, GameParams(budget=1.0, epsilon=1e-3, screen_threshold=0.7))
+        assert (outcome.rounds, outcome.converged) == (1, True)
+        assert outcome.final.held == {0: 0.6, 2: 0.3, 4: 0.1}
+        assert outcome.history[0].strategies == {}
+
     def test_strategies_keyed_by_final_round_participants(self):
         net = two_cluster_net()
         st = rescale_to_budget(seed_state(net, {0: 1.0}), 1.0)
@@ -337,6 +356,11 @@ class TestGameParams:
                 GameParams(budget=bad)
             with pytest.raises(ValidationError, match="screen_threshold"):
                 GameParams(screen_threshold=bad)
+
+    def test_bad_budget_reported_before_the_epsilon_derived_from_it(self):
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValidationError, match=f"budget {bad} must be finite"):
+                GameParams(epsilon=1e-3 * bad, budget=bad)
 
     def test_max_rounds_at_least_one(self):
         with pytest.raises(ValidationError):

@@ -18,9 +18,9 @@ from semgame.evaluate import evaluate_pairs, relatedness, run_pipeline
 from semgame.game import GameParams
 from semgame.generate import generate_network
 from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
-from semgame.spreading import SpreadParams, run_spread
+from semgame.spreading import ActivationState, SpreadParams, run_spread, step
 
-from oracles import cobweb_oracle
+from oracles import cobweb_oracle, step_oracle
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -89,6 +89,70 @@ def test_evaluate_pairs_scores_equal_per_pair_relatedness(case, data):
                 evaluate_pairs(net, pairs, sp, game)
         else:
             assert [row[3] for row in evaluate_pairs(net, pairs, sp, game).pairs] == expected
+
+
+@st.composite
+def scattered_networks(draw):
+    """(network, its ids ascending, its edges over positions 0..n-1).
+
+    The ids have gaps, start below zero, and nodes and edges are listed
+    in shuffled order with shuffled endpoints, so a position is never
+    an id and no list is in id order.
+    """
+    n = draw(st.integers(1, 8))
+    ids = [draw(st.integers(-50, -1))]
+    for _ in range(n - 1):
+        ids.append(ids[-1] + draw(st.integers(2, 30)))
+    weight = st.one_of(st.sampled_from([0.1, 0.37, 0.58, 0.91, 1.0]), st.floats(0.0, 1.0))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [(a, b, draw(weight)) for a, b in pairs if draw(st.booleans())]
+    nodes = [ConceptNode(ids[k], f"c{k}") for k in draw(st.permutations(range(n)))]
+    records = [
+        WeightedEdge(ids[b], ids[a], w) if draw(st.booleans()) else WeightedEdge(ids[a], ids[b], w)
+        for a, b, w in draw(st.permutations(edges))
+    ]
+    return build_network(nodes, records), ids, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(scattered_networks(), st.data())
+def test_step_on_scattered_ids_equals_the_oracle_bit_for_bit(case, data):
+    net, ids, edges = case
+    n = len(ids)
+    assert net.node_ids() == tuple(ids)
+    for k, nid in enumerate(ids):
+        expected = sorted((ids[b if a == k else a], w) for a, b, w in edges if k in (a, b))
+        assert net.neighbors(nid) == tuple(expected)
+
+    held = data.draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))
+    activated = data.draw(st.sets(st.integers(0, n - 1)))
+    delta = data.draw(st.one_of(st.sampled_from([0.0, 0.2, 0.3, 1.0]), st.floats(0.0, 1.0)))
+    threshold = data.draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    state = ActivationState(0, dict(zip(ids, held)), frozenset(ids[k] for k in activated))
+    nxt = step(net, state, SpreadParams(delta=delta, fire_threshold=threshold, budget=1.0))
+    want, fired = step_oracle(n, edges, dict(enumerate(held)), activated, delta, threshold)
+    assert list(nxt.held) == ids
+    assert [nxt.held[nid].hex() for nid in ids] == [want[k].hex() for k in range(n)]
+    assert nxt.activated == {ids[k] for k in fired}
+
+
+@SETTINGS
+@given(scattered_networks(), st.data())
+def test_order_preserving_relabel_leaves_the_pipeline_bit_identical(case, data):
+    """Renaming the ids to 0..n-1 in the same order changes no float operation."""
+    net, ids, edges = case
+    dense = build_network(
+        [ConceptNode(k, f"c{k}") for k in range(len(ids))], [WeightedEdge(a, b, w) for a, b, w in edges]
+    )
+    source = data.draw(st.integers(0, len(ids) - 1))
+    budget = data.draw(st.sampled_from([1.0, 100.0]))
+    sp = SpreadParams(fire_threshold=budget * 1e-6, budget=budget)
+    gp = GameParams(epsilon=budget * 1e-3, budget=budget)
+    scattered = run_pipeline(net, {ids[source]: budget}, sp, gp)
+    contiguous = run_pipeline(dense, {source: budget}, sp, gp)
+    assert scattered.rounds == contiguous.rounds
+    for a, b in zip((scattered.initial, scattered.final), (contiguous.initial, contiguous.final)):
+        assert [a.held[nid].hex() for nid in ids] == [v.hex() for v in b.held.values()]
 
 
 def _finite(lo: float, hi: float):

@@ -101,6 +101,22 @@ class TestStep:
             assert dict(state.held) == held
             assert set(state.activated) == activated
 
+    def test_partial_held_counts_missing_nodes_as_zero(self):
+        """A state that leaves nodes 1 and 3 out: they hold 0.0, receive
+        arrivals and fire. The values are pinned bit for bit."""
+        net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9), (0, 4, 0.6)])
+        state = ActivationState(0, {0: 0.6, 2: 0.3, 4: 0.1}, frozenset({0, 2}))
+        nxt = step(net, state, SpreadParams(delta=0.2, fire_threshold=0.01, budget=1.0))
+        assert {nid: v.hex() for nid, v in nxt.held.items()} == {
+            0: "0x1.3333333333333p-1",
+            1: "0x1.3f7ced916872bp-2",
+            2: "0x1.3333333333333p-2",
+            3: "0x1.89374bc6a7efap-6",
+            4: "0x1.8d4fdf3b645a2p-2",
+        }
+        assert list(nxt.held) == [0, 1, 2, 3, 4]
+        assert nxt.activated == frozenset({1, 3, 4})
+
     def test_deterministic(self):
         net = quick_net(5, [(0, 1, 0.4), (1, 2, 0.6), (2, 3, 0.8), (3, 4, 0.2), (0, 4, 0.9)])
         params = SpreadParams()
@@ -189,6 +205,11 @@ class TestRunSpread:
                 SpreadParams(budget=bad)
             with pytest.raises(ValidationError, match="fire_threshold"):
                 SpreadParams(fire_threshold=bad)
+
+    def test_bad_budget_reported_before_the_threshold_derived_from_it(self):
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValidationError, match=f"budget {bad} must be finite"):
+                SpreadParams(fire_threshold=1e-6 * bad, budget=bad)
 
     def test_overflow_fails_loudly(self):
         """Energy that grows past float range raises instead of turning inf.
