@@ -170,9 +170,7 @@ def _offer(
     participants = _participants(net, state, params)
     if not participants:
         return {}, {}
-    ids = net.node_ids()
-    values = [state.held.get(nid, 0.0) for nid in ids]
-    offered = dict(zip(ids, _spread_once(net, values, participants, params.delta)))
+    offered = dict(zip(net.node_ids(), _spread_once(net, state.held, participants, params.delta)))
     c = cost(state, offered)
     utilities = {
         i: gain(net, i, state, offered, params.delta) - c if net.neighbors(i) else 0.0

@@ -82,12 +82,12 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
 
 
 def _spread_once(
-    net: SemanticNetwork, values: list[float], firing: Iterable[int], delta: float
+    net: SemanticNetwork, held: Mapping[int, float], firing: Iterable[int], delta: float
 ) -> list[float]:
-    """Every node's value plus what arrives from the firing set, by position.
+    """Every node's held value plus what arrives from the firing set.
 
-    `values[k]` is the energy of node `net.node_ids()[k]` (callers count
-    a node missing from their mapping as 0.0); `firing` holds node ids.
+    Returns a list by dense position: entry k is node `net.node_ids()[k]`
+    (a node missing from `held` counts as 0.0); `firing` holds node ids.
     Sources are visited in ascending position, which is ascending id
     order, so each target sums its arrivals `o * w * keep` left to right
     in ascending source order, starting from 0.0, and only then adds
@@ -95,6 +95,7 @@ def _spread_once(
     and criterion 2 compute.
     """
     positions, adjacency = net._positions, net._dense
+    values = [held.get(nid, 0.0) for nid in net.node_ids()]
     arriving = [0.0] * len(values)
     keep = 1.0 - delta
     for x in sorted([positions[nid] for nid in firing]):
@@ -114,10 +115,9 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
     A node fires at the new step iff its held energy changed and sits
     at or above the fire threshold; unchanged nodes never re-fire.
     """
-    ids, threshold = net.node_ids(), params.fire_threshold
-    old = [state.held.get(nid, 0.0) for nid in ids]
-    new = _spread_once(net, old, state.activated, params.delta)
-    fired = [nid for nid, o, v in zip(ids, old, new) if v >= threshold and v != o]
+    ids, held, threshold = net.node_ids(), state.held, params.fire_threshold
+    new = _spread_once(net, held, state.activated, params.delta)
+    fired = [nid for nid, v in zip(ids, new) if v >= threshold and v != held.get(nid, 0.0)]
     return ActivationState(state.t + 1, dict(zip(ids, new)), frozenset(fired))
 
 

@@ -3,13 +3,15 @@
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
         --run relatedness-10k:11:10 --run game-1k:12:5 --out BENCH.json
 
-DIR is a source checkout holding `perfbench/` and `src/`. Each
-`--run WORKLOAD:SEED:PAIRS` runs `perfbench/run.py --trace 0` PAIRS
-times in each checkout on the same seed, alternating which side goes
-first, then once per side with `--trace 1`. The record keeps every
-run's end-to-end metrics, their median and quartiles per side, how
-many pairs the change won on each metric, the per-layer metrics of the
-traced runs, and the machine and Python version.
+DIR is a source checkout holding `BENCHMARK.json`, `perfbench/` and
+`src/`. Each `--run WORKLOAD:SEED:PAIRS` runs `perfbench/run.py
+--trace 0` PAIRS times in each checkout on the same seed, alternating
+which side goes first, then once per side with `--trace 1`; run.py
+sets the run length. The record keeps every run's end-to-end metrics,
+their median and quartiles per side, how many pairs the change won on
+each metric (in the direction the change's `BENCHMARK.json` gives it),
+the per-layer metrics of the traced runs, the run length, and the
+machine and Python version.
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-HIGHER_IS_BETTER = {"ops_per_s"}
 
-
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run; its JSON result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if result["failed"]:
@@ -52,25 +52,25 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
-def pairs_for(args, workload: str, seed: int, n_pairs: int) -> dict:
+def pairs_for(args, bench: dict, workload: str, seed: int, n_pairs: int) -> dict:
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(n_pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_bench(sides[side], workload, seed, args.seconds, 0))
+            runs[side].append(run_bench(sides[side], workload, seed, 0))
             print(f"{workload} pair {i + 1}/{n_pairs} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
-    record: dict = {"seed": seed, "pairs": n_pairs, "seconds": args.seconds, "end_to_end": {}}
-    for metric in runs["parent"][0]:
-        before = [r[metric] for r in runs["parent"]]
-        after = [r[metric] for r in runs["change"]]
-        better = (lambda a, b: a > b) if metric in HIGHER_IS_BETTER else (lambda a, b: a < b)
-        record["end_to_end"][metric] = {
+    record: dict = {"seed": seed, "pairs": n_pairs, "seconds": bench["run_seconds"], "end_to_end": {}}
+    for metric in bench["end_to_end"]:
+        before = [r[metric["name"]] for r in runs["parent"]]
+        after = [r[metric["name"]] for r in runs["change"]]
+        better = (lambda a, b: a > b) if metric["better"] == "higher" else (lambda a, b: a < b)
+        record["end_to_end"][metric["name"]] = {
             "parent": spread(before),
             "change": spread(after),
             "change_wins": sum(better(a, b) for a, b in zip(after, before)),
         }
-    record["traced"] = {side: run_bench(path, workload, seed, args.seconds, 1) for side, path in sides.items()}
+    record["traced"] = {side: run_bench(path, workload, seed, 1) for side, path in sides.items()}
     return record
 
 
@@ -79,9 +79,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--run", action="append", required=True, help="WORKLOAD:SEED:PAIRS")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     record = {
         "machine": {
             "python": platform.python_version(),
@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     for spec in args.run:
         workload, seed, n_pairs = spec.split(":")
-        record["workloads"][workload] = pairs_for(args, workload, int(seed), int(n_pairs))
+        record["workloads"][workload] = pairs_for(args, bench, workload, int(seed), int(n_pairs))
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
