@@ -99,13 +99,21 @@ def screen(state: ActivationState, threshold: float) -> frozenset[int]:
     return frozenset(nid for nid, held in state.held.items() if held >= threshold)
 
 
-def _participants(net: SemanticNetwork, state: ActivationState, params: GameParams) -> list[int]:
-    """Screened participant set for a round, ascending id order."""
+def _participants(
+    net: SemanticNetwork, state: ActivationState, values: list[float], params: GameParams
+) -> list[int]:
+    """Screened participants' dense positions, ascending.
+
+    `values` is the round's held value by position. A global threshold
+    screens the nodes in `state.held`; otherwise each node meets its own
+    threshold, and a node missing from `held` counts as holding 0.0.
+    """
+    ids = net.node_ids()
     if params.screen_threshold is not None:
-        return sorted(screen(state, params.screen_threshold))
-    return sorted(
-        nid for nid in net.node_ids() if state.held.get(nid, 0.0) >= net.node(nid).threshold
-    )
+        chosen = screen(state, params.screen_threshold)
+        return [k for k, nid in enumerate(ids) if nid in chosen]
+    by_id = net._by_id
+    return [k for k, (nid, v) in enumerate(zip(ids, values)) if v >= by_id[nid].threshold]
 
 
 def cost(current: ActivationState, offered: Mapping[int, float]) -> float:
@@ -122,28 +130,19 @@ def cost(current: ActivationState, offered: Mapping[int, float]) -> float:
     return math.sqrt(total / n)
 
 
-def gain(
-    net: SemanticNetwork,
-    i: int,
-    current: ActivationState,
-    offered: Mapping[int, float],
-    delta: float,
-) -> float:
-    """Damped mean activation increase across node i's neighborhood.
+def gain(change: float, degree: int, delta: float) -> float:
+    """Damped mean activation increase across a node's neighborhood.
 
-    The neighborhood change is raised to the power (1 - delta) as a
-    signed power (sign preserved, magnitude damped), then averaged over
-    the neighbor count. Undefined for nodes without neighbors.
+    `change` is the neighborhood change Σ(offered − held) over the
+    node's `degree` neighbors. It is raised to the power (1 - delta) as
+    a signed power (sign preserved, magnitude damped), then averaged
+    over the neighbor count. Undefined for nodes without neighbors.
     """
-    nbrs = net.neighbors(i)
-    if not nbrs:
-        raise ValidationError(f"gain undefined for node {i}: no neighbors")
-    change = 0.0
-    for x, _ in nbrs:
-        change += offered.get(x, 0.0) - current.held.get(x, 0.0)
+    if degree == 0:
+        raise ValidationError("gain undefined for a node with no neighbors")
     if change == 0.0:
         return 0.0
-    return math.copysign(abs(change) ** (1.0 - delta), change) / len(nbrs)
+    return math.copysign(abs(change) ** (1.0 - delta), change) / degree
 
 
 def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
@@ -158,25 +157,41 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
 
 def _offer(
     net: SemanticNetwork, state: ActivationState, params: GameParams
-) -> tuple[dict[int, float], dict[int, float]]:
-    """A round's offered values and each participant's accept-utility.
+) -> tuple[list[float], list[float], dict[int, float]]:
+    """A round's held and offered values and each participant's accept-utility.
 
-    The offer is one spreading step over the screened participants. A
+    Held and offered values are lists by dense position (entry k is node
+    `net.node_ids()[k]`; a node missing from `held` counts as 0.0). The
+    offer is one spreading step over the screened participants. A
     participant's accept-utility is its gain minus the global cost; an
     isolated node has no neighborhood to gain from, so accepting is
-    worth 0.0 to it. Utilities are keyed by participant in ascending id
-    order; with no participants both mappings are empty.
+    worth 0.0 to it. Utilities are keyed by participant id in ascending
+    order; with no participants they are empty and the offer is the held
+    list itself.
     """
-    participants = _participants(net, state, params)
+    ids, held = net.node_ids(), state.held
+    values = [held.get(nid, 0.0) for nid in ids]
+    participants = _participants(net, state, values, params)
     if not participants:
-        return {}, {}
-    offered = dict(zip(net.node_ids(), _spread_once(net, state.held, participants, params.delta)))
-    c = cost(state, offered)
-    utilities = {
-        i: gain(net, i, state, offered, params.delta) - c if net.neighbors(i) else 0.0
-        for i in participants
-    }
-    return offered, utilities
+        return values, values, {}
+    offered = _spread_once(net, values, participants, params.delta)
+    c = cost(state, dict(zip(ids, offered)))
+    # Each participant pulls its neighbors' differences in ascending
+    # position, from 0.0, left to right: the order tests/oracles.round_oracle
+    # sums them in, so every utility matches it bit for bit.
+    diff = [o - v for o, v in zip(offered, values)]
+    adjacency, delta = net._dense, params.delta
+    utilities = {}
+    for k in participants:
+        row = adjacency[k]
+        if row:
+            change = 0.0
+            for y, _ in row:
+                change += diff[y]
+            utilities[ids[k]] = gain(change, len(row), delta) - c
+        else:
+            utilities[ids[k]] = 0.0
+    return values, offered, utilities
 
 
 def best_response_round(
@@ -188,13 +203,16 @@ def best_response_round(
     Returns the committed state, every participant's strategy and the
     utility it realized (0.0 on reject).
     """
-    offered, accept_utilities = _offer(net, state, params)
+    values, offered, accept_utilities = _offer(net, state, params)
     if not accept_utilities:
         return state, {}, {}
-    accepted = frozenset(i for i, u in accept_utilities.items() if u > 0.0)
-    strategies = {i: Strategy.ACCEPT if i in accepted else Strategy.REJECT for i in accept_utilities}
+    accepted = frozenset([i for i, u in accept_utilities.items() if u > 0.0])
+    # Looked up once: an Enum member lookup per participant costs about as
+    # much as the rest of the loop body.
+    accept, reject = Strategy.ACCEPT, Strategy.REJECT
+    strategies = {i: accept if i in accepted else reject for i in accept_utilities}
     utilities = {i: u if i in accepted else 0.0 for i, u in accept_utilities.items()}
-    held = {nid: offered[nid] if nid in accepted else state.held.get(nid, 0.0) for nid in net.node_ids()}
+    held = {nid: o if nid in accepted else v for nid, o, v in zip(net.node_ids(), offered, values)}
     committed = ActivationState(state.t + 1, held, accepted)
     return rescale_to_budget(committed, params.budget), strategies, utilities
 
@@ -203,7 +221,9 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     """Iterate rounds until the distribution change drops below epsilon.
 
     Deterministic: identical inputs give identical outcomes. The outcome
-    keeps the full round history so equilibria can be re-verified.
+    keeps the full round history so equilibria can be re-verified. The
+    initial state must hold a value for every node; a partial one is
+    rejected before round 1.
     """
     check_state(net, initial)
     total = sum(initial.held.values())
@@ -238,7 +258,7 @@ def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) 
     and compares both strategies for every participant.
     """
     pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-    _, accept_utilities = _offer(net, pre, params)
+    _, _, accept_utilities = _offer(net, pre, params)
     strategies = outcome.history[-1].strategies
     if set(accept_utilities) != set(strategies):
         return False

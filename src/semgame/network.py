@@ -84,11 +84,12 @@ class SemanticNetwork:
     Node `node_ids()[k]` sits at dense position k, and `_positions` maps
     each id to its position. `_dense[k]` holds node k's `(position,
     weight)` entries in ascending position order, which is ascending id
-    order; the spreading kernel indexes flat lists with them. Each
-    node's entries are allocated together, in node order, so a pass over
-    the whole graph walks memory in order. When the ids are exactly
-    0..n-1, positions equal ids and `_adjacency`, which `neighbors()`
-    reads, shares the same tuples instead of holding a second copy.
+    order; the spreading kernel and the game round index flat lists
+    with them. Each node's entries are allocated together, in node
+    order, so a pass over the whole graph walks memory in order. When
+    the ids are exactly 0..n-1, positions equal ids and `_adjacency`,
+    which `neighbors()` reads, shares the same tuples instead of holding
+    a second copy.
     """
 
     nodes: tuple[ConceptNode, ...]

@@ -60,10 +60,15 @@ class SpreadParams:
 
 
 def check_state(net: SemanticNetwork, state: ActivationState) -> None:
-    """Validate a state against its companion network."""
+    """Validate a state against its companion network: a value for every
+    node and for no other id."""
     for key in state.held:
         if not net.has_node(key):
             raise ValidationError(f"state holds unknown node id {key}")
+    missing = [nid for nid in net.node_ids() if nid not in state.held]
+    if missing:
+        shown = ", ".join(map(str, missing[:10])) + (", ..." if len(missing) > 10 else "")
+        raise ValidationError(f"state holds no value for {len(missing)} node(s): {shown}")
     if any(v < 0 for v in state.held.values()):
         raise ValidationError("negative energy in activation state")
     if not state.activated <= set(state.held):
@@ -82,23 +87,21 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
 
 
 def _spread_once(
-    net: SemanticNetwork, held: Mapping[int, float], firing: Iterable[int], delta: float
+    net: SemanticNetwork, values: list[float], firing: Iterable[int], delta: float
 ) -> list[float]:
     """Every node's held value plus what arrives from the firing set.
 
-    Returns a list by dense position: entry k is node `net.node_ids()[k]`
-    (a node missing from `held` counts as 0.0); `firing` holds node ids.
-    Sources are visited in ascending position, which is ascending id
-    order, so each target sums its arrivals `o * w * keep` left to right
-    in ascending source order, starting from 0.0, and only then adds
-    them to its own value: bit for bit what tests/oracles.step_oracle
-    and criterion 2 compute.
+    `values` and the result are lists by dense position: entry k is
+    node `net.node_ids()[k]`. `firing` holds positions in ascending
+    order, which is ascending id order, so each target sums its
+    arrivals `o * w * keep` left to right in ascending source order,
+    starting from 0.0, and only then adds them to its own value: bit
+    for bit what tests/oracles.step_oracle and criterion 2 compute.
     """
-    positions, adjacency = net._positions, net._dense
-    values = [held.get(nid, 0.0) for nid in net.node_ids()]
+    adjacency = net._dense
     arriving = [0.0] * len(values)
     keep = 1.0 - delta
-    for x in sorted([positions[nid] for nid in firing]):
+    for x in firing:
         o = values[x]
         for y, w in adjacency[x]:
             # Accumulated here, never with sum(): from Python 3.12 sum()
@@ -113,11 +116,14 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
 
     Every node adds the energy arriving from all activated neighbors.
     A node fires at the new step iff its held energy changed and sits
-    at or above the fire threshold; unchanged nodes never re-fire.
+    at or above the fire threshold; unchanged nodes never re-fire. A
+    node missing from `held` counts as 0.0.
     """
-    ids, held, threshold = net.node_ids(), state.held, params.fire_threshold
-    new = _spread_once(net, held, state.activated, params.delta)
-    fired = [nid for nid, v in zip(ids, new) if v >= threshold and v != held.get(nid, 0.0)]
+    ids, held, positions, threshold = net.node_ids(), state.held, net._positions, params.fire_threshold
+    values = [held.get(nid, 0.0) for nid in ids]
+    firing = sorted([positions[nid] for nid in state.activated])
+    new = _spread_once(net, values, firing, params.delta)
+    fired = [nid for nid, v, old in zip(ids, new, values) if v >= threshold and v != old]
     return ActivationState(state.t + 1, dict(zip(ids, new)), frozenset(fired))
 
 

@@ -61,35 +61,44 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     return cov / math.sqrt(vx * vy)
 
 
-def round_utilities(
+def round_oracle(
     n: int,
     edges: list[tuple[int, int, float]],
     held: dict[int, float],
-    participants: list[int],
+    thresholds: list[float],
+    screen_threshold: float | None,
     delta: float,
 ) -> dict[int, float]:
-    """Accept-utility of every participant, recomputed from the matrix.
+    """Accept-utility of every participant of one round, summed in a fixed order.
 
-    The proposal offers each node its held value plus everything arriving
-    from firing participants; accepting yields the damped mean neighbor
-    increase minus the global RMS change, rejecting yields 0.
+    Participants are the nodes holding at least `screen_threshold`, or
+    their own threshold when it is None. The offer is step_oracle's
+    step with the participants firing. The cost is the RMS of
+    offered - held summed over nodes 0..n-1, and each participant's
+    neighborhood change sums offered - held over its neighbors (every
+    node it shares an edge with, whatever the weight) in ascending
+    order; both sums start from 0.0 and run left to right. Keyed by
+    participant in ascending order; an isolated participant gets 0.0.
     """
-    mat = weight_matrix(n, edges)
-    offered = {}
+    participants = [
+        k for k in range(n) if held[k] >= (thresholds[k] if screen_threshold is None else screen_threshold)
+    ]
+    offered, _ = step_oracle(n, edges, held, set(participants), delta, 0.0)
+    total = 0.0
     for z in range(n):
-        value = held[z]
-        for x in participants:
-            value += held[x] * mat[x][z] * (1.0 - delta)
-        offered[z] = value
-    rms = math.sqrt(sum((offered[z] - held[z]) ** 2 for z in range(n)) / n)
+        d = offered[z] - held[z]
+        total += d * d
+    rms = math.sqrt(total / n)
 
     utilities = {}
     for i in participants:
-        nbrs = [x for x in range(n) if mat[i][x] > 0.0]
+        nbrs = sorted({b for a, b, _ in edges if a == i} | {a for a, b, _ in edges if b == i})
         if not nbrs:
             utilities[i] = 0.0
             continue
-        change = sum(offered[x] - held[x] for x in nbrs)
+        change = 0.0
+        for x in nbrs:
+            change += offered[x] - held[x]
         if change == 0.0:
             g = 0.0
         else:

@@ -36,7 +36,7 @@ from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_netwo
 from semgame.spreading import ActivationState, SpreadParams, seed_state, step
 
 from conftest import quick_net, two_cluster_net
-from oracles import counting_ranks, enumerate_equilibria, pearson, round_utilities, step_oracle
+from oracles import counting_ranks, enumerate_equilibria, pearson, round_oracle, step_oracle
 
 _MODULE_START = time.perf_counter()
 
@@ -98,14 +98,11 @@ def test_c01_equation_arithmetic():
     moved[0] = 4.0
     assert cost(st, moved) == 1.0
 
-    net2 = quick_net(3, [(0, 1, 0.5), (0, 2, 0.5)])
-    held = {0: 0.0, 1: 1.0, 2: 1.0}
-    offered = {0: 0.0, 1: 1.5, 2: 1.5}
-    assert gain(net2, 0, _state(held), offered, 0.0) == 0.5
-    net3 = quick_net(4, [(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5)])
-    held = {i: 1.0 for i in range(4)}
-    offered = {0: 1.0, 1: 3.0, 2: 2.0, 3: 2.0}
-    assert abs(gain(net3, 0, _state(held), offered, 0.5) - 2.0 / 3.0) < 1e-15
+    # gain(change, degree, delta) on the neighborhood change Σ(offered − held).
+    # Node 0 with neighbors 1, 2, each going 1.0 -> 1.5, at delta 0: 1.0 / 2.
+    assert gain((1.5 - 1.0) + (1.5 - 1.0), 2, 0.0) == 0.5
+    # Node 0 with neighbors 1, 2, 3 going 1.0 -> 3.0, 2.0, 2.0, at delta 0.5: 4^0.5 / 3.
+    assert abs(gain((3.0 - 1.0) + (2.0 - 1.0) + (2.0 - 1.0), 3, 0.5) - 2.0 / 3.0) < 1e-15
 
     params = CobwebParams(
         r=0.5, demand_intercept=10.0, demand_slope=1.0, supply_intercept=2.0, supply_slope=1.0
@@ -231,7 +228,7 @@ def test_c04_nash_verification():
                 assert verify_nash(net, outcome, params)
                 pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
                 participants = sorted(pre.held)
-                utils = round_utilities(n, edges, dict(pre.held), participants, params.delta)
+                utils = round_oracle(n, edges, dict(pre.held), [0.0] * n, None, params.delta)
                 last = outcome.history[-1]
                 chosen = {nid: s is Strategy.ACCEPT for nid, s in last.strategies.items()}
                 assert chosen in enumerate_equilibria(participants, utils)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from semgame import game
 from semgame.errors import ValidationError
 from semgame.game import (
     GameParams,
@@ -24,7 +25,7 @@ from semgame.generate import generate_network
 from semgame.spreading import ActivationState, seed_state
 
 from conftest import quick_net, two_cluster_net
-from oracles import enumerate_equilibria, round_utilities
+from oracles import enumerate_equilibria, round_oracle
 
 
 def state_of(held: dict[int, float], t: int = 0):
@@ -82,37 +83,31 @@ class TestCost:
 
 
 class TestGain:
+    """gain(change, degree, delta): the change is the round's
+    neighborhood sum Σ(offered − held), which the round computes."""
+
     def test_zero_change(self):
-        net = quick_net(3, [(0, 1, 0.5), (0, 2, 0.5)])
-        st = state_of({0: 1.0, 1: 1.0, 2: 1.0})
-        assert gain(net, 0, st, st.held, 0.5) == 0.0
+        assert gain(0.0, 2, 0.5) == 0.0
+        # A change of -0.0 is no change either, and gives +0.0, not -0.0.
+        assert math.copysign(1.0, gain(-0.0, 2, 0.5)) == 1.0
 
     def test_delta_zero_identity_power(self):
-        net = quick_net(3, [(0, 1, 0.5), (0, 2, 0.5)])
-        st = state_of({0: 0.0, 1: 1.0, 2: 1.0})
-        offered = {0: 0.0, 1: 1.5, 2: 1.5}
-        assert gain(net, 0, st, offered, 0.0) == 0.5
+        """Two neighbors, each up by 0.5: change 1.0, delta 0."""
+        assert gain(0.5 + 0.5, 2, 0.0) == 0.5
 
     def test_fractional_power(self):
-        """Three neighbors, change 4, delta 0.5: sign(4) * 4^0.5 / 3."""
-        net = quick_net(4, [(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5)])
-        held = {i: 1.0 for i in range(4)}
-        offered = {0: 1.0, 1: 3.0, 2: 2.0, 3: 2.0}
-        result = gain(net, 0, state_of(held), offered, 0.5)
+        """Three neighbors, change 2 + 1 + 1 = 4, delta 0.5: sign(4) * 4^0.5 / 3."""
+        result = gain(2.0 + 1.0 + 1.0, 3, 0.5)
         assert result == pytest.approx(math.copysign(abs(4.0) ** 0.5, 4.0) / 3, rel=1e-15)
         assert result == pytest.approx(2.0 / 3.0)
 
     def test_negative_change_keeps_sign(self):
-        net = quick_net(2, [(0, 1, 0.5)])
-        held = {0: 1.0, 1: 2.0}
-        offered = {0: 1.0, 1: 1.0}
-        assert gain(net, 0, state_of(held), offered, 0.5) == -1.0
+        """One neighbor, down from 2.0 to 1.0."""
+        assert gain(1.0 - 2.0, 1, 0.5) == -1.0
 
     def test_isolated_node_rejected(self):
-        net = quick_net(2, [])
-        st = state_of({0: 1.0, 1: 1.0})
         with pytest.raises(ValidationError, match="no neighbors"):
-            gain(net, 0, st, st.held, 0.2)
+            gain(0.0, 0, 0.2)
 
 
 class TestRescale:
@@ -138,13 +133,24 @@ class TestBestResponseRound:
         assert new_state.held == {0: 1.0}
         assert sum(new_state.held.values()) == 1.0
 
+    def test_gain_called_once_per_participant_with_neighbors(self, monkeypatch):
+        """The round calls the module-level gain once for each participant
+        that has neighbors, in ascending id order, with its degree."""
+        net = quick_net(4, [(0, 1, 0.5), (1, 2, 0.5)])  # node 3 is isolated
+        calls = []
+        real = game.gain
+        monkeypatch.setattr(game, "gain", lambda *args: calls.append(args) or real(*args))
+        _, strategies, _ = best_response_round(net, state_of({i: 1.0 for i in range(4)}), GameParams(budget=4.0))
+        assert list(strategies) == [0, 1, 2, 3]
+        assert [(degree, delta) for _, degree, delta in calls] == [(1, 0.2), (2, 0.2), (1, 0.2)]
+
     def test_two_node_round_matches_profile_enumeration(self):
         """Each node's choice agrees with the exhaustive 4-profile oracle."""
         edges = [(0, 1, 0.6)]
         net = quick_net(2, edges)
         held = {0: 0.8, 1: 0.2}
         params = GameParams(budget=1.0, delta=0.2)
-        utilities = round_utilities(2, edges, held, [0, 1], 0.2)
+        utilities = round_oracle(2, edges, held, [0.0, 0.0], None, 0.2)
         equilibria = enumerate_equilibria([0, 1], utilities)
         # Dominant choices: accept iff the accept-utility is strictly positive.
         expected = {nid: utilities[nid] > 0.0 for nid in (0, 1)}
@@ -237,23 +243,18 @@ class TestRunGame:
             run_game(net, state_of({0: 150.0, 1: 0.0}), GameParams(budget=100.0))
 
     def test_partial_initial_state(self):
-        """An initial state that leaves nodes 1 and 3 out. The offer counts
-        them as holding 0.0, so it is keyed by all five nodes and the
-        round's cost rejects the mismatch; with no participant there is
-        no offer and the state comes back as given."""
+        """An initial state that leaves nodes 1 and 3 out is rejected before
+        round 1, whatever the screening, with a message naming them."""
         net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9), (0, 4, 0.6)])
         initial = ActivationState(0, {0: 0.6, 2: 0.3, 4: 0.1}, frozenset({0, 2}))
-        # Screened by held energy, only nodes in the mapping take part.
-        with pytest.raises(ValidationError, match="different node sets"):
-            run_game(net, initial, GameParams(budget=1.0, epsilon=1e-3, screen_threshold=0.2))
-        # Screened by the nodes' own thresholds (0.0), the missing nodes
-        # 1 and 3 take part too and fire with 0.0.
-        with pytest.raises(ValidationError, match="different node sets"):
-            run_game(net, initial, GameParams(budget=1.0, epsilon=1e-3))
-        outcome = run_game(net, initial, GameParams(budget=1.0, epsilon=1e-3, screen_threshold=0.7))
-        assert (outcome.rounds, outcome.converged) == (1, True)
-        assert outcome.final.held == {0: 0.6, 2: 0.3, 4: 0.1}
-        assert outcome.history[0].strategies == {}
+        for screen_threshold in (0.2, None, 0.7):
+            params = GameParams(budget=1.0, epsilon=1e-3, screen_threshold=screen_threshold)
+            with pytest.raises(ValidationError, match=r"no value for 2 node\(s\): 1, 3$"):
+                run_game(net, initial, params)
+        # A long list is cut after ten ids.
+        net = quick_net(12, [])
+        with pytest.raises(ValidationError, match=r"no value for 11 node\(s\): 1, 2, .*, 10, \.\.\.$"):
+            run_game(net, ActivationState(0, {0: 1.0}, frozenset()), GameParams(budget=1.0))
 
     def test_strategies_keyed_by_final_round_participants(self):
         net = two_cluster_net()
@@ -294,8 +295,8 @@ class TestVerifyNash:
         params = GameParams(budget=100.0)
         outcome = run_game(net, st, params)
         assert verify_nash(net, outcome, params)
-        utilities = round_utilities(2, [(0, 1, 0.6)], dict(outcome.history[-1].state.held)
-                                    if outcome.rounds > 1 else dict(st.held), [0, 1], 0.2)
+        utilities = round_oracle(2, [(0, 1, 0.6)], dict(outcome.history[-1].state.held)
+                                 if outcome.rounds > 1 else dict(st.held), [0.0, 0.0], None, 0.2)
         victim = min(utilities, key=utilities.get)
         assert utilities[victim] < 0.0
         last = outcome.history[-1]
@@ -320,7 +321,7 @@ class TestVerifyNash:
             assert verify_nash(net, outcome, params)
 
             pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-            utilities = round_utilities(3, edges, dict(pre.held), sorted(pre.held), params.delta)
+            utilities = round_oracle(3, edges, dict(pre.held), [0.0] * 3, None, params.delta)
             equilibria = enumerate_equilibria(sorted(pre.held), utilities)
             chosen = {nid: s is Strategy.ACCEPT for nid, s in outcome.history[-1].strategies.items()}
             assert chosen in equilibria

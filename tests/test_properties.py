@@ -5,6 +5,7 @@ on the budget, and participants accept at 1 but reject at 100. Thresholds
 scale with the budget the way the CLI sets them.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -15,12 +16,12 @@ from hypothesis import strategies as st
 from semgame.baselines import CobwebParams, run_cobweb
 from semgame.errors import ValidationError
 from semgame.evaluate import evaluate_pairs, relatedness, run_pipeline
-from semgame.game import GameParams
+from semgame.game import GameParams, Strategy, best_response_round
 from semgame.generate import generate_network
 from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
 from semgame.spreading import ActivationState, SpreadParams, run_spread, step
 
-from oracles import cobweb_oracle, step_oracle
+from oracles import cobweb_oracle, round_oracle, step_oracle
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -134,6 +135,28 @@ def test_step_on_scattered_ids_equals_the_oracle_bit_for_bit(case, data):
     assert list(nxt.held) == ids
     assert [nxt.held[nid].hex() for nid in ids] == [want[k].hex() for k in range(n)]
     assert nxt.activated == {ids[k] for k in fired}
+
+
+@settings(max_examples=200, deadline=None)
+@given(scattered_networks(), st.data())
+def test_round_equals_the_oracle_bit_for_bit(case, data):
+    """One round's strategies and utilities, screened by the nodes' own
+    thresholds or by a global one, on networks with isolated nodes."""
+    net, ids, edges = case
+    n = len(ids)
+    thresholds = data.draw(st.lists(st.sampled_from([0.0, 0.5, 5.0]), min_size=n, max_size=n))
+    own = dict(zip(ids, thresholds))
+    net = build_network([dataclasses.replace(nd, threshold=own[nd.id]) for nd in net.nodes], list(net.edges))
+    held = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=n, max_size=n))
+    delta = data.draw(st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0)))
+    screen_threshold = data.draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0, 10.0])))
+    params = GameParams(delta=delta, screen_threshold=screen_threshold, budget=1.0)
+    state = ActivationState(0, dict(zip(ids, held)), frozenset())
+    _, strategies, utilities = best_response_round(net, state, params)
+    want = round_oracle(n, edges, dict(enumerate(held)), thresholds, screen_threshold, delta)
+    assert list(strategies) == list(utilities) == [ids[k] for k in want]
+    assert strategies == {ids[k]: Strategy.ACCEPT if u > 0.0 else Strategy.REJECT for k, u in want.items()}
+    assert [u.hex() for u in utilities.values()] == [(u if u > 0.0 else 0.0).hex() for u in want.values()]
 
 
 @SETTINGS
