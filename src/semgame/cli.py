@@ -1,8 +1,9 @@
 """Command-line front end: run spreads, games, baselines, evaluations, and
 comparison experiments from files; emit CSV/JSON artifacts.
 
-Every run is reproducible: the same flags and seed produce byte-identical
-summary output. Exit codes: 0 success, 2 validation error, 3 runtime error.
+Every run is reproducible on the same Python version: the same flags and
+seed produce byte-identical summary output. Exit codes: 0 success, 2
+validation error, 3 runtime error.
 """
 
 from __future__ import annotations

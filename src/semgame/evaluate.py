@@ -17,7 +17,7 @@ from .baselines import CobwebParams, run_cobweb, run_traditional
 from .errors import ValidationError
 from .game import GameOutcome, GameParams, rescale_to_budget, run_game
 from .generate import complete_network, generate_network
-from .network import PairJudgment, SemanticNetwork, total_weight_sum
+from .network import PairJudgment, SemanticNetwork
 from .spreading import ActivationState, SpreadParams, run_spread
 
 __all__ = [
@@ -134,7 +134,7 @@ def relatedness(
     for nid in (a, b):
         if not net.has_node(nid):
             raise ValidationError(f"unknown node id {nid}")
-    if total_weight_sum(net) <= 0:
+    if not any(e.weight > 0.0 for e in net.edges):
         raise ValidationError("relatedness undefined on an edgeless network")
     finals = {} if _finals is None else _finals
 

@@ -13,20 +13,19 @@ limit is hit.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import ActivationState, _spread_once, check_state
+from .spreading import ActivationState, _held_list, _spread_once, check_state
 
 __all__ = [
     "Strategy",
     "GameParams",
     "RoundRecord",
     "GameOutcome",
-    "screen",
     "cost",
     "gain",
     "rescale_to_budget",
@@ -92,40 +91,30 @@ class GameOutcome:
     initial: ActivationState
 
 
-def screen(state: ActivationState, threshold: float) -> frozenset[int]:
-    """Nodes holding at least `threshold` energy (boundary inclusive)."""
-    if threshold < 0:
-        raise ValidationError(f"screen threshold {threshold} < 0")
-    return frozenset(nid for nid, held in state.held.items() if held >= threshold)
-
-
-def _participants(
-    net: SemanticNetwork, state: ActivationState, values: list[float], params: GameParams
-) -> list[int]:
+def _participants(net: SemanticNetwork, values: list[float], params: GameParams) -> list[int]:
     """Screened participants' dense positions, ascending.
 
-    `values` is the round's held value by position. A global threshold
-    screens the nodes in `state.held`; otherwise each node meets its own
-    threshold, and a node missing from `held` counts as holding 0.0.
+    `values` is the round's held value by position. A position takes
+    part when its value reaches the global `screen_threshold`, if one
+    is set, or else its node's own threshold (boundary inclusive).
     """
-    ids = net.node_ids()
     if params.screen_threshold is not None:
-        chosen = screen(state, params.screen_threshold)
-        return [k for k, nid in enumerate(ids) if nid in chosen]
+        return [k for k, v in enumerate(values) if v >= params.screen_threshold]
     by_id = net._by_id
-    return [k for k, (nid, v) in enumerate(zip(ids, values)) if v >= by_id[nid].threshold]
+    return [k for k, (nid, v) in enumerate(zip(net.node_ids(), values)) if v >= by_id[nid].threshold]
 
 
-def cost(current: ActivationState, offered: Mapping[int, float]) -> float:
-    """Root-mean-square change between the offered and current distributions."""
-    if set(current.held) != set(offered):
-        raise ValidationError("cost: states keyed over different node sets")
-    n = len(current.held)
+def cost(held: Sequence[float], offered: Sequence[float]) -> float:
+    """Root-mean-square change between two distributions given as value
+    sequences in the same node order; squares are summed left to right."""
+    n = len(held)
+    if len(offered) != n:
+        raise ValidationError(f"cost: {n} held values but {len(offered)} offered")
     if n == 0:
         raise ValidationError("cost: empty states")
     total = 0.0
-    for nid in sorted(current.held):
-        d = offered[nid] - current.held[nid]
+    for h, o in zip(held, offered):
+        d = o - h
         total += d * d
     return math.sqrt(total / n)
 
@@ -161,21 +150,21 @@ def _offer(
     """A round's held and offered values and each participant's accept-utility.
 
     Held and offered values are lists by dense position (entry k is node
-    `net.node_ids()[k]`; a node missing from `held` counts as 0.0). The
-    offer is one spreading step over the screened participants. A
+    `net.node_ids()[k]`); the state must hold a value for every node.
+    The offer is one spreading step over the screened participants. A
     participant's accept-utility is its gain minus the global cost; an
     isolated node has no neighborhood to gain from, so accepting is
     worth 0.0 to it. Utilities are keyed by participant id in ascending
     order; with no participants they are empty and the offer is the held
     list itself.
     """
-    ids, held = net.node_ids(), state.held
-    values = [held.get(nid, 0.0) for nid in ids]
-    participants = _participants(net, state, values, params)
+    ids = net.node_ids()
+    values = _held_list(net, state)
+    participants = _participants(net, values, params)
     if not participants:
         return values, values, {}
     offered = _spread_once(net, values, participants, params.delta)
-    c = cost(state, dict(zip(ids, offered)))
+    c = cost(values, offered)
     # Each participant pulls its neighbors' differences in ascending
     # position, from 0.0, left to right: the order tests/oracles.round_oracle
     # sums them in, so every utility matches it bit for bit.
@@ -230,14 +219,15 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     if total > params.budget * (1 + 1e-12):
         raise ValidationError(f"initial energy {total} exceeds budget {params.budget}")
 
-    state = initial
+    state, values = initial, _held_list(net, initial)
     history: list[RoundRecord] = []
     converged = False
     for _ in range(params.max_rounds):
         new_state, strategies, utilities = best_response_round(net, state, params)
-        round_cost = cost(state, new_state.held)
+        new_values = _held_list(net, new_state)
+        round_cost = cost(values, new_values)
         history.append(RoundRecord(new_state, strategies, utilities, round_cost))
-        state = new_state
+        state, values = new_state, new_values
         if round_cost < params.epsilon:
             converged = True
             break

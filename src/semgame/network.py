@@ -28,7 +28,6 @@ __all__ = [
     "network_from_dict",
     "network_to_dict",
     "load_pairs",
-    "total_weight_sum",
 ]
 
 
@@ -86,15 +85,11 @@ class SemanticNetwork:
     weight)` entries in ascending position order, which is ascending id
     order; the spreading kernel and the game round index flat lists
     with them. Each node's entries are allocated together, in node
-    order, so a pass over the whole graph walks memory in order. When
-    the ids are exactly 0..n-1, positions equal ids and `_adjacency`,
-    which `neighbors()` reads, shares the same tuples instead of holding
-    a second copy.
+    order, so a pass over the whole graph walks memory in order.
     """
 
     nodes: tuple[ConceptNode, ...]
     edges: tuple[WeightedEdge, ...]
-    _adjacency: dict[int, tuple[tuple[int, float], ...]] = field(repr=False, compare=False)
     _by_id: dict[int, ConceptNode] = field(repr=False, compare=False)
     _sorted_ids: tuple[int, ...] = field(repr=False, compare=False)
     _positions: dict[int, int] = field(repr=False, compare=False)
@@ -109,7 +104,7 @@ class SemanticNetwork:
         return self._sorted_ids
 
     def has_node(self, node_id: int) -> bool:
-        return node_id in self._adjacency
+        return node_id in self._positions
 
     def node(self, node_id: int) -> ConceptNode:
         try:
@@ -120,9 +115,11 @@ class SemanticNetwork:
     def neighbors(self, node_id: int) -> tuple[tuple[int, float], ...]:
         """(neighbor id, weight) pairs in ascending id order."""
         try:
-            return self._adjacency[node_id]
+            row = self._dense[self._positions[node_id]]
         except KeyError:
             raise ValidationError(f"unknown node id {node_id}") from None
+        ids = self._sorted_ids
+        return tuple([(ids[y], w) for y, w in row])
 
     def id_by_label(self, label: str) -> int:
         matches = [nd.id for nd in self.nodes if nd.label == label]
@@ -164,12 +161,8 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
 
     # zip makes each node's entry tuples together, node after node.
     dense = tuple(tuple(sorted(zip(ts, ws))) for ts, ws in zip(targets, weights))
-    if ids == tuple(range(len(ids))):
-        adjacency = dict(zip(ids, dense))
-    else:
-        adjacency = {nid: tuple([(ids[y], w) for y, w in row]) for nid, row in zip(ids, dense)}
     by_id = {nd.id: nd for nd in nodes}
-    return SemanticNetwork(tuple(nodes), tuple(edges), adjacency, by_id, ids, positions, dense)
+    return SemanticNetwork(tuple(nodes), tuple(edges), by_id, ids, positions, dense)
 
 
 def _as_id(value, what: str) -> int:
@@ -321,8 +314,3 @@ def load_pairs(path: str | Path, scale: str = "unit") -> list[PairJudgment]:
             score = raw
         pairs.append(PairJudgment(cols[0], cols[1], score))
     return pairs
-
-
-def total_weight_sum(net: SemanticNetwork) -> float:
-    """Sum of all edge weights, each unordered edge counted once."""
-    return sum(e.weight for e in net.edges)

@@ -86,6 +86,22 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
     return ActivationState(0, held, frozenset(sources))
 
 
+def _held_list(net: SemanticNetwork, state: ActivationState) -> list[float]:
+    """`state.held` by dense position: entry k is node `net.node_ids()[k]`.
+
+    A subscript per node and one length check find a missing node or an
+    unknown id; only then does check_state run, to raise naming them.
+    """
+    held = state.held
+    try:
+        values = [held[nid] for nid in net.node_ids()]
+    except KeyError:
+        values = None
+    if values is None or len(values) != len(held):
+        check_state(net, state)  # raises
+    return values
+
+
 def _spread_once(
     net: SemanticNetwork, values: list[float], firing: Iterable[int], delta: float
 ) -> list[float]:
@@ -116,11 +132,11 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
 
     Every node adds the energy arriving from all activated neighbors.
     A node fires at the new step iff its held energy changed and sits
-    at or above the fire threshold; unchanged nodes never re-fire. A
-    node missing from `held` counts as 0.0.
+    at or above the fire threshold; unchanged nodes never re-fire. The
+    state must hold a value for every node and for no other id.
     """
-    ids, held, positions, threshold = net.node_ids(), state.held, net._positions, params.fire_threshold
-    values = [held.get(nid, 0.0) for nid in ids]
+    ids, positions, threshold = net.node_ids(), net._positions, params.fire_threshold
+    values = _held_list(net, state)
     firing = sorted([positions[nid] for nid in state.activated])
     new = _spread_once(net, values, firing, params.delta)
     fired = [nid for nid, v, old in zip(ids, new, values) if v >= threshold and v != old]

@@ -60,10 +60,6 @@ def criterion(number: int, description: str):
     return decorate
 
 
-def _state(held: dict[int, float]) -> ActivationState:
-    return ActivationState(0, dict(held), frozenset())
-
-
 def _connected(n: int, edges: list[tuple[int, int, float]]) -> bool:
     adj = {i: [] for i in range(n)}
     for a, b, _ in edges:
@@ -92,11 +88,10 @@ def test_c01_equation_arithmetic():
     assert one_edge_delivery(2.0, 0.3, 0.1) == 2.0 * 0.3 * (1 - 0.1)
     assert abs(one_edge_delivery(2.0, 0.3, 0.1) - 0.54) < 1e-15
 
-    st = _state({i: 1.0 for i in range(9)})
-    assert cost(st, st.held) == 0.0
-    moved = {i: 1.0 for i in range(9)}
-    moved[0] = 4.0
-    assert cost(st, moved) == 1.0
+    held = [1.0] * 9
+    assert cost(held, held) == 0.0
+    moved = [4.0] + [1.0] * 8
+    assert cost(held, moved) == 1.0
 
     # gain(change, degree, delta) on the neighborhood change Σ(offered − held).
     # Node 0 with neighbors 1, 2, each going 1.0 -> 1.5, at delta 0: 1.0 / 2.

@@ -124,9 +124,11 @@ class TestRelatedness:
             relatedness(net, 0, 9, SP, GP)
 
     def test_edgeless_network_rejected(self):
-        net = quick_net(2, [])
-        with pytest.raises(ValidationError, match="edgeless"):
-            relatedness(net, 0, 1, SP, GP)
+        """No edges, or only edges of weight 0.0: nothing can spread."""
+        for edges in ([], [(0, 1, 0.0)]):
+            net = quick_net(2, edges)
+            with pytest.raises(ValidationError, match="edgeless"):
+                relatedness(net, 0, 1, SP, GP)
 
 
 class TestEvaluatePairs:

@@ -18,7 +18,6 @@ from semgame.game import (
     rank_nodes,
     rescale_to_budget,
     run_game,
-    screen,
     verify_nash,
 )
 from semgame.generate import generate_network
@@ -32,54 +31,39 @@ def state_of(held: dict[int, float], t: int = 0):
     return ActivationState(t, dict(held), frozenset())
 
 
-class TestScreen:
-    def test_uniform_pass(self):
-        st = state_of({0: 5.0, 1: 5.0, 2: 5.0})
-        assert screen(st, 1.0) == frozenset({0, 1, 2})
-
-    def test_uniform_fail(self):
-        st = state_of({0: 0.0, 1: 0.0})
-        assert screen(st, 1.0) == frozenset()
-
-    def test_boundary_inclusive(self):
-        st = state_of({0: 2.0, 1: 0.5, 2: 1.0})
-        assert screen(st, 1.0) == frozenset({0, 2})
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValidationError):
-            screen(state_of({0: 1.0}), -0.1)
-
-
 class TestCost:
+    """cost(held, offered) on two value sequences in node order."""
+
     def test_identical_states(self):
-        st = state_of({0: 1.0, 1: 2.0})
-        assert cost(st, st.held) == 0.0
+        held = [1.0, 2.0]
+        assert cost(held, held) == 0.0
 
     def test_single_difference(self):
         """Nine nodes, one moves by 3: sqrt(9 / 9) = 1."""
-        held = {i: 1.0 for i in range(9)}
-        offered = dict(held)
+        held = [1.0] * 9
+        offered = list(held)
         offered[4] = 4.0
-        assert cost(state_of(held), offered) == 1.0
+        assert cost(held, offered) == 1.0
 
     def test_matches_scalar_rms_oracle(self):
         rng = random.Random(3)
-        held = {i: rng.uniform(0, 10) for i in range(12)}
-        offered = {i: rng.uniform(0, 10) for i in range(12)}
+        held = [rng.uniform(0, 10) for _ in range(12)]
+        offered = [rng.uniform(0, 10) for _ in range(12)]
         expected = math.sqrt(sum((offered[i] - held[i]) ** 2 for i in range(12)) / 12)
-        assert cost(state_of(held), offered) == pytest.approx(expected, rel=1e-15)
+        assert cost(held, offered) == pytest.approx(expected, rel=1e-15)
 
     def test_metric_like_on_committed_states(self):
         """Non-negative, zero only at equality, symmetric between states."""
-        a = state_of({0: 1.0, 1: 4.0})
-        b = state_of({0: 2.0, 1: 2.0})
-        assert cost(a, b.held) > 0
-        assert cost(a, b.held) == cost(b, a.held)
-        assert cost(a, a.held) == 0.0
+        a = [1.0, 4.0]
+        b = [2.0, 2.0]
+        assert cost(a, b) > 0
+        assert cost(a, b) == cost(b, a)
+        assert cost(a, a) == 0.0
 
     def test_mismatched_node_sets(self):
-        with pytest.raises(ValidationError, match="different node sets"):
-            cost(state_of({0: 1.0}), {0: 1.0, 1: 1.0})
+        """Sequences of different lengths cover different node sets."""
+        with pytest.raises(ValidationError, match="1 held values but 2 offered"):
+            cost([1.0], [1.0, 1.0])
 
 
 class TestGain:
@@ -189,11 +173,13 @@ class TestBestResponseRound:
         assert strategies == {} and utilities == {}
 
     def test_screening_soundness(self):
-        """Nodes below the threshold at round start take no strategy."""
+        """Nodes below the threshold at round start take no strategy; a node
+        holding exactly the threshold takes part (boundary inclusive)."""
         net = quick_net(3, [(0, 1, 0.5), (1, 2, 0.5)])
-        st = state_of({0: 10.0, 1: 0.5, 2: 4.0})
-        _, strategies, _ = best_response_round(net, st, GameParams(budget=14.5, screen_threshold=1.0))
-        assert set(strategies) == {0, 2}
+        for held, expected in (({0: 10.0, 1: 0.5, 2: 4.0}, {0, 2}), ({0: 0.5, 1: 1.0, 2: 0.25}, {1})):
+            params = GameParams(budget=sum(held.values()), screen_threshold=1.0)
+            _, strategies, _ = best_response_round(net, state_of(held), params)
+            assert set(strategies) == expected
 
     def test_per_node_thresholds_used_without_override(self):
         net = quick_net(2, [(0, 1, 0.5)], threshold=3.0)
@@ -352,7 +338,7 @@ class TestGameParams:
                 GameParams(epsilon=epsilon)
 
     def test_non_finite_budget_and_screen_threshold_rejected(self):
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, -0.1):
             with pytest.raises(ValidationError, match="budget"):
                 GameParams(budget=bad)
             with pytest.raises(ValidationError, match="screen_threshold"):

@@ -17,7 +17,6 @@ from semgame.network import (
     network_from_dict,
     network_to_dict,
     save_network,
-    total_weight_sum,
 )
 
 from conftest import quick_net
@@ -221,13 +220,6 @@ class TestWeightSums:
         with pytest.raises(ValidationError, match="unknown node"):
             net.neighbors(5)
 
-    def test_edgeless_total(self):
-        assert total_weight_sum(quick_net(3, [])) == 0.0
-
-    def test_two_edge_total(self):
-        net = quick_net(3, [(0, 1, 0.2), (1, 2, 0.7)])
-        assert total_weight_sum(net) == pytest.approx(0.9)
-
     def test_handshake_identity(self):
         """Adjacency is symmetric, and the per-node incident weights sum to
         twice the total edge weight."""
@@ -245,7 +237,8 @@ class TestWeightSums:
                 for y, w in net.neighbors(x):
                     assert (x, w) in net.neighbors(y)
             per_node = sum(w for x in net.node_ids() for _, w in net.neighbors(x))
-            assert per_node == pytest.approx(2.0 * total_weight_sum(net), rel=1e-12)
+            total = sum(w for _, _, w in edges)
+            assert per_node == pytest.approx(2.0 * total, rel=1e-12)
 
 
 class TestLabelLookup:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from semgame.errors import ValidationError
+from semgame.game import GameOutcome, GameParams, RoundRecord, best_response_round, verify_nash
 from semgame.generate import complete_network
 from semgame.spreading import (
     ActivationState,
@@ -101,21 +102,29 @@ class TestStep:
             assert dict(state.held) == held
             assert set(state.activated) == activated
 
-    def test_partial_held_counts_missing_nodes_as_zero(self):
-        """A state that leaves nodes 1 and 3 out: they hold 0.0, receive
-        arrivals and fire. The values are pinned bit for bit."""
+    def test_partial_or_extra_state_rejected(self):
+        """A state that leaves nodes 1 and 3 out is rejected by a step, by a
+        game round under every screening and by verify_nash, with a message
+        naming them; so is a state that holds an id the network lacks."""
         net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9), (0, 4, 0.6)])
-        state = ActivationState(0, {0: 0.6, 2: 0.3, 4: 0.1}, frozenset({0, 2}))
-        nxt = step(net, state, SpreadParams(delta=0.2, fire_threshold=0.01, budget=1.0))
-        assert {nid: v.hex() for nid, v in nxt.held.items()} == {
-            0: "0x1.3333333333333p-1",
-            1: "0x1.3f7ced916872bp-2",
-            2: "0x1.3333333333333p-2",
-            3: "0x1.89374bc6a7efap-6",
-            4: "0x1.8d4fdf3b645a2p-2",
-        }
-        assert list(nxt.held) == [0, 1, 2, 3, 4]
-        assert nxt.activated == frozenset({1, 3, 4})
+        partial = ActivationState(0, {0: 0.6, 2: 0.3, 4: 0.1}, frozenset({0, 2}))
+        sp = SpreadParams(delta=0.2, fire_threshold=0.01, budget=1.0)
+        missing = r"no value for 2 node\(s\): 1, 3$"
+        with pytest.raises(ValidationError, match=missing):
+            step(net, partial, sp)
+        outcome = GameOutcome(partial, 1, True, (RoundRecord(partial, {}, {}, 0.0),), partial)
+        for screen_threshold in (None, 0.7, 0.0):
+            gp = GameParams(budget=1.0, screen_threshold=screen_threshold)
+            with pytest.raises(ValidationError, match=missing):
+                best_response_round(net, partial, gp)
+            with pytest.raises(ValidationError, match=missing):
+                verify_nash(net, outcome, gp)
+
+        extra = ActivationState(0, {**dict.fromkeys(range(5), 0.2), 7: 0.0}, frozenset({0}))
+        with pytest.raises(ValidationError, match="unknown node id 7"):
+            step(net, extra, sp)
+        with pytest.raises(ValidationError, match="unknown node id 7"):
+            best_response_round(net, extra, GameParams(budget=1.0))
 
     def test_deterministic(self):
         net = quick_net(5, [(0, 1, 0.4), (1, 2, 0.6), (2, 3, 0.8), (3, 4, 0.2), (0, 4, 0.9)])
