@@ -1,8 +1,8 @@
 """Command-line front end: run spreads, games, baselines, evaluations, and
 comparison experiments from files; emit CSV/JSON artifacts.
 
-Every run is reproducible on the same Python version: the same flags and
-seed produce byte-identical summary output. Exit codes: 0 success, 2
+Every run is reproducible: the same flags and seed produce byte-identical
+artefacts on every supported Python version. Exit codes: 0 success, 2
 validation error, 3 runtime error.
 """
 
@@ -26,7 +26,7 @@ from .evaluate import (
 )
 from .game import GameParams, rank_nodes
 from .network import SemanticNetwork, load_network, load_pairs
-from .spreading import SpreadParams, initial_activation, iter_spread
+from .spreading import SpreadParams, _left_sum, initial_activation, iter_spread
 
 __all__ = ["main"]
 
@@ -84,7 +84,7 @@ def _resolve_sources(net: SemanticNetwork, specs: list[str] | None, budget: floa
                     raise ValidationError(f"--source {spec!r}: bad energy value") from None
             else:
                 bare.append(nid)
-        remaining = budget - sum(explicit.values())
+        remaining = budget - _left_sum(explicit.values())
         if remaining < -1e-12:
             raise ValidationError(f"--source energies exceed budget {budget}")
         for nid in bare:
@@ -95,7 +95,7 @@ def _resolve_sources(net: SemanticNetwork, specs: list[str] | None, budget: floa
     if stamps:
         now = max(stamps) + 1.0
         acts = {nd.id: initial_activation(nd.history, now) for nd in net.nodes}
-        total = sum(acts.values())
+        total = _left_sum(acts.values())
         if total > 0:
             return {nid: v * budget / total for nid, v in sorted(acts.items()) if v > 0}
     lowest = min(net.node_ids())
@@ -253,14 +253,14 @@ def _cmd_compare(args) -> tuple[dict, dict]:
         )
         if args.experiment == "utilization":
             extra = {
-                "mean_snm_util": sum(r["snm_util"] for r in rows) / len(rows),
-                "mean_cobweb_util": sum(r["cobweb_mean_util"] for r in rows) / len(rows),
+                "mean_snm_util": _left_sum(r["snm_util"] for r in rows) / len(rows),
+                "mean_cobweb_util": _left_sum(r["cobweb_mean_util"] for r in rows) / len(rows),
             }
         else:
             iters_cols = [k for k in rows[0] if k.startswith("cobweb_iters_")]
             extra = {
-                "mean_snm_rounds": sum(r["snm_rounds"] for r in rows) / len(rows),
-                "mean_cobweb_iters": sum(r[c] for r in rows for c in iters_cols)
+                "mean_snm_rounds": _left_sum(r["snm_rounds"] for r in rows) / len(rows),
+                "mean_cobweb_iters": _left_sum(r[c] for r in rows for c in iters_cols)
                 / (len(rows) * len(iters_cols)),
             }
 

@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .game import GameOutcome, GameParams, rescale_to_budget, run_game
 from .generate import complete_network, generate_network
 from .network import PairJudgment, SemanticNetwork
-from .spreading import ActivationState, SpreadParams, run_spread
+from .spreading import ActivationState, SpreadParams, _left_sum, run_spread
 
 __all__ = [
     "EvalReport",
@@ -72,11 +72,11 @@ def has_ties(values: list[float]) -> bool:
 
 def _pearson(xs: list[float], ys: list[float]) -> float:
     n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
+    mx = _left_sum(xs) / n
+    my = _left_sum(ys) / n
+    cov = _left_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    vx = _left_sum((x - mx) ** 2 for x in xs)
+    vy = _left_sum((y - my) ** 2 for y in ys)
     if vx == 0.0 or vy == 0.0:
         raise ValidationError("zero rank variance: correlation undefined")
     return cov / math.sqrt(vx * vy)
@@ -195,8 +195,8 @@ def load_balance(state: ActivationState) -> float:
     values = [state.held[nid] for nid in sorted(state.held)]
     if len(values) < 2:
         raise ValidationError("load balance needs at least 2 nodes")
-    mean = sum(values) / len(values)
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+    mean = _left_sum(values) / len(values)
+    return math.sqrt(_left_sum((v - mean) ** 2 for v in values) / len(values))
 
 
 def utilization(
@@ -207,7 +207,7 @@ def utilization(
         raise ValidationError(f"budget {budget} must be positive")
     if set(allocations) != set(demands):
         raise ValidationError("allocations and demands keyed over different nodes")
-    useful = sum(min(allocations[k], demands[k]) for k in sorted(allocations))
+    useful = _left_sum(min(allocations[k], demands[k]) for k in sorted(allocations))
     return min(1.0, max(0.0, useful / budget))
 
 
@@ -288,7 +288,7 @@ def utilization_experiment(
         seed = base_seed + k
         rng = random.Random(seed)
         raw = [rng.random() + 1e-9 for _ in range(n_nodes)]
-        scale = budget / sum(raw)
+        scale = budget / _left_sum(raw)
         initial = {i: raw[i] * scale for i in range(n_nodes)}
 
         outcome = run_pipeline(net, initial, sp, gp)
@@ -320,6 +320,6 @@ def utilization_experiment(
             row[f"cobweb_all_met_{tag}"] = all(
                 run.allocations[i] >= demand - _MET_TOL for i in range(n_nodes)
             )
-        row["cobweb_mean_util"] = sum(cobweb_utils) / len(cobweb_utils)
+        row["cobweb_mean_util"] = _left_sum(cobweb_utils) / len(cobweb_utils)
         rows.append(row)
     return rows

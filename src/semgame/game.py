@@ -19,7 +19,7 @@ from enum import Enum
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import ActivationState, _held_list, _spread_once, check_state
+from .spreading import ActivationState, _held_list, _left_sum, _spread_once, check_state
 
 __all__ = [
     "Strategy",
@@ -136,7 +136,7 @@ def gain(change: float, degree: int, delta: float) -> float:
 
 def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
     """Scale all energies so held values sum to the budget (no-op on zero states)."""
-    total = sum(state.held[nid] for nid in sorted(state.held))
+    total = _left_sum(state.held[nid] for nid in sorted(state.held))
     if total <= 0.0:
         return state
     scale = budget / total

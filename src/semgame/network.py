@@ -84,8 +84,9 @@ class SemanticNetwork:
     each id to its position. `_dense[k]` holds node k's `(position,
     weight)` entries in ascending position order, which is ascending id
     order; the spreading kernel and the game round index flat lists
-    with them. Each node's entries are allocated together, in node
-    order, so a pass over the whole graph walks memory in order.
+    with them. Each node's entries, with the position ints and weight
+    floats they hold, are allocated together, in node order, so a pass
+    over the whole graph walks memory in order.
     """
 
     nodes: tuple[ConceptNode, ...]
@@ -159,8 +160,15 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
         targets[b].append(a)
         weights[b].append(w)
 
-    # zip makes each node's entry tuples together, node after node.
-    dense = tuple(tuple(sorted(zip(ts, ws))) for ts, ws in zip(targets, weights))
+    # Every entry is built anew once its row is sorted, so a row's tuples,
+    # ints and floats sit side by side and rows follow node order; reusing
+    # the ints of `positions` and the floats of the edges would leave the
+    # spreading kernel chasing pointers across the heap. The copies are on
+    # purpose: `y + 0` equals y, and `w * 1.0` is exact and keeps -0.0.
+    dense = tuple(
+        tuple([(y + 0, w * 1.0) for y, w in sorted(zip(ts, ws))])
+        for ts, ws in zip(targets, weights)
+    )
     by_id = {nd.id: nd for nd in nodes}
     return SemanticNetwork(tuple(nodes), tuple(edges), by_id, ids, positions, dense)
 
@@ -248,6 +256,7 @@ def load_network(path: str | Path) -> SemanticNetwork:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    del text  # not needed while the network is built, when memory peaks
     return network_from_dict(data)
 
 

@@ -86,18 +86,32 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
     return ActivationState(0, held, frozenset(sources))
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """Sum left to right from the int 0, as `sum()` did before Python 3.12.
+
+    From 3.12 `sum()` over floats is compensated, which changes the last
+    bits; every sum that reaches an artefact goes through here so the
+    artefacts are the same bytes on every supported Python.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _held_list(net: SemanticNetwork, state: ActivationState) -> list[float]:
     """`state.held` by dense position: entry k is node `net.node_ids()[k]`.
 
     A subscript per node and one length check find a missing node or an
-    unknown id; only then does check_state run, to raise naming them.
+    unknown id, and a C-level min() a negative energy; only then does
+    check_state run, to raise naming the problem.
     """
     held = state.held
     try:
         values = [held[nid] for nid in net.node_ids()]
     except KeyError:
         values = None
-    if values is None or len(values) != len(held):
+    if values is None or len(values) != len(held) or (values and min(values) < 0.0):
         check_state(net, state)  # raises
     return values
 
@@ -133,11 +147,16 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
     Every node adds the energy arriving from all activated neighbors.
     A node fires at the new step iff its held energy changed and sits
     at or above the fire threshold; unchanged nodes never re-fire. The
-    state must hold a value for every node and for no other id.
+    state must hold a non-negative value for every node and for no
+    other id, and fire only nodes it holds.
     """
     ids, positions, threshold = net.node_ids(), net._positions, params.fire_threshold
     values = _held_list(net, state)
-    firing = sorted([positions[nid] for nid in state.activated])
+    try:
+        firing = sorted([positions[nid] for nid in state.activated])
+    except KeyError:
+        check_state(net, state)  # raises: an activated id the state does not hold
+        raise
     new = _spread_once(net, values, firing, params.delta)
     fired = [nid for nid, v, old in zip(ids, new, values) if v >= threshold and v != old]
     return ActivationState(state.t + 1, dict(zip(ids, new)), frozenset(fired))
@@ -187,4 +206,4 @@ def initial_activation(history: tuple[float, ...] | list[float], now: float) -> 
     terms = [(now - t) ** (-_HISTORY_DECAY) for t in history if now - t > 0]
     if not terms:
         return 0.0
-    return max(0.0, math.log(sum(terms)))
+    return max(0.0, math.log(_left_sum(terms)))

@@ -1,7 +1,9 @@
 """CLI commands: artifacts, reproducibility, exit codes, generation."""
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -419,3 +421,22 @@ class TestGenerateNetwork:
             generate_network(1, 0.5, 0)
         with pytest.raises(ValidationError):
             generate_network(5, 0.0, 0)
+
+
+def test_golden_manifest_covers_every_invocation():
+    """tests/golden/artefacts.sha256 pins both input sets and a summary for
+    each of compare_artefacts' invocations, and nothing else: a renamed or
+    added invocation needs the manifest regenerated."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("compare_artefacts", root / "tools" / "compare_artefacts.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    lines = (root / "tests" / "golden" / "artefacts.sha256").read_text().splitlines()
+    names = [line.split("  ", 1)[1] for line in lines]
+    assert names == sorted(names)
+    invocations = tool.invocations(tool.INPUTS)
+    assert {n.split("/")[1] for n in names if n.startswith("out/")} == set(invocations)
+    assert {f"out/{name}/summary.json" for name in invocations} <= set(names)
+    assert {n for n in names if not n.startswith("out/")} == {
+        f"inputs/n{size}/{f}" for size in tool.SIZES for f in ("network.json", "pairs.tsv")
+    }

@@ -241,6 +241,49 @@ class TestWeightSums:
             assert per_node == pytest.approx(2.0 * total, rel=1e-12)
 
 
+def shuffled_payload(seed: int) -> dict:
+    """A 40-node network file with gapped ids, nodes and edges in shuffled
+    order, a -0.0 weight and a weight of exactly 1.0."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(1000), 40)
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < 0.2]
+    weights = [-0.0, 1.0] + [rng.random() for _ in pairs[2:]]
+    edges = [{"a": a, "b": b, "w": w} for (a, b), w in zip(pairs, weights)]
+    rng.shuffle(edges)
+    nodes = [{"id": nid, "label": f"c{nid}", "threshold": 0.0, "history": []} for nid in ids]
+    rng.shuffle(nodes)
+    return {"nodes": nodes, "edges": edges}
+
+
+class TestDenseAdjacency:
+    def test_entries_are_the_edges_by_float_hex(self, tmp_path):
+        """Each node's row holds one entry per incident edge, in ascending
+        position, with the neighbour's position and the edge's weight bit
+        for bit (the sign of -0.0 included); the weights are copies, not
+        the edges' own float objects."""
+        for seed in range(3):
+            net = load_network(write_net(tmp_path, shuffled_payload(seed)))
+            positions = net._positions
+            expected: dict[int, list[tuple[int, str]]] = {k: [] for k in range(net.n)}
+            for e in net.edges:
+                a, b = positions[e.a], positions[e.b]
+                expected[a].append((b, e.weight.hex()))
+                expected[b].append((a, e.weight.hex()))
+            weight_objects = {id(e.weight) for e in net.edges}
+            for k, row in enumerate(net._dense):
+                assert [(y, w.hex()) for y, w in row] == sorted(expected[k])
+                assert all(type(y) is int and type(w) is float for y, w in row)
+                assert not any(id(w) in weight_objects for _, w in row)
+            assert "-0x0.0p+0" in {w.hex() for row in net._dense for _, w in row}
+
+    def test_load_then_to_dict_round_trips_exactly(self, tmp_path):
+        for seed in range(3):
+            payload = shuffled_payload(seed)
+            got = network_to_dict(load_network(write_net(tmp_path, payload)))
+            assert json.dumps(got) == json.dumps(payload)
+            assert [e["w"].hex() for e in got["edges"]] == [e["w"].hex() for e in payload["edges"]]
+
+
 class TestLabelLookup:
     def test_by_label(self):
         net = quick_net(3, [])

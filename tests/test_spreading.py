@@ -126,6 +126,21 @@ class TestStep:
         with pytest.raises(ValidationError, match="unknown node id 7"):
             best_response_round(net, extra, GameParams(budget=1.0))
 
+    def test_negative_held_energy_rejected(self):
+        """A state holding a negative energy is rejected, not spread."""
+        net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9)])
+        state = ActivationState(0, {**dict.fromkeys(range(5), 0.2), 3: -1.0}, frozenset({0, 3}))
+        with pytest.raises(ValidationError, match="negative energy"):
+            step(net, state, SpreadParams(budget=1.0))
+
+    def test_activated_id_outside_network_rejected(self):
+        """An activated id the network lacks is a ValidationError naming the
+        activated set, not a bare KeyError."""
+        net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9)])
+        state = ActivationState(0, dict.fromkeys(range(5), 0.2), frozenset({0, 9}))
+        with pytest.raises(ValidationError, match="activated set contains nodes without a held value"):
+            step(net, state, SpreadParams(budget=1.0))
+
     def test_deterministic(self):
         net = quick_net(5, [(0, 1, 0.4), (1, 2, 0.6), (2, 3, 0.8), (3, 4, 0.2), (0, 4, 0.9)])
         params = SpreadParams()

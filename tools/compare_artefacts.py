@@ -1,23 +1,33 @@
-"""Run one set of CLI invocations in two checkouts and compare their artefacts byte for byte.
+"""Run one set of CLI invocations and compare their artefacts byte for byte.
 
     python3 tools/compare_artefacts.py --parent DIR --change DIR [--work DIR]
+    python3 tools/compare_artefacts.py --golden FILE [--write] [--work DIR]
 
 DIR is a source checkout holding `perfbench/gen.py` and `src/`. The
 change's `gen.py` writes the inputs once: 60- and 300-node networks
-with judgment pairs over 8 concepts. Each checkout then runs the same
-23 invocations with this Python: on each network `spread`, `game` at
-budgets 100, 10 and 1 and at budget 1 with `--screen-threshold` 0.001
-and 0, `evaluate` at budgets 100 and 1, `relatedness` with and without
-the game; and the three `compare` experiments. Every `summary.json`,
-`trace.csv`, `pairs.csv` and `compare.csv` that differs, and every
-invocation that fails on either side, is listed; the exit status is 1
-if there is any. Outputs stay under `--work` (default: a temporary
-directory that is removed).
+with judgment pairs over 8 concepts. The same 23 invocations then run
+with this Python: on each network `spread`, `game` at budgets 100, 10
+and 1 and at budget 1 with `--screen-threshold` 0.001 and 0, `evaluate`
+at budgets 100 and 1, `relatedness` with and without the game; and the
+three `compare` experiments. Every invocation runs in the work
+directory and names its inputs by relative path, so the artefacts do
+not depend on where that directory is.
+
+With `--parent` and `--change`, both checkouts run every invocation and
+each `summary.json`, `trace.csv`, `pairs.csv` and `compare.csv` that
+differs is listed. With `--golden`, only the checkout holding this
+script runs them, and the sha256 of every input and artefact is checked
+against FILE, or written to it with `--write`; the file has `sha256sum`
+format, with paths relative to the work directory. Every invocation
+that fails is listed too; the exit status is 1 if anything is listed.
+Outputs stay under `--work` (default: a temporary directory that is
+removed).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,12 +35,14 @@ import tempfile
 from pathlib import Path
 
 ARTEFACTS = ("summary.json", "trace.csv", "pairs.csv", "compare.csv")
+SIZES = (60, 300)
+INPUTS = Path("inputs")  # under the work directory
 
 
 def invocations(inputs: Path) -> dict[str, list[str]]:
     """Name -> semgame arguments (without --out)."""
     runs: dict[str, list[str]] = {}
-    for size in (60, 300):
+    for size in SIZES:
         net = str(inputs / f"n{size}" / "network.json")
         pairs = str(inputs / f"n{size}" / "pairs.tsv")
         runs[f"n{size}-spread"] = ["spread", "--network", net, "--trace"]
@@ -48,31 +60,29 @@ def invocations(inputs: Path) -> dict[str, list[str]]:
     return runs
 
 
-def write_inputs(change: Path, inputs: Path) -> None:
-    for size in (60, 300):
+def write_inputs(checkout: Path, work: Path) -> None:
+    for size in SIZES:
         cmd = [sys.executable, "perfbench/gen.py", "--nodes", str(size), "--edges", str(4 * size),
-               "--concepts", "8", "--pairing", "all", "--seed", "0", "--out", str(inputs / f"n{size}")]
-        subprocess.run(cmd, cwd=change, check=True)
+               "--concepts", "8", "--pairing", "all", "--seed", "0", "--out", str(work / INPUTS / f"n{size}")]
+        subprocess.run(cmd, cwd=checkout, check=True)
 
 
-def run_side(checkout: Path, args: list[str], out: Path) -> str | None:
-    """Run one invocation; None on success, else the exit status and stderr."""
+def run_side(checkout: Path, args: list[str], out: Path, work: Path) -> str | None:
+    """Run one invocation in `work`; None on success, else the exit status and stderr."""
     cmd = [sys.executable, "-m", "semgame.cli", *args, "--out", str(out)]
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
-    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
     return None if done.returncode == 0 else f"exit {done.returncode}: {done.stderr.strip()}"
 
 
 def compare(parent: Path, change: Path, work: Path) -> list[str]:
     """Every difference between the two checkouts' artefacts, one line each."""
-    work = work.resolve()
-    inputs = work / "inputs"
-    write_inputs(change, inputs)
+    write_inputs(change, work)
     problems = []
-    for name, args in invocations(inputs).items():
+    for name, args in invocations(INPUTS).items():
         outs = {side: work / side / name for side in ("parent", "change")}
         for side, checkout in (("parent", parent), ("change", change)):
-            error = run_side(checkout, args, outs[side])
+            error = run_side(checkout, args, outs[side], work)
             if error:
                 problems.append(f"{name}: {side} failed, {error}")
         for artefact in ARTEFACTS:
@@ -83,20 +93,74 @@ def compare(parent: Path, change: Path, work: Path) -> list[str]:
     return problems
 
 
+def digests(checkout: Path, work: Path) -> tuple[dict[str, str], list[str]]:
+    """The sha256 of every input and artefact, keyed by its path under
+    `work`, and one line per failed invocation."""
+    write_inputs(checkout, work)
+    files = [INPUTS / f"n{size}" / name for size in SIZES for name in ("network.json", "pairs.tsv")]
+    problems = []
+    for name, args in invocations(INPUTS).items():
+        error = run_side(checkout, args, work / "out" / name, work)
+        if error:
+            problems.append(f"{name}: failed, {error}")
+        files += [Path("out", name, a) for a in ARTEFACTS if (work / "out" / name / a).exists()]
+        print(f"{name}: run", file=sys.stderr, flush=True)
+    hashes = {p.as_posix(): hashlib.sha256((work / p).read_bytes()).hexdigest() for p in files}
+    return hashes, problems
+
+
+def check_golden(checkout: Path, golden: Path, write: bool, work: Path) -> list[str]:
+    """Write the manifest, or every way the artefacts differ from it."""
+    got, problems = digests(checkout, work)
+    if write:
+        if not problems:
+            text = "".join(f"{digest}  {name}\n" for name, digest in sorted(got.items()))
+            golden.write_text(text, encoding="utf-8")
+        return problems
+    want = {}
+    for line in golden.read_text(encoding="utf-8").splitlines():
+        digest, name = line.split("  ", 1)
+        want[name] = digest
+    for name in sorted(set(want) | set(got)):
+        if name not in got:
+            problems.append(f"{name} missing")
+        elif name not in want:
+            problems.append(f"{name} not in {golden}")
+        elif got[name] != want[name]:
+            problems.append(f"{name} differs")
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--golden", type=Path, help="sha256 manifest to check (or write)")
+    parser.add_argument("--write", action="store_true", help="with --golden: write the manifest")
     parser.add_argument("--work", type=Path, default=None, help="keep the inputs and outputs here")
     args = parser.parse_args(argv)
+    sides = [args.parent, args.change]
+    if None in sides if args.golden is None else sides != [None, None]:
+        parser.error("give either --parent and --change, or --golden")
+    if args.write and args.golden is None:
+        parser.error("--write needs --golden")
+
+    def run(work: Path) -> list[str]:
+        work = work.resolve()
+        if args.golden is not None:
+            checkout = Path(__file__).resolve().parent.parent
+            return check_golden(checkout, args.golden.resolve(), args.write, work)
+        return compare(args.parent, args.change, work)
+
     if args.work is not None:
-        problems = compare(args.parent, args.change, args.work)
+        args.work.mkdir(parents=True, exist_ok=True)
+        problems = run(args.work)
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            problems = compare(args.parent, args.change, Path(tmp))
+            problems = run(Path(tmp))
     for line in problems:
         print(line)
-    print(f"{len(invocations(Path()))} invocations, {len(problems)} difference(s)")
+    print(f"{len(invocations(INPUTS))} invocations, {len(problems)} difference(s)")
     return 1 if problems else 0
 
 
