@@ -103,9 +103,18 @@ def run_pipeline(
     sources: Mapping[int, float],
     sp: SpreadParams,
     gp: GameParams,
+    *,
+    _spread: ActivationState | None = None,
 ) -> GameOutcome:
-    """Spread from the sources, rescale to the game budget, then play the game."""
-    spread_final = run_spread(net, sources, sp)
+    """Spread from the sources, rescale to the game budget, then play the game.
+
+    `_spread`, when given, must be the caller's own
+    `run_spread(net, sources, sp)` result; the pipeline starts from it
+    instead of spreading again. It exists so that
+    load_balance_experiment, which reports the spread on its own as a
+    baseline, spreads once per seed.
+    """
+    spread_final = run_spread(net, sources, sp) if _spread is None else _spread
     return run_game(net, rescale_to_budget(spread_final, gp.budget), gp)
 
 
@@ -238,7 +247,9 @@ def load_balance_experiment(
     """Final-state dispersion of the game model vs. spreading alone.
 
     One random connected network per seed, a single full-budget source;
-    rows carry the population std-dev of both models' final states.
+    rows carry the population std-dev of both models' final states. One
+    spread per seed feeds both columns: its unscaled final is the
+    baseline, and the game starts from it rescaled to the budget.
     """
     if seeds < 1:
         raise ValidationError(f"seeds {seeds} must be >= 1")
@@ -250,7 +261,7 @@ def load_balance_experiment(
         source = random.Random(seed).randrange(n)
         sources = {source: budget}
         traditional = run_traditional(net, sources, sp)
-        outcome = run_pipeline(net, sources, sp, gp)
+        outcome = run_pipeline(net, sources, sp, gp, _spread=traditional)
         rows.append(
             {
                 "seed": seed,

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from semgame import evaluate
+from semgame import baselines, evaluate
 from semgame.errors import ValidationError
+from semgame.baselines import run_traditional
 from semgame.evaluate import (
     evaluate_pairs,
     has_ties,
     load_balance,
     load_balance_experiment,
     relatedness,
+    run_pipeline,
     spearman,
     utilization,
     utilization_experiment,
@@ -20,7 +22,7 @@ from semgame.evaluate import (
 from semgame.game import GameParams
 from semgame.generate import complete_network, generate_network
 from semgame.network import PairJudgment
-from semgame.spreading import ActivationState, SpreadParams
+from semgame.spreading import ActivationState, SpreadParams, run_spread
 
 from conftest import quick_net
 from oracles import counting_ranks, pearson
@@ -310,3 +312,83 @@ class TestExperiments:
         a = load_balance_experiment(2, n=10, edge_prob=0.3, base_seed=5)
         b = load_balance_experiment(2, n=10, edge_prob=0.3, base_seed=5)
         assert a == b
+
+
+def exact(value):
+    """A value's type and exact value: floats by float.hex, so 0.0 and
+    -0.0 differ and nothing is rounded."""
+    return (type(value), value.hex() if isinstance(value, float) else value)
+
+
+def exact_map(mapping):
+    return {k: exact(v) for k, v in mapping.items()}
+
+
+def exact_state(state):
+    return state.t, state.activated, exact_map(state.held)
+
+
+class TestLoadBalanceSpreadsOnce:
+    """load_balance_experiment spreads once per seed and starts the game
+    from that spread, with the rows of two separate runs."""
+
+    # The CLI defaults, and a smaller, denser network at budget 1.
+    SETTINGS = [{}, {"n": 12, "edge_prob": 0.4, "budget": 1.0, "delta": 0.5}]
+
+    @staticmethod
+    def rows_from_two_spreads(seeds, n=30, edge_prob=0.15, budget=100.0, delta=0.2):
+        sp, gp = evaluate._default_params(budget, delta)
+        rows = []
+        for seed in range(seeds):
+            net = generate_network(n, edge_prob, seed)
+            sources = {random.Random(seed).randrange(n): budget}
+            traditional = run_traditional(net, sources, sp)
+            outcome = run_pipeline(net, sources, sp, gp)
+            rows.append(
+                {
+                    "seed": seed,
+                    "snm_stddev": load_balance(outcome.final),
+                    "traditional_stddev": load_balance(traditional),
+                    "snm_rounds": outcome.rounds,
+                    "snm_converged": outcome.converged,
+                }
+            )
+        return rows
+
+    @pytest.mark.parametrize("kwargs", SETTINGS, ids=["defaults", "n12-b1"])
+    def test_rows_equal_two_separate_runs(self, kwargs):
+        got = load_balance_experiment(10, **kwargs)
+        want = self.rows_from_two_spreads(10, **kwargs)
+        assert [exact_map(row) for row in got] == [exact_map(row) for row in want]
+
+    @pytest.mark.parametrize("kwargs", SETTINGS, ids=["defaults", "n12-b1"])
+    def test_one_spread_per_seed(self, monkeypatch, kwargs):
+        # The two names the package spreads through (perfbench/spans.WRAPPED).
+        nets = []
+        for module in (evaluate, baselines):
+            real = module.run_spread
+
+            def counting(net, sources, *rest, real=real):
+                nets.append(net)
+                return real(net, sources, *rest)
+
+            monkeypatch.setattr(module, "run_spread", counting)
+        load_balance_experiment(4, **kwargs)
+        assert len(nets) == 4
+        assert len({id(net) for net in nets}) == 4
+
+    @pytest.mark.parametrize("budget", [1.0, 100.0])
+    def test_pipeline_from_given_spread_equals_own_spread(self, budget):
+        sp, gp = evaluate._default_params(budget)
+
+        def record(rec):
+            return exact_state(rec.state), rec.strategies, exact_map(rec.utilities), exact(rec.cost)
+
+        for seed in range(4):
+            net = generate_network(20, 0.2, seed)
+            sources = {seed: budget}
+            given = run_pipeline(net, sources, sp, gp, _spread=run_spread(net, sources, sp))
+            own = run_pipeline(net, sources, sp, gp)
+            assert exact_state(given.initial) == exact_state(own.initial)
+            assert [record(r) for r in given.history] == [record(r) for r in own.history]
+            assert (given.rounds, given.converged) == (own.rounds, own.converged)

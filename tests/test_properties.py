@@ -8,6 +8,7 @@ scale with the budget the way the CLI sets them.
 import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from semgame.baselines import CobwebParams, run_cobweb
 from semgame.errors import ValidationError
-from semgame.evaluate import evaluate_pairs, relatedness, run_pipeline
+from semgame.evaluate import _default_params, evaluate_pairs, load_balance, relatedness, run_pipeline
 from semgame.game import GameParams, Strategy, best_response_round
 from semgame.generate import generate_network
 from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
@@ -238,3 +239,24 @@ def test_final_state_depends_on_the_source(with_game):
             finals.append([v / norm for v in values])
         cosines = [sum(a * b for a, b in zip(u, w)) for u, w in itertools.combinations(finals, 2)]
         assert min(cosines) < 1 - 1e-3, (seed, min(cosines))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: at the default budget no participant accepts, so the "
+    "game's final state is the rescaled spread",
+)
+def test_game_moves_load_balance_beyond_rescaling():
+    """On load_balance_experiment's own seeds and CLI defaults, the game
+    changes the load balance of the spread it starts from (outcome.initial,
+    the spread rescaled to the budget) on at least one seed."""
+    sp, gp = _default_params(100.0)
+    n, edge_prob = 30, 0.15
+    moves = []
+    for seed in range(20):
+        net = generate_network(n, edge_prob, seed)
+        outcome = run_pipeline(net, {random.Random(seed).randrange(n): sp.budget}, sp, gp)
+        rescaled = load_balance(outcome.initial)
+        moves.append(abs(load_balance(outcome.final) - rescaled) / rescaled)
+    assert max(moves) > 1e-9, max(moves)

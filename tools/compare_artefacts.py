@@ -5,13 +5,14 @@
 
 DIR is a source checkout holding `perfbench/gen.py` and `src/`. The
 change's `gen.py` writes the inputs once: 60- and 300-node networks
-with judgment pairs over 8 concepts. The same 23 invocations then run
+with judgment pairs over 8 concepts. The same 25 invocations then run
 with this Python: on each network `spread`, `game` at budgets 100, 10
 and 1 and at budget 1 with `--screen-threshold` 0.001 and 0, `evaluate`
-at budgets 100 and 1, `relatedness` with and without the game; and the
-three `compare` experiments. Every invocation runs in the work
-directory and names its inputs by relative path, so the artefacts do
-not depend on where that directory is.
+at budgets 100 and 1, `relatedness` with and without the game; the
+three `compare` experiments, load-balance once more on small dense
+networks at budget 1, and a traced `cobweb` run. Every invocation runs
+in the work directory and names its inputs by relative path, so the
+artefacts do not depend on where that directory is.
 
 With `--parent` and `--change`, both checkouts run every invocation and
 each `summary.json`, `trace.csv`, `pairs.csv` and `compare.csv` that
@@ -57,6 +58,11 @@ def invocations(inputs: Path) -> dict[str, list[str]]:
         runs[f"n{size}-relatedness-no-game"] = ["relatedness", "--network", net, "--pair", "0,1", "--no-game"]
     for experiment in ("load-balance", "utilization", "cycles"):
         runs[f"compare-{experiment}"] = ["compare", "--experiment", experiment, "--seeds", "3"]
+    runs["compare-load-balance-n12-b1"] = [
+        "compare", "--experiment", "load-balance", "--seeds", "5", "--n", "12", "--edge-prob", "0.4",
+        "--budget", "1", "--delta", "0.5"]
+    runs["cobweb"] = ["cobweb", "--nodes", "5", "--r", "0.9", "--demand-slope", "2", "--supply-slope", "2",
+                      "--trace"]
     return runs
 
 
