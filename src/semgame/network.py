@@ -6,6 +6,12 @@ across threads. `build_network` precomputes, once at load time, the
 ascending id order, each id's dense position in it, and one
 node-ordered adjacency (see `SemanticNetwork`); nothing is cached
 later.
+
+`load_network` turns the parsed JSON into node and edge records and
+drops it before `build_network` runs, and the build finds duplicate
+edges within each node's row rather than in a set of every pair. So at
+the load's memory peak only the records, the per-node rows and the
+adjacency being built are alive, besides the network's own indexes.
 """
 
 from __future__ import annotations
@@ -25,13 +31,12 @@ __all__ = [
     "build_network",
     "load_network",
     "save_network",
-    "network_from_dict",
     "network_to_dict",
     "load_pairs",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptNode:
     """A concept with an activation-energy threshold and a past-use history.
 
@@ -50,13 +55,14 @@ class ConceptNode:
             raise ValidationError(f"node {self.id}: empty label")
         if not math.isfinite(self.threshold) or self.threshold < 0:
             raise ValidationError(f"node {self.id}: threshold {self.threshold} must be finite and >= 0")
-        if any(not math.isfinite(t) or t < 0 for t in self.history):
-            raise ValidationError(f"node {self.id}: negative or non-finite history timestamp")
-        if any(a > b for a, b in zip(self.history, self.history[1:])):
-            raise ValidationError(f"node {self.id}: history timestamps not sorted ascending")
+        if self.history:
+            if any(not math.isfinite(t) or t < 0 for t in self.history):
+                raise ValidationError(f"node {self.id}: negative or non-finite history timestamp")
+            if any(a > b for a, b in zip(self.history, self.history[1:])):
+                raise ValidationError(f"node {self.id}: history timestamps not sorted ascending")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedEdge:
     """Undirected link between two concepts, weight in [0, 1]."""
 
@@ -132,7 +138,11 @@ class SemanticNetwork:
 
 
 def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> SemanticNetwork:
-    """Assemble and validate a network from node and edge records."""
+    """Assemble and validate a network from node and edge records.
+
+    Of the edges, the first faulty one in edge order is reported, whether
+    an endpoint references no node or its pair repeats an earlier edge's.
+    """
     seen_ids: set[int] = set()
     for i, nd in enumerate(nodes):
         if nd.id in seen_ids:
@@ -144,21 +154,20 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
     # Per position, the neighbours' positions and the weights, in edge order.
     targets: list[list[int]] = [[] for _ in ids]
     weights: list[list[float]] = [[] for _ in ids]
-    seen_pairs: set[tuple[int, int]] = set()
     for i, e in enumerate(edges):
         a, b = positions.get(e.a), positions.get(e.b)
         if a is None or b is None:
+            _reject_duplicate_pair(edges[:i])
             missing = e.a if a is None else e.b
             raise ValidationError(f"edges[{i}]: endpoint {missing} references no node")
-        pair = (a, b) if a < b else (b, a)
-        if pair in seen_pairs:
-            raise ValidationError(f"edges[{i}]: duplicate edge for pair {(min(e.a, e.b), max(e.a, e.b))}")
-        seen_pairs.add(pair)
         w = e.weight
         targets[a].append(b)
         weights[a].append(w)
         targets[b].append(a)
         weights[b].append(w)
+    # A pair given twice, in either orientation, repeats a target in a row.
+    if any(len(set(ts)) < len(ts) for ts in targets):
+        _reject_duplicate_pair(edges)
 
     # Every entry is built anew once its row is sorted, so a row's tuples,
     # ints and floats sit side by side and rows follow node order; reusing
@@ -171,6 +180,16 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
     )
     by_id = {nd.id: nd for nd in nodes}
     return SemanticNetwork(tuple(nodes), tuple(edges), by_id, ids, positions, dense)
+
+
+def _reject_duplicate_pair(edges: list[WeightedEdge]) -> None:
+    """Raise for the first edge whose pair repeats an earlier edge's, if any."""
+    seen: set[tuple[int, int]] = set()
+    for i, e in enumerate(edges):
+        pair = (e.a, e.b) if e.a < e.b else (e.b, e.a)
+        if pair in seen:
+            raise ValidationError(f"edges[{i}]: duplicate edge for pair {pair}")
+        seen.add(pair)
 
 
 def _as_id(value, what: str) -> int:
@@ -192,8 +211,8 @@ def _as_number(value, what: str) -> float:
 _BAD_ENTRY = (ValidationError, KeyError, TypeError, ValueError, OverflowError)
 
 
-def network_from_dict(data: dict) -> SemanticNetwork:
-    """Build a validated network from the JSON-format dict."""
+def _records(data) -> tuple[list[ConceptNode], list[WeightedEdge]]:
+    """The node and edge records of a JSON-format network, each one validated."""
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ValidationError("network file must be an object with 'nodes' and 'edges'")
     if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
@@ -222,12 +241,11 @@ def network_from_dict(data: dict) -> SemanticNetwork:
             edges.append(WeightedEdge(a=a, b=b, weight=_as_number(raw["w"], "weight")))
         except _BAD_ENTRY as exc:
             raise ValidationError(f"edges[{i}]: {exc}") from None
-
-    return build_network(nodes, edges)
+    return nodes, edges
 
 
 def network_to_dict(net: SemanticNetwork) -> dict:
-    """Inverse of network_from_dict (round-trips exactly)."""
+    """The JSON-format dict that `load_network` reads back exactly."""
     return {
         "nodes": [
             {
@@ -256,15 +274,17 @@ def load_network(path: str | Path) -> SemanticNetwork:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    del text  # not needed while the network is built, when memory peaks
-    return network_from_dict(data)
+    del text
+    nodes, edges = _records(data)
+    del data  # not needed while the network is built, when memory peaks
+    return build_network(nodes, edges)
 
 
 def save_network(net: SemanticNetwork, path: str | Path) -> None:
     Path(path).write_text(json.dumps(network_to_dict(net), indent=2) + "\n", encoding="utf-8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairJudgment:
     """A human-scored concept pair, score normalized to [0, 1]."""
 

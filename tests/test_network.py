@@ -1,10 +1,16 @@
 """Network data model, file I/O, and weight-sum operations."""
 
+import dataclasses
+import gc
 import json
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semgame.errors import ValidationError
 from semgame.network import (
@@ -14,7 +20,6 @@ from semgame.network import (
     build_network,
     load_network,
     load_pairs,
-    network_from_dict,
     network_to_dict,
     save_network,
 )
@@ -76,7 +81,7 @@ class TestLoadNetwork:
             with pytest.raises(ValidationError, match=r"nodes\[1\]: id .* not an integer"):
                 load_network(path)
         # An integral float is still a valid id.
-        net = network_from_dict({"nodes": [{"id": 1.0, "label": "a"}], "edges": []})
+        net = load_network(write_net(tmp_path, {"nodes": [{"id": 1.0, "label": "a"}], "edges": []}))
         assert net.node_ids() == (1,)
         # The other node fields are not coerced either.
         for field, value, message in (
@@ -116,8 +121,22 @@ class TestLoadNetwork:
             "nodes": MINIMAL["nodes"],
             "edges": [{"a": 0, "b": 1, "w": 0.5}, {"a": 1, "b": 0, "w": 0.2}],
         }
-        with pytest.raises(ValidationError, match="duplicate edge"):
+        with pytest.raises(ValidationError, match=r"^edges\[1\]: duplicate edge for pair \(0, 1\)$"):
             load_network(write_net(tmp_path, bad))
+        # Reversed again, with another edge in between and equal weights.
+        nodes = [{"id": k, "label": f"c{k}"} for k in range(3)]
+        edges = [{"a": 1, "b": 2, "w": 0.5}, {"a": 0, "b": 1, "w": 0.5}, {"a": 2, "b": 1, "w": 0.5}]
+        with pytest.raises(ValidationError, match=r"^edges\[2\]: duplicate edge for pair \(1, 2\)$"):
+            load_network(write_net(tmp_path, {"nodes": nodes, "edges": edges}))
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1), (1, 0), (0, 9)], r"^edges\[1\]: duplicate edge for pair \(0, 1\)$"),
+        ([(0, 1), (0, 9), (1, 0)], r"^edges\[1\]: endpoint 9 references no node$"),
+    ], ids=["duplicate-first", "unknown-endpoint-first"])
+    def test_first_faulty_edge_in_edge_order_is_reported(self, tmp_path, pairs, message):
+        edges = [{"a": a, "b": b, "w": 0.5} for a, b in pairs]
+        with pytest.raises(ValidationError, match=message):
+            load_network(write_net(tmp_path, {"nodes": MINIMAL["nodes"], "edges": edges}))
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "net.json"
@@ -145,6 +164,116 @@ class TestLoadNetwork:
         assert network_to_dict(reloaded) == network_to_dict(original)
 
 
+@st.composite
+def edges_with_one_duplicate(draw):
+    """(node count, edges, index) where edges[index] repeats the pair of one
+    earlier edge, in either orientation and with any weight; no other
+    pair repeats."""
+    n = draw(st.integers(2, 12))
+    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
+    edges = [WeightedEdge(*draw(st.permutations(pair)), draw(st.floats(0.0, 1.0))) for pair in pairs]
+    original = draw(st.integers(0, len(edges) - 1))
+    index = draw(st.integers(original + 1, len(edges)))
+    a, b = draw(st.permutations((edges[original].a, edges[original].b)))
+    edges.insert(index, WeightedEdge(a, b, draw(st.floats(0.0, 1.0))))
+    return n, edges, index
+
+
+@settings(max_examples=60, deadline=None)
+@given(edges_with_one_duplicate())
+def test_duplicate_edge_error_names_its_index(case):
+    n, edges, index = case
+    e = edges[index]
+    nodes = [ConceptNode(id=k, label=f"c{k}") for k in range(n)]
+    with pytest.raises(ValidationError) as info:
+        build_network(nodes, edges)
+    assert str(info.value) == f"edges[{index}]: duplicate edge for pair {(min(e.a, e.b), max(e.a, e.b))}"
+
+
+def test_load_peak_stays_near_the_json_parse_or_the_kept_network(tmp_path):
+    """`load_network`'s traced memory peak stays within 1.4 times the larger
+    of two sizes: the peak of `json.loads` on the same text, and what the
+    returned network keeps. The parsed JSON is dropped before the build and
+    duplicate pairs are found per node row, so the two never add up."""
+    rng = random.Random(0)
+    n, m = 2000, 10000
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < m:
+        a, b = rng.sample(range(n), 2)
+        pairs.add((min(a, b), max(a, b)))
+    payload = {
+        "nodes": [{"id": k, "label": f"c{k}", "threshold": 0.0, "history": []} for k in range(n)],
+        "edges": [{"a": a, "b": b, "w": rng.random()} for a, b in sorted(pairs)],
+    }
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(payload, indent=2))
+    text = path.read_text(encoding="utf-8")
+    del payload, pairs
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        data = json.loads(text)
+        parse_peak = tracemalloc.get_traced_memory()[1] - base
+        del data, text
+        gc.collect()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        net = load_network(path)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    kept, load_peak = current - base, peak - base
+    assert net.n == n and len(net.edges) == m
+    assert load_peak <= 1.4 * max(parse_peak, kept), (load_peak, parse_peak, kept)
+
+
+class TestSlottedRecords:
+    RECORDS = [
+        ConceptNode(id=3, label="c3", threshold=0.5, history=(1.0, 2.0)),
+        WeightedEdge(0, 1, 0.25),
+        PairJudgment("cat", "dog", 0.75),
+    ]
+    BAD_CHANGES = {
+        ConceptNode: {"threshold": -1.0},
+        WeightedEdge: {"weight": 1.5},
+        PairJudgment: {"human_score": 2.0},
+    }
+
+    @pytest.mark.parametrize("record", RECORDS, ids=type)
+    def test_no_instance_dict_and_frozen(self, record):
+        """Every field rejects assignment, and a new name has nowhere to go.
+        (For a new name, a slotted frozen dataclass's `__setattr__` raises
+        TypeError, not FrozenInstanceError, on CPython 3.10-3.13.)"""
+        assert not hasattr(record, "__dict__")
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "extra", 1)
+        assert not hasattr(record, "extra")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=type)
+    def test_replace_still_validates(self, record):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(record, **self.BAD_CHANGES[type(record)])
+        assert dataclasses.replace(record) == record
+
+    @pytest.mark.parametrize("record", RECORDS, ids=type)
+    def test_pickle_round_trips(self, record):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(record, protocol))
+            assert copy == record and type(copy) is type(record)
+
+
 class TestNodeInvariants:
     def test_negative_threshold(self):
         for threshold in (-1.0, math.nan, math.inf):
@@ -164,11 +293,11 @@ class TestNodeInvariants:
         with pytest.raises(ValidationError, match="label"):
             ConceptNode(id=0, label="")
 
-    def test_history_from_dict(self):
-        net = network_from_dict({
+    def test_history_from_dict(self, tmp_path):
+        net = load_network(write_net(tmp_path, {
             "nodes": [{"id": 0, "label": "a", "history": [0.5, 1.5]}],
             "edges": [],
-        })
+        }))
         assert net.node(0).history == (0.5, 1.5)
 
 
