@@ -8,6 +8,12 @@ accepted values are committed and the whole distribution is rescaled so
 total energy stays at the budget. Rounds repeat until the distribution
 stops moving (Nash equilibrium of the accept/reject game) or the round
 limit is hit.
+
+`run_game` validates its initial state once, then carries the
+distribution from round to round as a list by dense position (entry k
+is node `net.node_ids()[k]`); each round's record is the only place it
+becomes an id-keyed state again. `verify_nash` replays a final round's
+offer through the same list-level code.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ __all__ = [
     "cost",
     "gain",
     "rescale_to_budget",
-    "best_response_round",
     "run_game",
     "verify_nash",
     "rank_nodes",
@@ -134,35 +139,59 @@ def gain(change: float, degree: int, delta: float) -> float:
     return math.copysign(abs(change) ** (1.0 - delta), change) / degree
 
 
-def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
-    """Scale all energies so held values sum to the budget (no-op on zero states)."""
-    total = _left_sum(state.held[nid] for nid in sorted(state.held))
+def _rescale(values: list[float], budget: float) -> list[float]:
+    """`values` scaled so that their left-to-right sum is the budget; the
+    list itself when that sum is not positive."""
+    total = _left_sum(values)
     if total <= 0.0:
-        return state
+        return values
     scale = budget / total
-    held = {nid: state.held[nid] * scale for nid in state.held}
-    return ActivationState(state.t, held, state.activated)
+    return [v * scale for v in values]
+
+
+def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
+    """Scale all energies so held values sum to the budget (no-op on zero states).
+
+    The sum runs in ascending id order, and the result holds its values
+    in that order.
+    """
+    ids = sorted(state.held)
+    values = [state.held[nid] for nid in ids]
+    scaled = _rescale(values, budget)
+    if scaled is values:
+        return state
+    return ActivationState(state.t, dict(zip(ids, scaled)), state.activated)
+
+
+def _entry_values(net: SemanticNetwork, state: ActivationState) -> list[float]:
+    """The held values by dense position of a state a game starts from.
+
+    The state must hold a non-negative value for every node and no
+    other id, and activate only nodes it holds; otherwise check_state
+    raises, naming the problem.
+    """
+    values = _held_list(net, state)
+    if not state.activated <= state.held.keys():
+        check_state(net, state)  # raises
+    return values
 
 
 def _offer(
-    net: SemanticNetwork, state: ActivationState, params: GameParams
-) -> tuple[list[float], list[float], dict[int, float]]:
-    """A round's held and offered values and each participant's accept-utility.
+    net: SemanticNetwork, values: list[float], params: GameParams
+) -> tuple[list[float], list[int], list[float]]:
+    """A round's offer, its participants and their accept-utilities.
 
-    Held and offered values are lists by dense position (entry k is node
-    `net.node_ids()[k]`); the state must hold a value for every node.
-    The offer is one spreading step over the screened participants. A
-    participant's accept-utility is its gain minus the global cost; an
-    isolated node has no neighborhood to gain from, so accepting is
-    worth 0.0 to it. Utilities are keyed by participant id in ascending
-    order; with no participants they are empty and the offer is the held
-    list itself.
+    `values` and the offer are lists by dense position (entry k is node
+    `net.node_ids()[k]`). The offer is one spreading step over the
+    screened participants, whose positions come ascending; each one's
+    accept-utility, at the same index, is its gain minus the global
+    cost. An isolated node has no neighborhood to gain from, so
+    accepting is worth 0.0 to it. With no participants the offer is
+    `values` itself.
     """
-    ids = net.node_ids()
-    values = _held_list(net, state)
     participants = _participants(net, values, params)
     if not participants:
-        return values, values, {}
+        return values, participants, []
     offered = _spread_once(net, values, participants, params.delta)
     c = cost(values, offered)
     # Each participant pulls its neighbors' differences in ascending
@@ -170,40 +199,57 @@ def _offer(
     # sums them in, so every utility matches it bit for bit.
     diff = [o - v for o, v in zip(offered, values)]
     adjacency, delta = net._dense, params.delta
-    utilities = {}
+    utilities = []
     for k in participants:
         row = adjacency[k]
         if row:
             change = 0.0
             for y, _ in row:
                 change += diff[y]
-            utilities[ids[k]] = gain(change, len(row), delta) - c
+            utilities.append(gain(change, len(row), delta) - c)
         else:
-            utilities[ids[k]] = 0.0
-    return values, offered, utilities
+            utilities.append(0.0)
+    return offered, participants, utilities
 
 
-def best_response_round(
-    net: SemanticNetwork, state: ActivationState, params: GameParams
-) -> tuple[ActivationState, dict[int, Strategy], dict[int, float]]:
-    """Play one round: screen, offer, decide per node, commit, rescale.
+def _round(
+    net: SemanticNetwork, values: list[float], params: GameParams
+) -> tuple[list[float], frozenset[int], dict[int, Strategy], dict[int, float]]:
+    """Play one round on held values by dense position: screen, offer,
+    decide per node, commit, rescale.
 
     A participant accepts iff its accept-utility is strictly positive.
-    Returns the committed state, every participant's strategy and the
-    utility it realized (0.0 on reject).
+    Returns the new values, the accepted ids, every participant's
+    strategy and the utility it realized (0.0 on reject), keyed by id
+    in ascending order. With no participants the values come back
+    unchanged and both dicts are empty.
     """
-    values, offered, accept_utilities = _offer(net, state, params)
-    if not accept_utilities:
-        return state, {}, {}
-    accepted = frozenset([i for i, u in accept_utilities.items() if u > 0.0])
+    offered, participants, accept_utilities = _offer(net, values, params)
+    ids = net.node_ids()
     # Looked up once: an Enum member lookup per participant costs about as
     # much as the rest of the loop body.
     accept, reject = Strategy.ACCEPT, Strategy.REJECT
-    strategies = {i: accept if i in accepted else reject for i in accept_utilities}
-    utilities = {i: u if i in accepted else 0.0 for i, u in accept_utilities.items()}
-    held = {nid: o if nid in accepted else v for nid, o, v in zip(net.node_ids(), offered, values)}
-    committed = ActivationState(state.t + 1, held, accepted)
-    return rescale_to_budget(committed, params.budget), strategies, utilities
+    accepted: list[int] = []
+    strategies: dict[int, Strategy] = {}
+    utilities: dict[int, float] = {}
+    for k, u in zip(participants, accept_utilities):
+        nid = ids[k]
+        if u > 0.0:
+            accepted.append(k)
+            strategies[nid] = accept
+            utilities[nid] = u
+        else:
+            strategies[nid] = reject
+            utilities[nid] = 0.0
+    if not strategies:
+        return values, frozenset(), strategies, utilities
+    if len(accepted) == len(values):
+        committed = offered
+    else:
+        committed = list(values)
+        for k in accepted:
+            committed[k] = offered[k]
+    return _rescale(committed, params.budget), frozenset([ids[k] for k in accepted]), strategies, utilities
 
 
 def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams) -> GameOutcome:
@@ -211,23 +257,27 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
 
     Deterministic: identical inputs give identical outcomes. The outcome
     keeps the full round history so equilibria can be re-verified. The
-    initial state must hold a value for every node; a partial one is
-    rejected before round 1.
+    initial state must hold a non-negative value for every node and no
+    other id, and activate only nodes it holds; any other is rejected
+    before round 1. A round without participants records the state it
+    started from.
     """
-    check_state(net, initial)
+    values = _entry_values(net, initial)
     total = sum(initial.held.values())
     if total > params.budget * (1 + 1e-12):
         raise ValidationError(f"initial energy {total} exceeds budget {params.budget}")
 
-    state, values = initial, _held_list(net, initial)
+    ids = net.node_ids()
+    state = initial
     history: list[RoundRecord] = []
     converged = False
     for _ in range(params.max_rounds):
-        new_state, strategies, utilities = best_response_round(net, state, params)
-        new_values = _held_list(net, new_state)
+        new_values, accepted, strategies, utilities = _round(net, values, params)
+        if strategies:
+            state = ActivationState(state.t + 1, dict(zip(ids, new_values)), accepted)
         round_cost = cost(values, new_values)
-        history.append(RoundRecord(new_state, strategies, utilities, round_cost))
-        state, values = new_state, new_values
+        history.append(RoundRecord(state, strategies, utilities, round_cost))
+        values = new_values
         if round_cost < params.epsilon:
             converged = True
             break
@@ -245,17 +295,19 @@ def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) 
     """Check that no participant could gain by unilaterally switching strategy.
 
     Reconstructs the final round's offer from the state that entered it
-    and compares both strategies for every participant.
+    and compares both strategies for every participant. That state is
+    validated as run_game validates an initial state.
     """
     pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-    _, _, accept_utilities = _offer(net, pre, params)
+    _, participants, accept_utilities = _offer(net, _entry_values(net, pre), params)
     strategies = outcome.history[-1].strategies
-    if set(accept_utilities) != set(strategies):
+    ids = net.node_ids()
+    if {ids[k] for k in participants} != set(strategies):
         return False
     # Switching pays off when an acceptor's utility is negative or a
     # rejector's (who realizes 0.0) is positive.
-    for i, u in accept_utilities.items():
-        if (u < 0.0) if strategies[i] is Strategy.ACCEPT else (u > 0.0):
+    for k, u in zip(participants, accept_utilities):
+        if (u < 0.0) if strategies[ids[k]] is Strategy.ACCEPT else (u > 0.0):
             return False
     return True
 

@@ -1,6 +1,10 @@
-"""Shared network builders for the test suite."""
+"""Shared network builders and game helpers for the test suite."""
 
+import dataclasses
+
+from semgame.game import GameParams, RoundRecord, run_game
 from semgame.network import ConceptNode, SemanticNetwork, WeightedEdge, build_network
+from semgame.spreading import ActivationState
 
 
 def quick_net(n: int, edges: list[tuple[int, int, float]], **node_kwargs) -> SemanticNetwork:
@@ -28,3 +32,8 @@ def two_cluster_net() -> SemanticNetwork:
         (3, 4, 0.15),
     ]
     return quick_net(8, edges)
+
+
+def first_round(net: SemanticNetwork, state: ActivationState, params: GameParams) -> RoundRecord:
+    """One game round from `state`: the only record of run_game at max_rounds 1."""
+    return run_game(net, state, dataclasses.replace(params, max_rounds=1)).history[0]

@@ -256,3 +256,60 @@ def personalized_pagerank(
         if moved <= 1e-12:
             break
     return p
+
+
+def game_oracle(
+    n: int,
+    edges: list[tuple[int, int, float]],
+    held: dict[int, float],
+    activated: set[int],
+    thresholds: list[float],
+    screen_threshold: float | None,
+    delta: float,
+    budget: float,
+    epsilon: float,
+    max_rounds: int,
+) -> tuple[list[tuple[dict[int, float], set[int], dict[int, bool], dict[int, float], float]], bool]:
+    """Every round of a game, chained from round_oracle.
+
+    A participant accepts iff its accept-utility is strictly positive
+    and then realizes it; a rejector realizes 0.0. Acceptors take the
+    offer (step_oracle's step with every participant firing), the others
+    keep their value, and the result is scaled by budget / total, the
+    total summed over nodes 0..n-1 from 0.0, left to right (unscaled
+    when the total is not positive). A round without participants
+    changes nothing and keeps the activated set. The round cost is the
+    RMS of new - old, summed the same way. Play stops after the first
+    round whose cost is below epsilon (converged) or after max_rounds.
+    Returns (rounds, converged); a round is (held, activated,
+    accepts by participant, realized utilities, cost).
+    """
+    held, activated = dict(held), set(activated)
+    rounds = []
+    for _ in range(max_rounds):
+        utilities = round_oracle(n, edges, held, thresholds, screen_threshold, delta)
+        accepts = {k: u > 0.0 for k, u in utilities.items()}
+        new = dict(held)
+        if utilities:
+            offered, _ = step_oracle(n, edges, held, set(utilities), delta, 0.0)
+            for k in range(n):
+                if accepts.get(k, False):
+                    new[k] = offered[k]
+            total = 0.0
+            for k in range(n):
+                total += new[k]
+            if total > 0.0:
+                scale = budget / total
+                new = {k: new[k] * scale for k in range(n)}
+            activated = {k for k, a in accepts.items() if a}
+        squares = 0.0
+        for k in range(n):
+            d = new[k] - held[k]
+            squares += d * d
+        cost = math.sqrt(squares / n)
+        realized = {k: u if accepts[k] else 0.0 for k, u in utilities.items()}
+        rounds.append((new, set(activated), accepts, realized, cost))
+        held = new
+        if cost < epsilon:
+            return rounds, True
+    return rounds, False

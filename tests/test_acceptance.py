@@ -24,7 +24,6 @@ from semgame.evaluate import (
 from semgame.game import (
     GameParams,
     Strategy,
-    best_response_round,
     cost,
     gain,
     rank_nodes,
@@ -35,7 +34,7 @@ from semgame.generate import complete_network, generate_network
 from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
 from semgame.spreading import ActivationState, SpreadParams, seed_state, step
 
-from conftest import quick_net, two_cluster_net
+from conftest import first_round, quick_net, two_cluster_net
 from oracles import counting_ranks, enumerate_equilibria, pearson, round_oracle, step_oracle
 
 _MODULE_START = time.perf_counter()
@@ -278,7 +277,7 @@ def test_c07_rank_stabilization():
     tops = [rank_nodes(rec.state, 1)[0][0] for rec in outcome.history]
     assert len(set(tops[1:])) == 1, f"top-1 changed after round 2: {tops}"
 
-    extra_state, _, _ = best_response_round(net, outcome.final, gp)
+    extra_state = first_round(net, outcome.final, gp).state
     before = [nid for nid, _ in rank_nodes(outcome.final, net.n)]
     after = [nid for nid, _ in rank_nodes(extra_state, net.n)]
     assert before == after
@@ -286,7 +285,7 @@ def test_c07_rank_stabilization():
     # Same stability holds at the default budget.
     outcome_default = run_pipeline(net, {0: 100.0}, SpreadParams(), GameParams())
     assert outcome_default.converged
-    extra_default, _, _ = best_response_round(net, outcome_default.final, GameParams())
+    extra_default = first_round(net, outcome_default.final, GameParams()).state
     assert [n for n, _ in rank_nodes(extra_default, net.n)] == [
         n for n, _ in rank_nodes(outcome_default.final, net.n)
     ]

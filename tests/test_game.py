@@ -10,9 +10,10 @@ import pytest
 from semgame import game
 from semgame.errors import ValidationError
 from semgame.game import (
+    GameOutcome,
     GameParams,
+    RoundRecord,
     Strategy,
-    best_response_round,
     cost,
     gain,
     rank_nodes,
@@ -23,7 +24,7 @@ from semgame.game import (
 from semgame.generate import generate_network
 from semgame.spreading import ActivationState, seed_state
 
-from conftest import quick_net, two_cluster_net
+from conftest import first_round, quick_net, two_cluster_net
 from oracles import enumerate_equilibria, round_oracle
 
 
@@ -107,11 +108,14 @@ class TestRescale:
 
 
 class TestBestResponseRound:
+    """One best-response round: run_game's only record at max_rounds 1."""
+
     def test_single_node_network(self):
         """No neighbors, no proposal: the lone node rejects and keeps the budget."""
         net = quick_net(1, [])
         st = state_of({0: 1.0})
-        new_state, strategies, utilities = best_response_round(net, st, GameParams(budget=1.0))
+        record = first_round(net, st, GameParams(budget=1.0))
+        new_state, strategies, utilities = record.state, record.strategies, record.utilities
         assert strategies == {0: Strategy.REJECT}
         assert utilities == {0: 0.0}
         assert new_state.held == {0: 1.0}
@@ -124,7 +128,7 @@ class TestBestResponseRound:
         calls = []
         real = game.gain
         monkeypatch.setattr(game, "gain", lambda *args: calls.append(args) or real(*args))
-        _, strategies, _ = best_response_round(net, state_of({i: 1.0 for i in range(4)}), GameParams(budget=4.0))
+        strategies = first_round(net, state_of({i: 1.0 for i in range(4)}), GameParams(budget=4.0)).strategies
         assert list(strategies) == [0, 1, 2, 3]
         assert [(degree, delta) for _, degree, delta in calls] == [(1, 0.2), (2, 0.2), (1, 0.2)]
 
@@ -140,7 +144,8 @@ class TestBestResponseRound:
         expected = {nid: utilities[nid] > 0.0 for nid in (0, 1)}
         assert expected in equilibria
 
-        new_state, strategies, realized = best_response_round(net, state_of(held), params)
+        record = first_round(net, state_of(held), params)
+        new_state, strategies, realized = record.state, record.strategies, record.utilities
         assert {nid: s is Strategy.ACCEPT for nid, s in strategies.items()} == expected
         assert realized == pytest.approx({nid: max(utilities[nid], 0.0) for nid in (0, 1)}, abs=1e-12)
 
@@ -156,19 +161,22 @@ class TestBestResponseRound:
             assert new_state.held[nid] == pytest.approx(committed[nid] * scale, rel=1e-12)
 
     def test_round_output_sums_to_budget(self):
+        """The held values start below the budget (at most 11 x 10 of 150)
+        and the round rescales them up to it."""
         rng = random.Random(9)
         for seed in range(10):
             net = generate_network(rng.randrange(3, 12), 0.4, seed)
             held = {i: rng.uniform(0, 10) for i in net.node_ids()}
-            params = GameParams(budget=50.0)
-            new_state, _, _ = best_response_round(net, state_of(held), params)
-            assert sum(new_state.held.values()) == pytest.approx(50.0, rel=1e-9)
+            params = GameParams(budget=150.0)
+            new_state = first_round(net, state_of(held), params).state
+            assert sum(new_state.held.values()) == pytest.approx(150.0, rel=1e-9)
 
     def test_empty_participant_set_returns_state_unchanged(self):
         net = quick_net(2, [(0, 1, 0.5)])
         st = state_of({0: 1.0, 1: 1.0})
         params = GameParams(budget=2.0, screen_threshold=5.0)
-        new_state, strategies, utilities = best_response_round(net, st, params)
+        record = first_round(net, st, params)
+        new_state, strategies, utilities = record.state, record.strategies, record.utilities
         assert new_state is st
         assert strategies == {} and utilities == {}
 
@@ -178,13 +186,13 @@ class TestBestResponseRound:
         net = quick_net(3, [(0, 1, 0.5), (1, 2, 0.5)])
         for held, expected in (({0: 10.0, 1: 0.5, 2: 4.0}, {0, 2}), ({0: 0.5, 1: 1.0, 2: 0.25}, {1})):
             params = GameParams(budget=sum(held.values()), screen_threshold=1.0)
-            _, strategies, _ = best_response_round(net, state_of(held), params)
+            strategies = first_round(net, state_of(held), params).strategies
             assert set(strategies) == expected
 
     def test_per_node_thresholds_used_without_override(self):
         net = quick_net(2, [(0, 1, 0.5)], threshold=3.0)
         st = state_of({0: 5.0, 1: 1.0})
-        _, strategies, _ = best_response_round(net, st, GameParams(budget=6.0))
+        strategies = first_round(net, st, GameParams(budget=6.0)).strategies
         assert set(strategies) == {0}
 
 
@@ -242,6 +250,18 @@ class TestRunGame:
         with pytest.raises(ValidationError, match=r"no value for 11 node\(s\): 1, 2, .*, 10, \.\.\.$"):
             run_game(net, ActivationState(0, {0: 1.0}, frozenset()), GameParams(budget=1.0))
 
+    def test_negative_or_unheld_activated_initial_state_rejected(self, monkeypatch):
+        """A negative energy, or an activated id the state does not hold, is
+        rejected before round 1 with check_state's message."""
+        net = quick_net(3, [(0, 1, 0.5), (1, 2, 0.5)])
+        monkeypatch.setattr(game, "_offer", lambda *args: pytest.fail("a round was played"))
+        negative = ActivationState(0, {0: 0.5, 1: -0.25, 2: 0.25}, frozenset({0}))
+        with pytest.raises(ValidationError, match="^negative energy in activation state$"):
+            run_game(net, negative, GameParams(budget=1.0))
+        unheld = ActivationState(0, {0: 0.5, 1: 0.25, 2: 0.25}, frozenset({0, 9}))
+        with pytest.raises(ValidationError, match="^activated set contains nodes without a held value$"):
+            run_game(net, unheld, GameParams(budget=1.0))
+
     def test_strategies_keyed_by_final_round_participants(self):
         net = two_cluster_net()
         st = rescale_to_budget(seed_state(net, {0: 1.0}), 1.0)
@@ -259,7 +279,7 @@ class TestRunGame:
         st = rescale_to_budget(seed_state(net, {0: 1.0}), 1.0)
         outcome = run_game(net, st, params)
         assert outcome.converged
-        extra, _, _ = best_response_round(net, outcome.final, params)
+        extra = first_round(net, outcome.final, params).state
         before = [nid for nid, _ in rank_nodes(outcome.final, net.n)]
         after = [nid for nid, _ in rank_nodes(extra, net.n)]
         assert before == after
@@ -292,6 +312,22 @@ class TestVerifyNash:
         history = (*outcome.history[:-1], dataclasses.replace(last, strategies=flipped))
         tampered = dataclasses.replace(outcome, history=history)
         assert not verify_nash(net, tampered, params)
+
+    def test_negative_or_unheld_activated_state_rejected(self, monkeypatch):
+        """The state that entered the final round is validated before its
+        offer is replayed, with check_state's messages."""
+        net = quick_net(3, [(0, 1, 0.5), (1, 2, 0.5)])
+        monkeypatch.setattr(game, "_offer", lambda *args: pytest.fail("an offer was replayed"))
+        for state, message in (
+            (ActivationState(0, {0: 0.5, 1: -0.25, 2: 0.25}, frozenset({0})), "negative energy in activation state"),
+            (
+                ActivationState(0, {0: 0.5, 1: 0.25, 2: 0.25}, frozenset({0, 9})),
+                "activated set contains nodes without a held value",
+            ),
+        ):
+            outcome = GameOutcome(state, 1, True, (RoundRecord(state, {}, {}, 0.0),), state)
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                verify_nash(net, outcome, GameParams(budget=1.0))
 
     def test_small_networks_agree_with_profile_enumeration(self):
         """Across a 3-node weight grid, the chosen profile is always one of the

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 from semgame.baselines import CobwebParams, run_cobweb
 from semgame.errors import ValidationError
 from semgame.evaluate import _default_params, evaluate_pairs, load_balance, relatedness, run_pipeline
-from semgame.game import GameParams, Strategy, best_response_round
+from semgame.game import GameParams, Strategy, run_game
 from semgame.generate import generate_network
 from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
 from semgame.spreading import ActivationState, SpreadParams, run_spread, step
 
-from oracles import cobweb_oracle, round_oracle, step_oracle
+from conftest import first_round
+from oracles import cobweb_oracle, game_oracle, round_oracle, step_oracle
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -142,7 +143,9 @@ def test_step_on_scattered_ids_equals_the_oracle_bit_for_bit(case, data):
 @given(scattered_networks(), st.data())
 def test_round_equals_the_oracle_bit_for_bit(case, data):
     """One round's strategies and utilities, screened by the nodes' own
-    thresholds or by a global one, on networks with isolated nodes."""
+    thresholds or by a global one, on networks with isolated nodes.
+    Neither depends on the budget, which here only has to cover the
+    drawn held values (at most 8 x 100)."""
     net, ids, edges = case
     n = len(ids)
     thresholds = data.draw(st.lists(st.sampled_from([0.0, 0.5, 5.0]), min_size=n, max_size=n))
@@ -151,13 +154,81 @@ def test_round_equals_the_oracle_bit_for_bit(case, data):
     held = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=n, max_size=n))
     delta = data.draw(st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0)))
     screen_threshold = data.draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0, 10.0])))
-    params = GameParams(delta=delta, screen_threshold=screen_threshold, budget=1.0)
+    params = GameParams(delta=delta, screen_threshold=screen_threshold, budget=800.0)
     state = ActivationState(0, dict(zip(ids, held)), frozenset())
-    _, strategies, utilities = best_response_round(net, state, params)
+    record = first_round(net, state, params)
+    strategies, utilities = record.strategies, record.utilities
     want = round_oracle(n, edges, dict(enumerate(held)), thresholds, screen_threshold, delta)
     assert list(strategies) == list(utilities) == [ids[k] for k in want]
     assert strategies == {ids[k]: Strategy.ACCEPT if u > 0.0 else Strategy.REJECT for k, u in want.items()}
     assert [u.hex() for u in utilities.values()] == [(u if u > 0.0 else 0.0).hex() for u in want.values()]
+
+
+def _assert_game_equals_the_oracle(net, ids, edges, thresholds, held, activated, params):
+    """run_game from `held` and `activated` (by position) against
+    tests/oracles.game_oracle, record by record, by float.hex; returns
+    the oracle's rounds."""
+    n = len(ids)
+    own = dict(zip(ids, thresholds))
+    net = build_network([dataclasses.replace(nd, threshold=own[nd.id]) for nd in net.nodes], list(net.edges))
+    initial = ActivationState(0, dict(zip(ids, held)), frozenset(ids[k] for k in activated))
+    outcome = run_game(net, initial, params)
+    rounds, converged = game_oracle(
+        n, edges, dict(enumerate(held)), set(activated), thresholds, params.screen_threshold,
+        params.delta, params.budget, params.epsilon, params.max_rounds,
+    )
+    assert len(outcome.history) == len(rounds)
+    assert outcome.converged == converged
+    for record, (want, want_activated, accepts, realized, want_cost) in zip(outcome.history, rounds):
+        assert list(record.state.held) == ids
+        assert [record.state.held[nid].hex() for nid in ids] == [want[k].hex() for k in range(n)]
+        assert record.state.activated == {ids[k] for k in want_activated}
+        assert list(record.strategies) == list(record.utilities) == [ids[k] for k in accepts]
+        assert record.strategies == {ids[k]: Strategy.ACCEPT if a else Strategy.REJECT for k, a in accepts.items()}
+        assert [u.hex() for u in record.utilities.values()] == [u.hex() for u in realized.values()]
+        assert record.cost.hex() == want_cost.hex()
+    return rounds
+
+
+@SETTINGS
+@given(scattered_networks(), st.data())
+def test_game_equals_the_oracle_bit_for_bit(case, data):
+    """Every round of a game (held values in id order, activated set,
+    strategies, realized utilities, cost) and its convergence, at budgets
+    1 and 100, screened by the nodes' own thresholds or by a global one."""
+    net, ids, edges = case
+    n = len(ids)
+    budget = data.draw(st.sampled_from([1.0, 100.0]))
+    thresholds = data.draw(st.lists(st.sampled_from([0.0, 0.05 * budget, 0.5 * budget]), min_size=n, max_size=n))
+    held = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, budget / n)), min_size=n, max_size=n))
+    activated = data.draw(st.sets(st.integers(0, n - 1)))
+    params = GameParams(
+        epsilon=budget * data.draw(st.sampled_from([1e-9, 1e-3, 0.1])),
+        max_rounds=data.draw(st.integers(1, 6)),
+        screen_threshold=data.draw(st.one_of(st.none(), st.sampled_from([0.0, 0.01 * budget, 0.2 * budget]))),
+        delta=data.draw(st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0))),
+        budget=budget,
+    )
+    _assert_game_equals_the_oracle(net, ids, edges, thresholds, held, activated, params)
+
+
+def test_game_equals_the_oracle_without_participants_and_on_mixed_rounds():
+    """Two games on scattered ids the random draws may miss: one whose
+    first round has no participant, and one whose first round has
+    acceptors and rejectors."""
+    edges = [(0, 1, 0.37), (1, 2, 0.58)]
+    ids = [-7, 4, 31]
+    net = build_network(
+        [ConceptNode(nid, f"c{k}") for k, nid in enumerate(ids)],
+        [WeightedEdge(ids[a], ids[b], w) for a, b, w in edges],
+    )
+    held = [0.0, 0.0, 5.0]
+    params = GameParams(epsilon=0.1, budget=100.0, screen_threshold=10.0)
+    rounds = _assert_game_equals_the_oracle(net, ids, edges, [0.0] * 3, held, {2}, params)
+    assert len(rounds) == 1 and rounds[0][2] == {}
+    params = dataclasses.replace(params, screen_threshold=None)
+    rounds = _assert_game_equals_the_oracle(net, ids, edges, [0.0] * 3, held, {2}, params)
+    assert set(rounds[0][2].values()) == {True, False}
 
 
 @SETTINGS

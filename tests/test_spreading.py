@@ -7,7 +7,7 @@ import random
 import pytest
 
 from semgame.errors import ValidationError
-from semgame.game import GameOutcome, GameParams, RoundRecord, best_response_round, verify_nash
+from semgame.game import GameOutcome, GameParams, RoundRecord, run_game, verify_nash
 from semgame.generate import complete_network
 from semgame.spreading import (
     ActivationState,
@@ -116,7 +116,7 @@ class TestStep:
         for screen_threshold in (None, 0.7, 0.0):
             gp = GameParams(budget=1.0, screen_threshold=screen_threshold)
             with pytest.raises(ValidationError, match=missing):
-                best_response_round(net, partial, gp)
+                run_game(net, partial, gp)
             with pytest.raises(ValidationError, match=missing):
                 verify_nash(net, outcome, gp)
 
@@ -124,7 +124,7 @@ class TestStep:
         with pytest.raises(ValidationError, match="unknown node id 7"):
             step(net, extra, sp)
         with pytest.raises(ValidationError, match="unknown node id 7"):
-            best_response_round(net, extra, GameParams(budget=1.0))
+            run_game(net, extra, GameParams(budget=1.0))
 
     def test_negative_held_energy_rejected(self):
         """A state holding a negative energy is rejected, not spread."""

@@ -6,12 +6,21 @@
 DIR is a source checkout holding `BENCHMARK.json`, `perfbench/` and
 `src/`. Each `--run WORKLOAD:SEED:PAIRS` runs `perfbench/run.py
 --trace 0` PAIRS times in each checkout on the same seed, alternating
-which side goes first, then once per side with `--trace 1`; run.py
-sets the run length. The record keeps every run's end-to-end metrics,
-their median and quartiles per side, how many pairs the change won on
-each metric (in the direction the change's `BENCHMARK.json` gives it),
-the per-layer metrics of the traced runs, the run length, and the
-machine and Python version.
+which side goes first, then `--trace 1` TRACED_RUNS times per side,
+alternating the same way; run.py sets the run length. The record keeps
+every run's end-to-end metrics, their median and quartiles per side,
+how many pairs the change won on each metric (in the direction the
+change's `BENCHMARK.json` gives it), every traced run's per-layer
+metrics with their median per side, the run length, and the machine
+and Python version.
+
+A traced time swings between runs of the same tree by more than most
+changes move it, so read per-layer times by their medians. Where spans
+are many and short, the span wrappers' own cost swamps what they time:
+on `game-1k` about 461k `game.gain` spans add about 1.8 s of
+`trace.overhead_s` to a run whose `game.run_game_s` is about 3 s, so a
+traced time there can move against the untraced ops. Layer claims on
+such a workload rest on the counts, which repeat exactly per seed.
 """
 
 from __future__ import annotations
@@ -52,14 +61,23 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
-def pairs_for(args, bench: dict, workload: str, seed: int, n_pairs: int) -> dict:
-    sides = {"parent": args.parent, "change": args.change}
+TRACED_RUNS = 3
+
+
+def alternated(sides: dict[str, Path], workload: str, seed: int, trace: int, n: int) -> dict[str, list[dict]]:
+    """n runs per side, the parent first in even rounds and the change first in odd ones."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(n_pairs):
+    for i in range(n):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_bench(sides[side], workload, seed, 0))
-            print(f"{workload} pair {i + 1}/{n_pairs} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+            runs[side].append(run_bench(sides[side], workload, seed, trace))
+            print(f"{workload} trace {trace} {i + 1}/{n} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+    return runs
+
+
+def pairs_for(args, bench: dict, workload: str, seed: int, n_pairs: int) -> dict:
+    sides = {"parent": args.parent, "change": args.change}
+    runs = alternated(sides, workload, seed, 0, n_pairs)
     record: dict = {"seed": seed, "pairs": n_pairs, "seconds": bench["run_seconds"], "end_to_end": {}}
     for metric in bench["end_to_end"]:
         before = [r[metric["name"]] for r in runs["parent"]]
@@ -70,7 +88,14 @@ def pairs_for(args, bench: dict, workload: str, seed: int, n_pairs: int) -> dict
             "change": spread(after),
             "change_wins": sum(better(a, b) for a, b in zip(after, before)),
         }
-    record["traced"] = {side: run_bench(path, workload, seed, 1) for side, path in sides.items()}
+    traced = alternated(sides, workload, seed, 1, TRACED_RUNS)
+    record["traced"] = {
+        side: {
+            name: {"median": statistics.median(r[name] for r in rs), "runs": [r[name] for r in rs]}
+            for name in rs[0]
+        }
+        for side, rs in traced.items()
+    }
     return record
 
 
@@ -90,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
             "cpu": cpu_model(),
             "nproc": os.cpu_count(),
         },
-        "command": "perfbench/run.py --trace 0 per pair, --trace 1 once per side",
+        "command": f"perfbench/run.py --trace 0 per pair, --trace 1 {TRACED_RUNS} times per side",
         "workloads": {},
     }
     for spec in args.run:
