@@ -32,16 +32,14 @@ __all__ = ["main"]
 
 
 def _spread_params(args) -> SpreadParams:
-    fire = args.fire_threshold if args.fire_threshold is not None else 1e-6 * args.budget
     return SpreadParams(
-        delta=args.delta, fire_threshold=fire, max_steps=args.max_steps, budget=args.budget
+        delta=args.delta, fire_threshold=args.fire_threshold, max_steps=args.max_steps, budget=args.budget
     )
 
 
 def _game_params(args) -> GameParams:
-    eps = args.epsilon if args.epsilon is not None else 1e-3 * args.budget
     return GameParams(
-        epsilon=eps,
+        epsilon=args.epsilon,
         max_rounds=args.max_rounds,
         screen_threshold=args.screen_threshold,
         delta=args.delta,
@@ -84,9 +82,8 @@ def _resolve_sources(net: SemanticNetwork, specs: list[str] | None, budget: floa
                     raise ValidationError(f"--source {spec!r}: bad energy value") from None
             else:
                 bare.append(nid)
-        remaining = budget - _left_sum(explicit.values())
-        if remaining < -1e-12:
-            raise ValidationError(f"--source energies exceed budget {budget}")
+        # The spread reports explicit energies that overrun the budget.
+        remaining = max(0.0, budget - _left_sum(explicit.values()))
         for nid in bare:
             explicit[nid] = explicit.get(nid, 0.0) + remaining / len(bare)
         return explicit
@@ -275,9 +272,9 @@ _FLAGS = {
     "--seed": dict(type=int, default=0, help="base seed for generated inputs"),
     "--out": dict(default=".", help="output directory"),
     "--delta": dict(type=float, default=0.2, help="attenuation factor in [0, 1]"),
-    "--fire-threshold": dict(type=float, default=None, help="minimum held energy to fire (default budget*1e-6)"),
+    "--fire-threshold": dict(type=float, default=None, help="minimum held energy to fire (default 1e-6*budget)"),
     "--max-steps": dict(type=int, default=20, help="spreading step limit"),
-    "--epsilon": dict(type=float, default=None, help="convergence threshold (default budget/1000)"),
+    "--epsilon": dict(type=float, default=None, help="convergence threshold (default 1e-3*budget)"),
     "--screen-threshold": dict(type=float, default=None, help="global screening threshold (overrides per-node)"),
     "--max-rounds": dict(type=int, default=100, help="game round limit (cobweb: iteration limit)"),
     "--trace": dict(action="store_true", help="write trace.csv"),

@@ -230,12 +230,6 @@ _COBWEB_GRID: tuple[tuple[float, float], ...] = tuple(
 _MET_TOL = 1e-6
 
 
-def _default_params(budget: float, delta: float = 0.2) -> tuple[SpreadParams, GameParams]:
-    sp = SpreadParams(delta=delta, fire_threshold=1e-6 * budget, max_steps=20, budget=budget)
-    gp = GameParams(epsilon=1e-3 * budget, max_rounds=100, delta=delta, budget=budget)
-    return sp, gp
-
-
 def load_balance_experiment(
     seeds: int,
     n: int = 30,
@@ -253,7 +247,8 @@ def load_balance_experiment(
     """
     if seeds < 1:
         raise ValidationError(f"seeds {seeds} must be >= 1")
-    sp, gp = _default_params(budget, delta)
+    sp = SpreadParams(delta=delta, budget=budget)
+    gp = GameParams(delta=delta, budget=budget)
     rows = []
     for k in range(seeds):
         seed = base_seed + k
@@ -293,7 +288,8 @@ def utilization_experiment(
     n_nodes, demand = 6, 20.0
     net = complete_network(n_nodes, 1.0)
     demands = {i: demand for i in range(n_nodes)}
-    sp, gp = _default_params(budget, delta)
+    sp = SpreadParams(delta=delta, budget=budget)
+    gp = GameParams(delta=delta, budget=budget)
     rows = []
     for k in range(seeds):
         seed = base_seed + k

@@ -25,7 +25,7 @@ from enum import Enum
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import ActivationState, _held_list, _left_sum, _spread_once, check_state
+from .spreading import ActivationState, _check_within_budget, _held_list, _left_sum, _spread_once, check_state
 
 __all__ = [
     "Strategy",
@@ -52,19 +52,23 @@ class GameParams:
 
     `screen_threshold`, when set, replaces every node's own activation
     threshold for screening. `epsilon` bounds the per-round distribution
-    change (RMS) below which the game counts as converged.
+    change (RMS) below which the game counts as converged; left as None,
+    it is derived as 1e-3·budget, the CLI's default. The derived value
+    is stored, so `dataclasses.replace(p, budget=...)` keeps it.
     """
 
-    epsilon: float = 0.1
+    epsilon: float | None = None
     max_rounds: int = 100
     screen_threshold: float | None = None
     delta: float = 0.2
     budget: float = 100.0
 
     def __post_init__(self) -> None:
-        # The budget first: callers derive the default epsilon from it.
+        # The budget first: the default epsilon is derived from it.
         if not math.isfinite(self.budget) or self.budget <= 0:
             raise ValidationError(f"budget {self.budget} must be finite and positive")
+        if self.epsilon is None:
+            object.__setattr__(self, "epsilon", 1e-3 * self.budget)
         if not math.isfinite(self.epsilon) or self.epsilon <= 0:
             raise ValidationError(f"epsilon {self.epsilon} must be finite and positive")
         if self.max_rounds < 1:
@@ -263,9 +267,7 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     started from.
     """
     values = _entry_values(net, initial)
-    total = sum(initial.held.values())
-    if total > params.budget * (1 + 1e-12):
-        raise ValidationError(f"initial energy {total} exceeds budget {params.budget}")
+    _check_within_budget(initial.held.values(), params.budget, "initial energy")
 
     ids = net.node_ids()
     state = initial

@@ -42,15 +42,27 @@ class ActivationState:
 
 @dataclass(frozen=True)
 class SpreadParams:
+    """Knobs for spreading activation.
+
+    `delta` is the attenuation factor, `fire_threshold` the held energy
+    a changed node needs to fire, and `budget` the energy the sources
+    may hold in total. Left as None, `fire_threshold` is derived as
+    1e-6·budget, the CLI's default. The derived value is stored, so
+    `dataclasses.replace(p, budget=...)` keeps it; pass
+    `fire_threshold=None` as well to derive it from the new budget.
+    """
+
     delta: float = 0.2
-    fire_threshold: float = 1e-4  # 1e-6 x default budget
+    fire_threshold: float | None = None
     max_steps: int = 20
     budget: float = 100.0
 
     def __post_init__(self) -> None:
-        # The budget first: callers derive the default fire_threshold from it.
+        # The budget first: the default fire_threshold is derived from it.
         if not math.isfinite(self.budget) or self.budget <= 0:
             raise ValidationError(f"budget {self.budget} must be finite and positive")
+        if self.fire_threshold is None:
+            object.__setattr__(self, "fire_threshold", 1e-6 * self.budget)
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError(f"delta {self.delta} outside [0, 1]")
         if not math.isfinite(self.fire_threshold) or self.fire_threshold < 0:
@@ -73,6 +85,14 @@ def check_state(net: SemanticNetwork, state: ActivationState) -> None:
         raise ValidationError("negative energy in activation state")
     if not state.activated <= set(state.held):
         raise ValidationError("activated set contains nodes without a held value")
+
+
+def _check_within_budget(energies: Iterable[float], budget: float, what: str) -> None:
+    """Raise unless the energies total at most the budget, give or take
+    a relative 1e-12 for rounding in the total."""
+    total = sum(energies)
+    if total > budget * (1 + 1e-12):
+        raise ValidationError(f"{what} {total} exceeds budget {budget}")
 
 
 def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> ActivationState:
@@ -168,9 +188,7 @@ def iter_spread(
     """Yield the seed state and every step until quiescence or max_steps."""
     if not sources:
         raise ValidationError("sources must be non-empty")
-    total = sum(sources.values())
-    if total > params.budget * (1 + 1e-12):
-        raise ValidationError(f"source energy {total} exceeds budget {params.budget}")
+    _check_within_budget(sources.values(), params.budget, "source energy")
     state = seed_state(net, sources)
     yield state
     while state.activated and state.t < params.max_steps:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from semgame import cli
 from semgame.cli import main
 from semgame.errors import ValidationError
 from semgame.evaluate import relatedness
@@ -92,6 +93,17 @@ class TestSpreadCommand:
         assert sources["0"] > sources.get("1", 0.0)
         assert sum(sources.values()) == pytest.approx(10.0)
 
+    def test_sources_that_sum_to_the_budget_by_rounding(self, tmp_path):
+        """The three energies sum to 1000000.0000000001 in floats; that is
+        within the budget's relative rounding allowance, as in run_spread."""
+        _, net_path = write_chain(tmp_path)
+        out = tmp_path / "out"
+        energies = ["238504.9", "658929.3", "102565.8"]
+        sources = [arg for k, e in enumerate(energies) for arg in ("--source", f"n{k}={e}")]
+        code = main(["spread", "--network", str(net_path), "--budget", "1e6", *sources, "--out", str(out)])
+        assert code == 0
+        assert read_summary(out)["sources"] == {str(k): float(e) for k, e in enumerate(energies)}
+
 
 class TestGameCommand:
     def test_summary_and_trace(self, tmp_path):
@@ -121,8 +133,8 @@ class TestRelatednessCommand:
             "relatedness", "--network", str(net_path), "--pair", "n0,n2", "--out", str(out),
         ])
         assert code == 0
-        sp = SpreadParams(budget=100.0, fire_threshold=1e-4)
-        gp = GameParams(budget=100.0, epsilon=0.1)
+        sp = SpreadParams(budget=100.0)
+        gp = GameParams(budget=100.0)
         expected = relatedness(net, 0, 2, sp, gp)
         assert read_summary(out)["score"] == expected
 
@@ -133,7 +145,7 @@ class TestRelatednessCommand:
             "relatedness", "--network", str(net_path), "--pair", "0,2",
             "--no-game", "--out", str(out),
         ])
-        sp = SpreadParams(budget=100.0, fire_threshold=1e-4)
+        sp = SpreadParams(budget=100.0)
         assert read_summary(out)["score"] == relatedness(net, 0, 2, sp, None)
 
     def test_bad_pair_spec(self, tmp_path):
@@ -149,8 +161,8 @@ class TestEvaluateCommand:
         net_path = tmp_path / "net.json"
         save_network(net, net_path)
 
-        sp = SpreadParams(budget=100.0, fire_threshold=1e-4)
-        gp = GameParams(budget=100.0, epsilon=0.1)
+        sp = SpreadParams(budget=100.0)
+        gp = GameParams(budget=100.0)
         models = {i: relatedness(net, 0, i, sp, gp) for i in (1, 2, 3)}
         order = sorted(models, key=models.get)
         human = {nid: 0.1 + 0.4 * pos for pos, nid in enumerate(order)}
@@ -291,6 +303,21 @@ class TestExitCodes:
         assert "node 0 more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    # The first overruns the budget by 1e-13, which left the bare source
+    # a negative share; the second overruns it plainly.
+    @pytest.mark.parametrize("budget, sources", [
+        ("0.001", ["0=0.0010000000001", "1"]),
+        ("1", ["0=0.7", "1=0.4"]),
+    ], ids=["by-1e-13", "by-0.1"])
+    @pytest.mark.parametrize("command", ["spread", "game"])
+    def test_sources_over_budget_exit_2(self, tmp_path, capsys, command, budget, sources):
+        _, net_path = write_chain(tmp_path)
+        out = tmp_path / "o"
+        flags = [arg for spec in sources for arg in ("--source", spec)]
+        assert main([command, "--network", str(net_path), "--budget", budget, *flags, "--out", str(out)]) == 2
+        assert f"exceeds budget {float(budget)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spread_overflow_exits_2(self, tmp_path):
         net_path = tmp_path / "complete.json"
         save_network(complete_network(30), net_path)
@@ -344,6 +371,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--experiment", "bogus"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("budget", [1.0, 100.0, 844.4, 1e6])
+def test_default_params_are_the_library_defaults(budget):
+    """Without --fire-threshold and --epsilon the CLI builds the params
+    a library caller gets from the budget alone."""
+    args = cli.build_parser().parse_args(["game", "--network", "net.json", "--budget", repr(budget)])
+    assert cli._spread_params(args) == SpreadParams(delta=0.2, budget=budget)
+    assert cli._game_params(args) == GameParams(delta=0.2, budget=budget)
 
 
 # Flags a subcommand does not read are rejected, not silently ignored.

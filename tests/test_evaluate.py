@@ -337,7 +337,7 @@ class TestLoadBalanceSpreadsOnce:
 
     @staticmethod
     def rows_from_two_spreads(seeds, n=30, edge_prob=0.15, budget=100.0, delta=0.2):
-        sp, gp = evaluate._default_params(budget, delta)
+        sp, gp = SpreadParams(delta=delta, budget=budget), GameParams(delta=delta, budget=budget)
         rows = []
         for seed in range(seeds):
             net = generate_network(n, edge_prob, seed)
@@ -379,7 +379,7 @@ class TestLoadBalanceSpreadsOnce:
 
     @pytest.mark.parametrize("budget", [1.0, 100.0])
     def test_pipeline_from_given_spread_equals_own_spread(self, budget):
-        sp, gp = evaluate._default_params(budget)
+        sp, gp = SpreadParams(budget=budget), GameParams(budget=budget)
 
         def record(rec):
             return exact_state(rec.state), rec.strategies, exact_map(rec.utilities), exact(rec.cost)

@@ -385,6 +385,11 @@ class TestGameParams:
             with pytest.raises(ValidationError, match=f"budget {bad} must be finite"):
                 GameParams(epsilon=1e-3 * bad, budget=bad)
 
+    @pytest.mark.parametrize("budget", [1.0, 100.0, 844.4, 1e6])
+    def test_epsilon_derived_from_the_budget(self, budget):
+        assert GameParams(budget=budget).epsilon.hex() == (1e-3 * budget).hex()
+        assert GameParams(epsilon=0.5, budget=budget).epsilon == 0.5
+
     def test_max_rounds_at_least_one(self):
         with pytest.raises(ValidationError):
             GameParams(max_rounds=0)

@@ -26,8 +26,8 @@ from oracles import centrality_scores, personalized_pagerank, planted_partition
 
 BLOCKS, SIZE, P_IN, P_OUT, N_PAIRS = 4, 25, 0.3, 0.01, 200
 BUDGET, DELTA = 100.0, 0.2
-# CLI defaults: the fire threshold is 1e-6 x the budget.
-SPREAD = SpreadParams(delta=DELTA, fire_threshold=1e-6 * BUDGET, max_steps=20, budget=BUDGET)
+# CLI defaults: the fire threshold is derived from the budget.
+SPREAD = SpreadParams(delta=DELTA, budget=BUDGET)
 PPR_ALPHA = 0.2
 
 

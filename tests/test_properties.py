@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from semgame.baselines import CobwebParams, run_cobweb
 from semgame.errors import ValidationError
-from semgame.evaluate import _default_params, evaluate_pairs, load_balance, relatedness, run_pipeline
+from semgame.evaluate import evaluate_pairs, load_balance, relatedness, run_pipeline
 from semgame.game import GameParams, Strategy, run_game
 from semgame.generate import generate_network
 from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
@@ -34,8 +34,7 @@ def cases(draw):
     n = draw(st.integers(2, 12))
     net = generate_network(n, draw(st.floats(0.05, 1.0)), draw(st.integers(0, 2**32 - 1)))
     budget = draw(st.sampled_from([1.0, 100.0]))
-    sp = SpreadParams(fire_threshold=budget * 1e-6, budget=budget)
-    gp = GameParams(epsilon=budget * 1e-3, budget=budget)
+    sp, gp = SpreadParams(budget=budget), GameParams(budget=budget)
     return net, sp, gp, draw(st.integers(0, n - 1))
 
 
@@ -223,7 +222,7 @@ def test_game_equals_the_oracle_without_participants_and_on_mixed_rounds():
         [WeightedEdge(ids[a], ids[b], w) for a, b, w in edges],
     )
     held = [0.0, 0.0, 5.0]
-    params = GameParams(epsilon=0.1, budget=100.0, screen_threshold=10.0)
+    params = GameParams(budget=100.0, screen_threshold=10.0)
     rounds = _assert_game_equals_the_oracle(net, ids, edges, [0.0] * 3, held, {2}, params)
     assert len(rounds) == 1 and rounds[0][2] == {}
     params = dataclasses.replace(params, screen_threshold=None)
@@ -241,8 +240,7 @@ def test_order_preserving_relabel_leaves_the_pipeline_bit_identical(case, data):
     )
     source = data.draw(st.integers(0, len(ids) - 1))
     budget = data.draw(st.sampled_from([1.0, 100.0]))
-    sp = SpreadParams(fire_threshold=budget * 1e-6, budget=budget)
-    gp = GameParams(epsilon=budget * 1e-3, budget=budget)
+    sp, gp = SpreadParams(budget=budget), GameParams(budget=budget)
     scattered = run_pipeline(net, {ids[source]: budget}, sp, gp)
     contiguous = run_pipeline(dense, {source: budget}, sp, gp)
     assert scattered.rounds == contiguous.rounds
@@ -322,7 +320,7 @@ def test_game_moves_load_balance_beyond_rescaling():
     """On load_balance_experiment's own seeds and CLI defaults, the game
     changes the load balance of the spread it starts from (outcome.initial,
     the spread rescaled to the budget) on at least one seed."""
-    sp, gp = _default_params(100.0)
+    sp, gp = SpreadParams(), GameParams()  # the CLI defaults at budget 100
     n, edge_prob = 30, 0.15
     moves = []
     for seed in range(20):

@@ -1,5 +1,6 @@
 """Spreading activation: per-edge transfer, stepping, full runs, history seeding."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -234,6 +235,14 @@ class TestRunSpread:
         for bad in (math.nan, math.inf, -1.0):
             with pytest.raises(ValidationError, match=f"budget {bad} must be finite"):
                 SpreadParams(fire_threshold=1e-6 * bad, budget=bad)
+
+    @pytest.mark.parametrize("budget", [1.0, 100.0, 844.4, 1e6])
+    def test_fire_threshold_derived_from_the_budget(self, budget):
+        assert SpreadParams(budget=budget).fire_threshold.hex() == (1e-6 * budget).hex()
+        for explicit in (0.0, 0.5):
+            assert SpreadParams(fire_threshold=explicit, budget=budget).fire_threshold == explicit
+        # The derived value is stored: replacing the budget keeps it.
+        assert dataclasses.replace(SpreadParams(budget=1.0), budget=budget).fire_threshold == 1e-6
 
     def test_overflow_fails_loudly(self):
         """Energy that grows past float range raises instead of turning inf.
