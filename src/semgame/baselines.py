@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import ActivationState, SpreadParams, run_spread
+from .spreading import ActivationState, SpreadParams, _check_budget, run_spread
 
 __all__ = [
     "CobwebParams",
@@ -100,8 +100,7 @@ def run_cobweb(
     """
     if not nodes:
         raise ValidationError("cobweb needs at least one node")
-    if not math.isfinite(budget) or budget <= 0:
-        raise ValidationError(f"budget {budget} must be finite and positive")
+    _check_budget(budget)
     if not all(math.isfinite(v) for node in nodes for v in node):
         raise ValidationError("cobweb initial values and targets must be finite")
     values = [float(initial) for initial, _ in nodes]

@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .game import GameOutcome, GameParams, rescale_to_budget, run_game
 from .generate import complete_network, generate_network
 from .network import PairJudgment, SemanticNetwork
-from .spreading import ActivationState, SpreadParams, _left_sum, run_spread
+from .spreading import ActivationState, SpreadParams, _check_budget, _left_sum, run_spread
 
 __all__ = [
     "EvalReport",
@@ -212,8 +212,7 @@ def utilization(
     allocations: Mapping[int, float], demands: Mapping[int, float], budget: float
 ) -> float:
     """Fraction of the budget that lands within demand: sum(min(a_i, d_i)) / budget."""
-    if budget <= 0:
-        raise ValidationError(f"budget {budget} must be positive")
+    _check_budget(budget)
     if set(allocations) != set(demands):
         raise ValidationError("allocations and demands keyed over different nodes")
     useful = _left_sum(min(allocations[k], demands[k]) for k in sorted(allocations))

@@ -25,7 +25,7 @@ from enum import Enum
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import ActivationState, _check_within_budget, _held_list, _left_sum, _spread_once, check_state
+from .spreading import ActivationState, _check_budget, _check_within_budget, _held_list, _left_sum, _spread_once
 
 __all__ = [
     "Strategy",
@@ -65,8 +65,7 @@ class GameParams:
 
     def __post_init__(self) -> None:
         # The budget first: the default epsilon is derived from it.
-        if not math.isfinite(self.budget) or self.budget <= 0:
-            raise ValidationError(f"budget {self.budget} must be finite and positive")
+        _check_budget(self.budget)
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 1e-3 * self.budget)
         if not math.isfinite(self.epsilon) or self.epsilon <= 0:
@@ -145,8 +144,10 @@ def gain(change: float, degree: int, delta: float) -> float:
 
 def _rescale(values: list[float], budget: float) -> list[float]:
     """`values` scaled so that their left-to-right sum is the budget; the
-    list itself when that sum is not positive."""
+    list itself when that sum is not positive. A non-finite sum raises."""
     total = _left_sum(values)
+    if not math.isfinite(total):
+        raise ValidationError(f"cannot rescale energies totalling {total} to the budget")
     if total <= 0.0:
         return values
     scale = budget / total
@@ -154,30 +155,19 @@ def _rescale(values: list[float], budget: float) -> list[float]:
 
 
 def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
-    """Scale all energies so held values sum to the budget (no-op on zero states).
+    """Scale all energies so held values sum to the budget (no-op on zero
+    states; a non-finite total or budget raises).
 
     The sum runs in ascending id order, and the result holds its values
     in that order.
     """
+    _check_budget(budget)
     ids = sorted(state.held)
     values = [state.held[nid] for nid in ids]
     scaled = _rescale(values, budget)
     if scaled is values:
         return state
     return ActivationState(state.t, dict(zip(ids, scaled)), state.activated)
-
-
-def _entry_values(net: SemanticNetwork, state: ActivationState) -> list[float]:
-    """The held values by dense position of a state a game starts from.
-
-    The state must hold a non-negative value for every node and no
-    other id, and activate only nodes it holds; otherwise check_state
-    raises, naming the problem.
-    """
-    values = _held_list(net, state)
-    if not state.activated <= state.held.keys():
-        check_state(net, state)  # raises
-    return values
 
 
 def _offer(
@@ -261,12 +251,12 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
 
     Deterministic: identical inputs give identical outcomes. The outcome
     keeps the full round history so equilibria can be re-verified. The
-    initial state must hold a non-negative value for every node and no
-    other id, and activate only nodes it holds; any other is rejected
-    before round 1. A round without participants records the state it
-    started from.
+    initial state must hold a finite, non-negative value for every node
+    and no other id, and activate only nodes it holds; any other is
+    rejected before round 1. A round without participants records the
+    state it started from.
     """
-    values = _entry_values(net, initial)
+    values, _ = _held_list(net, initial)
     _check_within_budget(initial.held.values(), params.budget, "initial energy")
 
     ids = net.node_ids()
@@ -301,7 +291,7 @@ def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) 
     validated as run_game validates an initial state.
     """
     pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-    _, participants, accept_utilities = _offer(net, _entry_values(net, pre), params)
+    _, participants, accept_utilities = _offer(net, _held_list(net, pre)[0], params)
     strategies = outcome.history[-1].strategies
     ids = net.node_ids()
     if {ids[k] for k in participants} != set(strategies):

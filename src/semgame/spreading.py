@@ -59,8 +59,7 @@ class SpreadParams:
 
     def __post_init__(self) -> None:
         # The budget first: the default fire_threshold is derived from it.
-        if not math.isfinite(self.budget) or self.budget <= 0:
-            raise ValidationError(f"budget {self.budget} must be finite and positive")
+        _check_budget(self.budget)
         if self.fire_threshold is None:
             object.__setattr__(self, "fire_threshold", 1e-6 * self.budget)
         if not 0.0 <= self.delta <= 1.0:
@@ -71,9 +70,16 @@ class SpreadParams:
             raise ValidationError(f"max_steps {self.max_steps} < 1")
 
 
+def _check_budget(budget: float) -> None:
+    """Raise unless the budget is finite and positive."""
+    if not math.isfinite(budget) or budget <= 0:
+        raise ValidationError(f"budget {budget} must be finite and positive")
+
+
 def check_state(net: SemanticNetwork, state: ActivationState) -> None:
-    """Validate a state against its companion network: a value for every
-    node and for no other id."""
+    """Validate a state against its companion network: a finite,
+    non-negative value for every node and for no other id, and an
+    activated set of held ids only."""
     for key in state.held:
         if not net.has_node(key):
             raise ValidationError(f"state holds unknown node id {key}")
@@ -83,6 +89,8 @@ def check_state(net: SemanticNetwork, state: ActivationState) -> None:
         raise ValidationError(f"state holds no value for {len(missing)} node(s): {shown}")
     if any(v < 0 for v in state.held.values()):
         raise ValidationError("negative energy in activation state")
+    if not all(math.isfinite(v) for v in state.held.values()):
+        raise ValidationError("non-finite energy in activation state")
     if not state.activated <= set(state.held):
         raise ValidationError("activated set contains nodes without a held value")
 
@@ -119,21 +127,26 @@ def _left_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _held_list(net: SemanticNetwork, state: ActivationState) -> list[float]:
-    """`state.held` by dense position: entry k is node `net.node_ids()[k]`.
+def _held_list(net: SemanticNetwork, state: ActivationState) -> tuple[list[float], list[int]]:
+    """`state.held` by dense position (entry k is node `net.node_ids()[k]`)
+    and the activated nodes' positions, ascending.
 
-    A subscript per node and one length check find a missing node or an
-    unknown id, and a C-level min() a negative energy; only then does
-    check_state run, to raise naming the problem.
+    A subscript per id, one length check, a C-level min() and sum() find
+    every fault check_state names; only then does it run, to raise
+    naming the fault. (Finite values whose total overflows are valid.)
     """
-    held = state.held
+    held, positions = state.held, net._positions
     try:
         values = [held[nid] for nid in net.node_ids()]
+        firing = sorted([positions[nid] for nid in state.activated])
     except KeyError:
-        values = None
-    if values is None or len(values) != len(held) or (values and min(values) < 0.0):
-        check_state(net, state)  # raises
-    return values
+        values = firing = None
+    # min() misses a NaN after the first position; sum() carries it.
+    if values is None or len(values) != len(held) or not (
+        min(values, default=0.0) >= 0.0 and math.isfinite(sum(values))
+    ):
+        check_state(net, state)
+    return values, firing
 
 
 def _spread_once(
@@ -167,17 +180,15 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
     Every node adds the energy arriving from all activated neighbors.
     A node fires at the new step iff its held energy changed and sits
     at or above the fire threshold; unchanged nodes never re-fire. The
-    state must hold a non-negative value for every node and for no
-    other id, and fire only nodes it holds.
+    state must hold a finite, non-negative value for every node and for
+    no other id, and fire only nodes it holds. A step whose total
+    overflows to a non-finite value raises.
     """
-    ids, positions, threshold = net.node_ids(), net._positions, params.fire_threshold
-    values = _held_list(net, state)
-    try:
-        firing = sorted([positions[nid] for nid in state.activated])
-    except KeyError:
-        check_state(net, state)  # raises: an activated id the state does not hold
-        raise
+    ids, threshold = net.node_ids(), params.fire_threshold
+    values, firing = _held_list(net, state)
     new = _spread_once(net, values, firing, params.delta)
+    if not math.isfinite(sum(new)):
+        raise ValidationError(f"spreading overflowed to a non-finite total at step {state.t + 1}")
     fired = [nid for nid, v, old in zip(ids, new, values) if v >= threshold and v != old]
     return ActivationState(state.t + 1, dict(zip(ids, new)), frozenset(fired))
 
@@ -193,8 +204,6 @@ def iter_spread(
     yield state
     while state.activated and state.t < params.max_steps:
         state = step(net, state, params)
-        if not math.isfinite(sum(state.held.values())):
-            raise ValidationError(f"spreading overflowed to a non-finite total at step {state.t}")
         yield state
 
 

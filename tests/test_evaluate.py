@@ -7,7 +7,7 @@ import pytest
 
 from semgame import baselines, evaluate
 from semgame.errors import ValidationError
-from semgame.baselines import run_traditional
+from semgame.baselines import CobwebParams, run_cobweb, run_traditional
 from semgame.evaluate import (
     evaluate_pairs,
     has_ties,
@@ -19,7 +19,7 @@ from semgame.evaluate import (
     utilization,
     utilization_experiment,
 )
-from semgame.game import GameParams
+from semgame.game import GameParams, rescale_to_budget
 from semgame.generate import complete_network, generate_network
 from semgame.network import PairJudgment
 from semgame.spreading import ActivationState, SpreadParams, run_spread
@@ -287,6 +287,24 @@ class TestUtilization:
     def test_mismatched_keys(self):
         with pytest.raises(ValidationError, match="different nodes"):
             utilization({0: 1.0}, {1: 1.0}, 10.0)
+
+    def test_budget_must_be_finite_and_positive(self):
+        """A NaN or infinite budget raises instead of giving a quiet 0.0 (or,
+        in a rescale, NaN values), with the message every budget check
+        gives."""
+        cobweb = CobwebParams(r=0.1, demand_intercept=10.0, demand_slope=1.0, supply_intercept=2.0, supply_slope=1.0)
+        for budget in (math.nan, math.inf, 0.0, -1.0):
+            message = f"^budget {budget} must be finite and positive$"
+            with pytest.raises(ValidationError, match=message):
+                utilization({0: 1.0}, {0: 2.0}, budget)
+            with pytest.raises(ValidationError, match=message):
+                SpreadParams(budget=budget)
+            with pytest.raises(ValidationError, match=message):
+                GameParams(budget=budget)
+            with pytest.raises(ValidationError, match=message):
+                run_cobweb([(1.0, 1.0)], cobweb, budget)
+            with pytest.raises(ValidationError, match=message):
+                rescale_to_budget(ActivationState(0, {0: 1.0, 1: 3.0}, frozenset()), budget)
 
 
 class TestExperiments:

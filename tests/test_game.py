@@ -32,6 +32,11 @@ def state_of(held: dict[int, float], t: int = 0):
     return ActivationState(t, dict(held), frozenset())
 
 
+# Held values of a 3-node state that are not all finite: a NaN first, a NaN
+# later (where min() does not see it), and an inf.
+NON_FINITE_HELD = ({0: math.nan, 1: 0.0, 2: 0.0}, {0: 0.5, 1: math.nan, 2: 0.0}, {0: 0.5, 1: 0.0, 2: math.inf})
+
+
 class TestCost:
     """cost(held, offered) on two value sequences in node order."""
 
@@ -105,6 +110,12 @@ class TestRescale:
     def test_zero_state_untouched(self):
         st = state_of({0: 0.0, 1: 0.0})
         assert rescale_to_budget(st, 10.0) is st
+
+    def test_non_finite_total_rejected(self):
+        """A total that is not finite raises instead of scaling to NaN."""
+        for held in ({0: math.inf, 1: 1.0}, {0: 1.0, 1: math.nan}, {0: 1e308, 1: 1e308}):
+            with pytest.raises(ValidationError, match="^cannot rescale energies totalling (inf|nan) to the budget$"):
+                rescale_to_budget(state_of(held), 1.0)
 
 
 class TestBestResponseRound:
@@ -251,8 +262,8 @@ class TestRunGame:
             run_game(net, ActivationState(0, {0: 1.0}, frozenset()), GameParams(budget=1.0))
 
     def test_negative_or_unheld_activated_initial_state_rejected(self, monkeypatch):
-        """A negative energy, or an activated id the state does not hold, is
-        rejected before round 1 with check_state's message."""
+        """A negative or non-finite energy, or an activated id the state does
+        not hold, is rejected before round 1 with check_state's message."""
         net = quick_net(3, [(0, 1, 0.5), (1, 2, 0.5)])
         monkeypatch.setattr(game, "_offer", lambda *args: pytest.fail("a round was played"))
         negative = ActivationState(0, {0: 0.5, 1: -0.25, 2: 0.25}, frozenset({0}))
@@ -261,6 +272,9 @@ class TestRunGame:
         unheld = ActivationState(0, {0: 0.5, 1: 0.25, 2: 0.25}, frozenset({0, 9}))
         with pytest.raises(ValidationError, match="^activated set contains nodes without a held value$"):
             run_game(net, unheld, GameParams(budget=1.0))
+        for held in NON_FINITE_HELD:
+            with pytest.raises(ValidationError, match="^non-finite energy in activation state$"):
+                run_game(net, ActivationState(0, held, frozenset({0})), GameParams(budget=1.0))
 
     def test_strategies_keyed_by_final_round_participants(self):
         net = two_cluster_net()
@@ -324,6 +338,7 @@ class TestVerifyNash:
                 ActivationState(0, {0: 0.5, 1: 0.25, 2: 0.25}, frozenset({0, 9})),
                 "activated set contains nodes without a held value",
             ),
+            *((ActivationState(0, held, frozenset({0})), "non-finite energy in activation state") for held in NON_FINITE_HELD),
         ):
             outcome = GameOutcome(state, 1, True, (RoundRecord(state, {}, {}, 0.0),), state)
             with pytest.raises(ValidationError, match=f"^{message}$"):

@@ -1,5 +1,6 @@
 """The package surface: the README quick tour runs against exactly the
-root's names, and every submodule name in `__all__` has a caller."""
+root's names, every submodule name in `__all__` has a caller, and every
+module-level private name has a reader."""
 
 import ast
 import re
@@ -72,3 +73,30 @@ def test_public_names_have_callers():
         if name not in used and name not in UNCALLED_BY_DESIGN
     }
     assert not uncalled
+
+
+def test_private_names_are_used():
+    """Every module-level private name in the package is read somewhere in
+    the package outside its own definition, so a consolidation does not
+    leave a helper behind."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted((REPO / "src" / "semgame").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            for name in own:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = path.name
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id not in own:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert defined
+    assert not {f"{module}:{name}" for name, module in defined.items() if name not in used}

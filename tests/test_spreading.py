@@ -127,12 +127,39 @@ class TestStep:
         with pytest.raises(ValidationError, match="unknown node id 7"):
             run_game(net, extra, GameParams(budget=1.0))
 
+        # A NaN after the first position, which min() does not see.
+        nan = ActivationState(0, {0: 0.6, 1: 0.0, 2: math.nan, 3: 0.3, 4: 0.1}, frozenset({0}))
+        non_finite = "^non-finite energy in activation state$"
+        with pytest.raises(ValidationError, match=non_finite):
+            step(net, nan, sp)
+        outcome = GameOutcome(nan, 1, True, (RoundRecord(nan, {}, {}, 0.0),), nan)
+        for screen_threshold in (None, 0.7, 0.0):
+            gp = GameParams(budget=1.0, screen_threshold=screen_threshold)
+            with pytest.raises(ValidationError, match=non_finite):
+                run_game(net, nan, gp)
+            with pytest.raises(ValidationError, match=non_finite):
+                verify_nash(net, outcome, gp)
+
     def test_negative_held_energy_rejected(self):
-        """A state holding a negative energy is rejected, not spread."""
+        """A state holding a negative or non-finite energy is rejected, not
+        spread, and a step whose total overflows raises instead of
+        returning inf."""
         net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9)])
-        state = ActivationState(0, {**dict.fromkeys(range(5), 0.2), 3: -1.0}, frozenset({0, 3}))
-        with pytest.raises(ValidationError, match="negative energy"):
-            step(net, state, SpreadParams(budget=1.0))
+        for position, bad, message in (
+            (3, -1.0, "negative energy"),
+            (3, -math.inf, "negative energy"),
+            (0, math.nan, "non-finite energy"),
+            (3, math.nan, "non-finite energy"),
+            (0, math.inf, "non-finite energy"),
+            (3, math.inf, "non-finite energy"),
+        ):
+            state = ActivationState(0, {**dict.fromkeys(range(5), 0.2), position: bad}, frozenset({0, 3}))
+            with pytest.raises(ValidationError, match=f"^{message} in activation state$"):
+                step(net, state, SpreadParams(budget=1.0))
+        # Finite sources whose first step overflows.
+        net = complete_network(3)
+        with pytest.raises(ValidationError, match="^spreading overflowed to a non-finite total at step 1$"):
+            step(net, seed_state(net, {0: 1e308}), SpreadParams(budget=1e308))
 
     def test_activated_id_outside_network_rejected(self):
         """An activated id the network lacks is a ValidationError naming the

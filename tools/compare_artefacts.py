@@ -1,28 +1,26 @@
-"""Run one set of CLI invocations and compare their artefacts byte for byte.
+"""Check the artefacts of a fixed set of CLI invocations against sha256 hashes.
 
-    python3 tools/compare_artefacts.py --parent DIR --change DIR [--work DIR]
     python3 tools/compare_artefacts.py --golden FILE [--write] [--work DIR]
 
-DIR is a source checkout holding `perfbench/gen.py` and `src/`. The
-change's `gen.py` writes the inputs once: 60- and 300-node networks
-with judgment pairs over 8 concepts. The same 25 invocations then run
-with this Python: on each network `spread`, `game` at budgets 100, 10
-and 1 and at budget 1 with `--screen-threshold` 0.001 and 0, `evaluate`
-at budgets 100 and 1, `relatedness` with and without the game; the
-three `compare` experiments, load-balance once more on small dense
-networks at budget 1, and a traced `cobweb` run. Every invocation runs
-in the work directory and names its inputs by relative path, so the
-artefacts do not depend on where that directory is.
+The checkout holding this script runs everything. Its `perfbench/gen.py`
+writes the inputs once: 60- and 300-node networks with judgment pairs
+over 8 concepts. 25 invocations then run with this Python: on each
+network `spread`, `game` at budgets 100, 10 and 1 and at budget 1 with
+`--screen-threshold` 0.001 and 0, `evaluate` at budgets 100 and 1,
+`relatedness` with and without the game; the three `compare`
+experiments, load-balance once more on small dense networks at budget
+1, and a traced `cobweb` run. Every invocation runs in the work
+directory and names its inputs by relative path, so the artefacts do
+not depend on where that directory is.
 
-With `--parent` and `--change`, both checkouts run every invocation and
-each `summary.json`, `trace.csv`, `pairs.csv` and `compare.csv` that
-differs is listed. With `--golden`, only the checkout holding this
-script runs them, and the sha256 of every input and artefact is checked
-against FILE, or written to it with `--write`; the file has `sha256sum`
-format, with paths relative to the work directory. Every invocation
-that fails is listed too; the exit status is 1 if anything is listed.
-Outputs stay under `--work` (default: a temporary directory that is
-removed).
+The sha256 of every input and of each `summary.json`, `trace.csv`,
+`pairs.csv` and `compare.csv` is checked against FILE, or written to it
+with `--write`; the file has `sha256sum` format, with paths relative to
+the work directory. Every artefact that differs, is missing or is not
+in FILE is listed, and so is every invocation that fails; the exit
+status is 1 if anything is listed. To compare two checkouts, write the
+manifest from one and check it from the other. Outputs stay under
+`--work` (default: a temporary directory that is removed).
 """
 
 from __future__ import annotations
@@ -73,30 +71,12 @@ def write_inputs(checkout: Path, work: Path) -> None:
         subprocess.run(cmd, cwd=checkout, check=True)
 
 
-def run_side(checkout: Path, args: list[str], out: Path, work: Path) -> str | None:
+def run_invocation(checkout: Path, args: list[str], out: Path, work: Path) -> str | None:
     """Run one invocation in `work`; None on success, else the exit status and stderr."""
     cmd = [sys.executable, "-m", "semgame.cli", *args, "--out", str(out)]
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
     return None if done.returncode == 0 else f"exit {done.returncode}: {done.stderr.strip()}"
-
-
-def compare(parent: Path, change: Path, work: Path) -> list[str]:
-    """Every difference between the two checkouts' artefacts, one line each."""
-    write_inputs(change, work)
-    problems = []
-    for name, args in invocations(INPUTS).items():
-        outs = {side: work / side / name for side in ("parent", "change")}
-        for side, checkout in (("parent", parent), ("change", change)):
-            error = run_side(checkout, args, outs[side], work)
-            if error:
-                problems.append(f"{name}: {side} failed, {error}")
-        for artefact in ARTEFACTS:
-            a, b = outs["parent"] / artefact, outs["change"] / artefact
-            if a.exists() != b.exists() or (a.exists() and a.read_bytes() != b.read_bytes()):
-                problems.append(f"{name}/{artefact} differs")
-        print(f"{name}: compared", file=sys.stderr, flush=True)
-    return problems
 
 
 def digests(checkout: Path, work: Path) -> tuple[dict[str, str], list[str]]:
@@ -106,7 +86,7 @@ def digests(checkout: Path, work: Path) -> tuple[dict[str, str], list[str]]:
     files = [INPUTS / f"n{size}" / name for size in SIZES for name in ("network.json", "pairs.tsv")]
     problems = []
     for name, args in invocations(INPUTS).items():
-        error = run_side(checkout, args, work / "out" / name, work)
+        error = run_invocation(checkout, args, work / "out" / name, work)
         if error:
             problems.append(f"{name}: failed, {error}")
         files += [Path("out", name, a) for a in ARTEFACTS if (work / "out" / name / a).exists()]
@@ -139,24 +119,14 @@ def check_golden(checkout: Path, golden: Path, write: bool, work: Path) -> list[
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path)
-    parser.add_argument("--change", type=Path)
-    parser.add_argument("--golden", type=Path, help="sha256 manifest to check (or write)")
-    parser.add_argument("--write", action="store_true", help="with --golden: write the manifest")
+    parser.add_argument("--golden", type=Path, required=True, help="sha256 manifest to check (or write)")
+    parser.add_argument("--write", action="store_true", help="write the manifest instead of checking it")
     parser.add_argument("--work", type=Path, default=None, help="keep the inputs and outputs here")
     args = parser.parse_args(argv)
-    sides = [args.parent, args.change]
-    if None in sides if args.golden is None else sides != [None, None]:
-        parser.error("give either --parent and --change, or --golden")
-    if args.write and args.golden is None:
-        parser.error("--write needs --golden")
 
     def run(work: Path) -> list[str]:
-        work = work.resolve()
-        if args.golden is not None:
-            checkout = Path(__file__).resolve().parent.parent
-            return check_golden(checkout, args.golden.resolve(), args.write, work)
-        return compare(args.parent, args.change, work)
+        checkout = Path(__file__).resolve().parent.parent
+        return check_golden(checkout, args.golden.resolve(), args.write, work.resolve())
 
     if args.work is not None:
         args.work.mkdir(parents=True, exist_ok=True)
