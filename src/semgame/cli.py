@@ -144,13 +144,16 @@ def _cmd_game(args) -> tuple[dict, dict]:
     outcome = run_pipeline(net, sources, sp, gp)
     tables = {}
     if args.trace:
-        rows = [
-            [index, nid, rec.state.held[nid],
-             rec.strategies[nid].value if nid in rec.strategies else "",
-             rec.utilities.get(nid, ""), rec.cost]
-            for index, rec in enumerate(outcome.history, 1)
-            for nid in sorted(rec.state.held)
-        ]
+        rows = []
+        for index, rec in enumerate(outcome.history, 1):
+            # Read once per record: each read builds the dict anew.
+            strategies = rec.strategies
+            rows.extend(
+                [index, nid, rec.state.held[nid],
+                 strategies[nid].value if nid in strategies else "",
+                 rec.utilities.get(nid, ""), rec.cost]
+                for nid in sorted(rec.state.held)
+            )
         tables["trace.csv"] = (["round", "node", "held", "strategy", "utility", "round_cost"], rows)
     summary = {
         "network": str(args.network),

@@ -12,8 +12,11 @@ limit is hit.
 `run_game` validates its initial state once, then carries the
 distribution from round to round as a list by dense position (entry k
 is node `net.node_ids()[k]`); each round's record is the only place it
-becomes an id-keyed state again. `verify_nash` replays a final round's
-offer through the same list-level code.
+becomes an id-keyed state again. A record keeps only what cannot be
+derived: the state, the realized utilities and the cost. Strategies
+are read off the utilities, and a round that accepts the set the state
+before it activated shares that state's frozenset. `verify_nash`
+replays a final round's offer through the same list-level code.
 """
 
 from __future__ import annotations
@@ -82,16 +85,35 @@ class GameParams:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one round produced: committed state, choices, realized utilities."""
+    """What one round produced: the committed state, every participant's
+    realized utility, keyed by id in ascending order, and the round cost.
+
+    An acceptor realizes its accept-utility, which is positive; a
+    rejector realizes 0.0. So the choices are not stored but read off
+    the utilities by `strategies`.
+    """
 
     state: ActivationState
-    strategies: dict[int, Strategy]
     utilities: dict[int, float]
     cost: float
+
+    @property
+    def strategies(self) -> dict[int, Strategy]:
+        """Every participant's choice, keyed by id in ascending order:
+        ACCEPT iff its realized utility is > 0.0. Built anew on each read."""
+        accept, reject = Strategy.ACCEPT, Strategy.REJECT
+        return {nid: accept if u > 0.0 else reject for nid, u in self.utilities.items()}
 
 
 @dataclass(frozen=True)
 class GameOutcome:
+    """A finished game: its initial state, every round's record and
+    whether the last round's cost fell below epsilon.
+
+    `final` and `rounds` restate `history[-1].state` and `len(history)`;
+    they stay only because the benchmark (`perfbench/`) reads them.
+    """
+
     final: ActivationState
     rounds: int
     converged: bool
@@ -208,42 +230,35 @@ def _offer(
 
 def _round(
     net: SemanticNetwork, values: list[float], params: GameParams
-) -> tuple[list[float], frozenset[int], dict[int, Strategy], dict[int, float]]:
+) -> tuple[list[float], list[int], dict[int, float]]:
     """Play one round on held values by dense position: screen, offer,
     decide per node, commit, rescale.
 
     A participant accepts iff its accept-utility is strictly positive.
-    Returns the new values, the accepted ids, every participant's
-    strategy and the utility it realized (0.0 on reject), keyed by id
-    in ascending order. With no participants the values come back
-    unchanged and both dicts are empty.
+    Returns the new values, the accepted positions (ascending) and the
+    utility every participant realized (0.0 on reject), keyed by id in
+    ascending order. With no participants the values come back
+    unchanged and the dict is empty.
     """
     offered, participants, accept_utilities = _offer(net, values, params)
     ids = net.node_ids()
-    # Looked up once: an Enum member lookup per participant costs about as
-    # much as the rest of the loop body.
-    accept, reject = Strategy.ACCEPT, Strategy.REJECT
     accepted: list[int] = []
-    strategies: dict[int, Strategy] = {}
     utilities: dict[int, float] = {}
     for k, u in zip(participants, accept_utilities):
-        nid = ids[k]
         if u > 0.0:
             accepted.append(k)
-            strategies[nid] = accept
-            utilities[nid] = u
+            utilities[ids[k]] = u
         else:
-            strategies[nid] = reject
-            utilities[nid] = 0.0
-    if not strategies:
-        return values, frozenset(), strategies, utilities
+            utilities[ids[k]] = 0.0
+    if not utilities:
+        return values, accepted, utilities
     if len(accepted) == len(values):
         committed = offered
     else:
         committed = list(values)
         for k in accepted:
             committed[k] = offered[k]
-    return _rescale(committed, params.budget), frozenset([ids[k] for k in accepted]), strategies, utilities
+    return _rescale(committed, params.budget), accepted, utilities
 
 
 def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams) -> GameOutcome:
@@ -256,7 +271,7 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     rejected before round 1. A round without participants records the
     state it started from.
     """
-    values, _ = _held_list(net, initial)
+    values, activated = _held_list(net, initial)
     _check_within_budget(initial.held.values(), params.budget, "initial energy")
 
     ids = net.node_ids()
@@ -264,11 +279,16 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     history: list[RoundRecord] = []
     converged = False
     for _ in range(params.max_rounds):
-        new_values, accepted, strategies, utilities = _round(net, values, params)
-        if strategies:
-            state = ActivationState(state.t + 1, dict(zip(ids, new_values)), accepted)
+        new_values, accepted, utilities = _round(net, values, params)
+        if utilities:
+            # `activated` is `state.activated` by position. Both lists are
+            # ascending, so equal lists are equal sets, and a steady game
+            # keeps one activated frozenset instead of one per round.
+            shared = state.activated if accepted == activated else frozenset([ids[k] for k in accepted])
+            state = ActivationState(state.t + 1, dict(zip(ids, new_values)), shared)
+            activated = accepted
         round_cost = cost(values, new_values)
-        history.append(RoundRecord(state, strategies, utilities, round_cost))
+        history.append(RoundRecord(state, utilities, round_cost))
         values = new_values
         if round_cost < params.epsilon:
             converged = True
@@ -292,14 +312,15 @@ def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) 
     """
     pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
     _, participants, accept_utilities = _offer(net, _held_list(net, pre)[0], params)
-    strategies = outcome.history[-1].strategies
+    realized = outcome.history[-1].utilities
     ids = net.node_ids()
-    if {ids[k] for k in participants} != set(strategies):
+    if {ids[k] for k in participants} != realized.keys():
         return False
-    # Switching pays off when an acceptor's utility is negative or a
-    # rejector's (who realizes 0.0) is positive.
+    # An acceptor realized a positive utility, a rejector 0.0. Switching
+    # pays off when an acceptor's accept-utility is negative or a
+    # rejector's is positive.
     for k, u in zip(participants, accept_utilities):
-        if (u < 0.0) if strategies[ids[k]] is Strategy.ACCEPT else (u > 0.0):
+        if (u < 0.0) if realized[ids[k]] > 0.0 else (u > 0.0):
             return False
     return True
 

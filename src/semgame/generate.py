@@ -26,17 +26,20 @@ def generate_network(n: int, edge_prob: float, seed: int) -> SemanticNetwork:
 
     order = list(range(n))
     rng.shuffle(order)
-    tree_pairs = set()
+    # Each node's tree neighbours with a higher id.
+    tree_above: list[set[int]] = [set() for _ in range(n)]
     for pos in range(1, n):
         anchor = order[rng.randrange(pos)]
         a, b = order[pos], anchor
-        tree_pairs.add((min(a, b), max(a, b)))
+        tree_above[min(a, b)].add(max(a, b))
 
+    draw = rng.random
     edges = []
     for a in range(n):
+        above = tree_above[a]
         for b in range(a + 1, n):
-            if (a, b) in tree_pairs or rng.random() < edge_prob:
-                edges.append(WeightedEdge(a, b, 1.0 - rng.random()))
+            if b in above or draw() < edge_prob:
+                edges.append(WeightedEdge(a, b, 1.0 - draw()))
     return build_network(nodes, edges)
 
 

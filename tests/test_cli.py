@@ -11,7 +11,7 @@ from semgame import cli
 from semgame.cli import main
 from semgame.errors import ValidationError
 from semgame.evaluate import relatedness
-from semgame.game import GameParams
+from semgame.game import GameParams, RoundRecord
 from semgame.generate import complete_network, generate_network
 from semgame.network import (
     ConceptNode,
@@ -123,6 +123,22 @@ class TestGameCommand:
         with open(out / "trace.csv", newline="") as fh:
             header = next(csv.reader(fh))
         assert header == ["round", "node", "held", "strategy", "utility", "round_cost"]
+
+    def test_trace_reads_strategies_once_per_record(self, tmp_path, monkeypatch):
+        """Each read of `strategies` builds a dict, so the trace reads it
+        once per record, not once per node, and the summary once more."""
+        _, net_path = write_chain(tmp_path, weights=(0.8, 0.6, 0.9))
+        reads = []
+        derive = RoundRecord.strategies.fget
+        monkeypatch.setattr(RoundRecord, "strategies", property(lambda rec: reads.append(rec) or derive(rec)))
+        out = tmp_path / "out"
+        assert main([
+            "game", "--network", str(net_path), "--source", "0",
+            "--budget", "1", "--trace", "--out", str(out),
+        ]) == 0
+        rounds = read_summary(out)["rounds"]
+        assert rounds >= 2
+        assert len(reads) <= rounds + 1
 
 
 class TestRelatednessCommand:

@@ -1,9 +1,11 @@
 """Attention game: screening, cost/gain, rounds, equilibrium checks."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,7 +24,7 @@ from semgame.game import (
     verify_nash,
 )
 from semgame.generate import generate_network
-from semgame.spreading import ActivationState, seed_state
+from semgame.spreading import ActivationState, SpreadParams, run_spread, seed_state
 
 from conftest import first_round, quick_net, two_cluster_net
 from oracles import enumerate_equilibria, round_oracle
@@ -30,6 +32,14 @@ from oracles import enumerate_equilibria, round_oracle
 
 def state_of(held: dict[int, float], t: int = 0):
     return ActivationState(t, dict(held), frozenset())
+
+
+def unit_budget_game(n: int, degree: float, seed: int):
+    """A budget-1 game on a random n-node network of the given mean
+    degree, started from a spread and played to epsilon 1e-9."""
+    net = generate_network(n, degree / n, seed)
+    initial = rescale_to_budget(run_spread(net, {0: 1.0}, SpreadParams(budget=1.0)), 1.0)
+    return net, initial, GameParams(budget=1.0, epsilon=1e-9)
 
 
 # Held values of a 3-node state that are not all finite: a NaN first, a NaN
@@ -276,6 +286,51 @@ class TestRunGame:
             with pytest.raises(ValidationError, match="^non-finite energy in activation state$"):
                 run_game(net, ActivationState(0, held, frozenset({0})), GameParams(budget=1.0))
 
+    def test_steady_all_accept_rounds_share_one_activated_set(self):
+        """A round that accepts the set the state before it activated keeps
+        that state's frozenset, so a steady game holds one for all rounds."""
+        net, initial, params = unit_budget_game(400, 10, 0)
+        outcome = run_game(net, initial, params)
+        assert outcome.rounds >= 3
+        for record in outcome.history:
+            assert list(record.strategies.values()) == [Strategy.ACCEPT] * net.n
+        assert len({id(record.state.activated) for record in outcome.history}) == 1
+        assert outcome.final.activated == set(net.node_ids())
+
+        # Where only some accept, from round 4 on always the same 50 of 60.
+        outcome = run_game(*unit_budget_game(60, 5, 1))
+        states = [outcome.initial, *(record.state for record in outcome.history)]
+        assert len({id(state.activated) for state in states[4:]}) == 1
+        for before, after in zip(states, states[1:]):
+            assert (before.activated is after.activated) is (before.activated == after.activated)
+
+    def test_round_records_keep_about_two_id_keyed_dicts(self):
+        """Per round, a finished game keeps the held values and the realized
+        utilities and little more: under three n-entry id -> float dicts,
+        floats included. A stored strategies dict and a fresh activated set
+        per round made it about four."""
+        net, initial, params = unit_budget_game(400, 10, 0)
+        ids = net.node_ids()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            one = dict(zip(ids, [k + 0.5 for k in range(len(ids))]))
+            unit = tracemalloc.get_traced_memory()[0] - base
+            del one
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            outcome = run_game(net, initial, params)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert outcome.rounds >= 5
+        assert kept / outcome.rounds < 3.0 * unit, kept / outcome.rounds / unit
+
     def test_strategies_keyed_by_final_round_participants(self):
         net = two_cluster_net()
         st = rescale_to_budget(seed_state(net, {0: 1.0}), 1.0)
@@ -308,8 +363,16 @@ class TestVerifyNash:
             if outcome.converged:
                 assert verify_nash(net, outcome, params)
 
+    @staticmethod
+    def with_last_utility(outcome, nid, realized):
+        last = outcome.history[-1]
+        utilities = {**last.utilities, nid: realized}
+        history = (*outcome.history[:-1], dataclasses.replace(last, utilities=utilities))
+        return dataclasses.replace(outcome, history=history)
+
     def test_flipped_strategy_detected(self):
-        """Forcing a strictly losing strategy into the profile must fail."""
+        """Forcing a strictly losing strategy into the profile must fail:
+        a rejector shown as an acceptor (a positive realized utility)."""
         net = quick_net(2, [(0, 1, 0.6)])
         st = state_of({0: 60.0, 1: 40.0})
         params = GameParams(budget=100.0)
@@ -319,12 +382,21 @@ class TestVerifyNash:
                                  if outcome.rounds > 1 else dict(st.held), [0.0, 0.0], None, 0.2)
         victim = min(utilities, key=utilities.get)
         assert utilities[victim] < 0.0
-        last = outcome.history[-1]
-        flipped = dict(last.strategies)
-        assert flipped[victim] is Strategy.REJECT
-        flipped[victim] = Strategy.ACCEPT
-        history = (*outcome.history[:-1], dataclasses.replace(last, strategies=flipped))
-        tampered = dataclasses.replace(outcome, history=history)
+        assert outcome.history[-1].strategies[victim] is Strategy.REJECT
+        tampered = self.with_last_utility(outcome, victim, 1.0)
+        assert tampered.history[-1].strategies[victim] is Strategy.ACCEPT
+        assert not verify_nash(net, tampered, params)
+
+    def test_acceptor_shown_as_rejector_detected(self):
+        """An acceptor whose realized utility is set to 0.0 reads as a
+        rejector that would gain by accepting, so the profile fails."""
+        net = generate_network(8, 0.3, 1)
+        params = GameParams()
+        outcome = run_game(net, seed_state(net, {0: 100.0}), params)
+        assert verify_nash(net, outcome, params)
+        assert outcome.history[-1].strategies[0] is Strategy.ACCEPT
+        tampered = self.with_last_utility(outcome, 0, 0.0)
+        assert tampered.history[-1].strategies[0] is Strategy.REJECT
         assert not verify_nash(net, tampered, params)
 
     def test_negative_or_unheld_activated_state_rejected(self, monkeypatch):
@@ -340,7 +412,7 @@ class TestVerifyNash:
             ),
             *((ActivationState(0, held, frozenset({0})), "non-finite energy in activation state") for held in NON_FINITE_HELD),
         ):
-            outcome = GameOutcome(state, 1, True, (RoundRecord(state, {}, {}, 0.0),), state)
+            outcome = GameOutcome(state, 1, True, (RoundRecord(state, {}, 0.0),), state)
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 verify_nash(net, outcome, GameParams(budget=1.0))
 

@@ -2,7 +2,11 @@
 
 import argparse
 import importlib.util
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -47,3 +51,32 @@ def test_pairs_alternate_and_traced_runs_keep_their_medians(monkeypatch):
         "parent": {"game.self_s": {"median": 12.0, "runs": [9.0, 12.0, 13.0]}},
         "change": {"game.self_s": {"median": 11.0, "runs": [10.0, 11.0, 14.0]}},
     }
+
+
+def test_a_bytecode_cache_in_one_checkout_only_stops_the_run(tmp_path, monkeypatch, capsys):
+    """With a __pycache__ under one side's src/ the script exits with an
+    error before any run; with one under both it runs, and the record
+    says whether bytecode writing was off."""
+    bench_pairs = load_bench_pairs()
+    bench = {"run_seconds": 20, "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench), encoding="utf-8")
+    (tmp_path / "change" / "src" / "pkg" / "__pycache__").mkdir()
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--run", "game-1k:1:4", "--out", str(out)]
+
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: pytest.fail("a benchmark ran"))
+    with pytest.raises(SystemExit) as stopped:
+        bench_pairs.main(argv)
+    assert stopped.value.code == 2
+    assert "only the change checkout's src/ holds a __pycache__ directory" in capsys.readouterr().err
+    assert not out.exists()
+
+    (tmp_path / "parent" / "src" / "pkg" / "__pycache__").mkdir()
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: {"ops_per_s": 1.0})
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["machine"]["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
+    assert record["workloads"]["game-1k"]["pairs"] == 4

@@ -12,7 +12,12 @@ every run's end-to-end metrics, their median and quartiles per side,
 how many pairs the change won on each metric (in the direction the
 change's `BENCHMARK.json` gives it), every traced run's per-layer
 metrics with their median per side, the run length, and the machine
-and Python version.
+and Python version, with whether Python was told not to write bytecode.
+
+A bytecode cache in one checkout's `src/` and not the other's makes
+that side skip compiling the package in every setup probe, which alone
+moves `setup_s` by about 20% on `game-1k`; the script stops when
+exactly one side has one.
 
 A traced time swings between runs of the same tree by more than most
 changes move it, so read per-layer times by their medians. Where spans
@@ -106,6 +111,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--run", action="append", required=True, help="WORKLOAD:SEED:PAIRS")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    cached = [side for side, checkout in (("parent", args.parent), ("change", args.change))
+              if any(p.is_dir() for p in (checkout / "src").rglob("__pycache__"))]
+    if len(cached) == 1:
+        parser.error(f"only the {cached[0]} checkout's src/ holds a __pycache__ directory; "
+                     "delete it, or fill the other side's too")
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     record = {
         "machine": {
@@ -114,6 +124,7 @@ def main(argv: list[str] | None = None) -> int:
             "system": platform.platform(),
             "cpu": cpu_model(),
             "nproc": os.cpu_count(),
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         },
         "command": f"perfbench/run.py --trace 0 per pair, --trace 1 {TRACED_RUNS} times per side",
         "workloads": {},
