@@ -173,6 +173,8 @@ def _rescale(values: list[float], budget: float) -> list[float]:
     if total <= 0.0:
         return values
     scale = budget / total
+    if math.isinf(scale):  # a subnormal total; 0.0 * inf would be nan
+        return [v / total * budget for v in values]
     return [v * scale for v in values]
 
 

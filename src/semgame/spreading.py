@@ -169,8 +169,11 @@ def _spread_once(
         for y, w in adjacency[x]:
             # Accumulated here, never with sum(): from Python 3.12 sum()
             # of floats is compensated, which changes the last bit. And
-            # left to right: folding w * keep changes it too.
-            arriving[y] += o * w * keep
+            # left to right: folding w * keep changes it too. Not `+=`:
+            # float has no __iadd__, so both forms make the same float_add
+            # call, but from 3.11 `+=` on a subscript adds COPY/SWAP stack
+            # shuffles per edge (tools/kernel_pairs.py times the two).
+            arriving[y] = arriving[y] + o * w * keep
     return [v + a for v, a in zip(values, arriving)]
 
 

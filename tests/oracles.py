@@ -277,8 +277,9 @@ def game_oracle(
     offer (step_oracle's step with every participant firing), the others
     keep their value, and the result is scaled by budget / total, the
     total summed over nodes 0..n-1 from 0.0, left to right (unscaled
-    when the total is not positive). A round without participants
-    changes nothing and keeps the activated set. The round cost is the
+    when the total is not positive; each value divided by the total,
+    then times the budget, when budget / total overflows). A round
+    without participants changes nothing and keeps the activated set. The round cost is the
     RMS of new - old, summed the same way. Play stops after the first
     round whose cost is below epsilon (converged) or after max_rounds.
     Returns (rounds, converged); a round is (held, activated,
@@ -300,7 +301,10 @@ def game_oracle(
                 total += new[k]
             if total > 0.0:
                 scale = budget / total
-                new = {k: new[k] * scale for k in range(n)}
+                if math.isinf(scale):
+                    new = {k: new[k] / total * budget for k in range(n)}
+                else:
+                    new = {k: new[k] * scale for k in range(n)}
             activated = {k for k, a in accepts.items() if a}
         squares = 0.0
         for k in range(n):

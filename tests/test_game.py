@@ -127,6 +127,18 @@ class TestRescale:
             with pytest.raises(ValidationError, match="^cannot rescale energies totalling (inf|nan) to the budget$"):
                 rescale_to_budget(state_of(held), 1.0)
 
+    def test_subnormal_total_scales_without_nan(self):
+        """A valid state totalling 5e-324 makes budget / total overflow; the
+        zeros stay 0.0 rather than become 0.0 * inf = nan, and a game from
+        it plays instead of raising at its next rescale."""
+        scaled = rescale_to_budget(state_of({0: 0.0, 1: 5e-324, 2: 5e-324}), 1.0)
+        assert scaled.held == {0: 0.0, 1: 0.5, 2: 0.5}
+        net = quick_net(3, [(1, 2, 0.1)])
+        outcome = run_game(net, state_of({0: 0.0, 1: 0.0, 2: 5e-324}), GameParams(budget=1.0, max_rounds=3))
+        for rec in outcome.history:
+            assert all(math.isfinite(v) for v in rec.state.held.values())
+            assert sum(rec.state.held.values()) == pytest.approx(1.0)
+
 
 class TestBestResponseRound:
     """One best-response round: run_game's only record at max_rounds 1."""

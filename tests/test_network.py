@@ -138,6 +138,20 @@ class TestLoadNetwork:
         with pytest.raises(ValidationError, match=message):
             load_network(write_net(tmp_path, {"nodes": MINIMAL["nodes"], "edges": edges}))
 
+    @pytest.mark.parametrize("as_float", [False, True], ids=["int-endpoints", "integral-float-endpoints"])
+    def test_edge_endpoints_are_the_node_id_ints(self, tmp_path, as_float):
+        """Every endpoint is its node's own `id` object, not an equal int the
+        JSON parser made (ints above 256 are not cached, so equal ints made
+        apart are distinct objects)."""
+        ids = [1000 + 7 * k for k in range(6)]
+        nodes = [{"id": nid, "label": f"c{nid}"} for nid in ids]
+        edges = [{"a": float(a) if as_float else a, "b": float(b) if as_float else b, "w": 0.5}
+                 for a, b in zip(ids, ids[1:])]
+        net = load_network(write_net(tmp_path, {"nodes": nodes, "edges": edges}))
+        assert [(e.a, e.b) for e in net.edges] == list(zip(ids, ids[1:]))
+        for e in net.edges:
+            assert e.a is net.node(e.a).id and e.b is net.node(e.b).id
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_text('{"nodes": [,]}')

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py with its benchmark runs stubbed out."""
+"""tools/bench_pairs.py with its benchmark runs stubbed out, and
+tools/kernel_pairs.py with its timings stubbed out or on tiny sizes."""
 
 import argparse
 import importlib.util
@@ -80,3 +81,75 @@ def test_a_bytecode_cache_in_one_checkout_only_stops_the_run(tmp_path, monkeypat
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["machine"]["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
     assert record["workloads"]["game-1k"]["pairs"] == 4
+
+
+def load_kernel_pairs():
+    spec = importlib.util.spec_from_file_location("kernel_pairs", TOOLS / "kernel_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_timings_alternate_and_ratios_pair_each_alternation(monkeypatch):
+    """After one calibration on the parent, every alternation builds both
+    graphs afresh, the side built first swapping every second alternation;
+    the side timed first swaps every alternation; each side keeps its
+    fastest of REPEATS timings, and each ratio divides the change's time
+    by the parent's time from the same alternation."""
+    kernel_pairs = load_kernel_pairs()
+    built, timed = [], []
+
+    def builder(side):
+        def build():
+            built.append(side)
+            return lambda: [side]
+        return build
+
+    def time_kernel(kernel, n_calls):
+        timed.append((kernel()[0], n_calls))
+        return kernel_pairs.TIMING_S / 10 if len(timed) == 1 else float(len(timed))
+
+    monkeypatch.setattr(kernel_pairs, "time_kernel", time_kernel)
+    monkeypatch.setattr(kernel_pairs, "REPEATS", 2)
+    record = kernel_pairs.alternate({side: builder(side) for side in ("parent", "change")}, 4)
+
+    P, C = "parent", "change"
+    assert built == [P, P, C, P, C, C, P, C, P]
+    assert timed[0] == (P, 3)
+    assert timed[1:] == [(side, 10) for side in (P, C, P, C, C, P, C, P) * 2]
+    assert record["parent_s"] == [2.0, 7.0, 10.0, 15.0]
+    assert record["change_s"] == [3.0, 6.0, 11.0, 14.0]
+    assert record["ratios"] == [3.0 / 2.0, 6.0 / 7.0, 11.0 / 10.0, 14.0 / 15.0]
+    assert record["change_wins"] == 2
+    assert record["median_ratio"] == (14.0 / 15.0 + 11.0 / 10.0) / 2
+
+
+def test_kernel_pairs_runs_and_a_planted_kernel_that_differs_stops_it(tmp_path, monkeypatch, capsys):
+    """With this checkout on both sides the script prints one record per
+    size; with a change whose kernel folds `w * keep` first, which moves
+    the last bit of some arrivals, it exits before timing anything."""
+    kernel_pairs = load_kernel_pairs()
+    repo = TOOLS.parent
+    monkeypatch.setattr(kernel_pairs, "TIMING_S", 0.001)
+    assert kernel_pairs.main(["--parent", str(repo), "--change", str(repo), "--sizes", "30,40",
+                              "--alternations", "2"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert list(record["sizes"]) == ["30", "40"]
+    assert record["sizes"]["40"]["edges"] == 160
+    assert record["sizes"]["30"]["python"] == record["python"]
+    assert len(record["sizes"]["30"]["ratios"]) == 2
+
+    planted = tmp_path / "planted" / "src" / "semgame"
+    planted.mkdir(parents=True)
+    for path in (repo / "src" / "semgame").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "spreading.py":
+            assert "arriving[y] + o * w * keep" in text
+            text = text.replace("arriving[y] + o * w * keep", "arriving[y] + o * (w * keep)")
+        (planted / path.name).write_text(text, encoding="utf-8")
+    monkeypatch.setattr(kernel_pairs, "time_kernel", lambda *args: pytest.fail("a kernel was timed"))
+    with pytest.raises(SystemExit) as stopped:
+        kernel_pairs.main(["--parent", str(repo), "--change", str(tmp_path / "planted"), "--sizes", "30",
+                           "--alternations", "2"])
+    assert "at 30 nodes the kernels differ first at position" in str(stopped.value.code)
+    assert capsys.readouterr().out == ""
