@@ -119,12 +119,12 @@ def _cmd_spread(args) -> tuple[dict, dict]:
     net = load_network(args.network)
     sp = _spread_params(args)
     sources = _resolve_sources(net, args.source, args.budget)
-    states = list(iter_spread(net, sources, sp))
-    final = states[-1]
-    tables = {}
-    if args.trace:
-        rows = [[st.t, nid, st.held[nid]] for st in states for nid in sorted(st.held)]
-        tables["trace.csv"] = (["step", "node", "held"], rows)
+    rows: list[list] = []
+    # Only the step in hand is kept; a trace keeps each step's rows.
+    for final in iter_spread(net, sources, sp):
+        if args.trace:
+            rows.extend([final.t, nid, final.held[nid]] for nid in sorted(final.held))
+    tables = {"trace.csv": (["step", "node", "held"], rows)} if args.trace else {}
     summary = {
         "network": str(args.network),
         "sources": {str(k): v for k, v in sorted(sources.items())},

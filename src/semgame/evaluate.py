@@ -229,6 +229,20 @@ _COBWEB_GRID: tuple[tuple[float, float], ...] = tuple(
 _MET_TOL = 1e-6
 
 
+def _all_met(allocations: dict[int, float], demand: float) -> bool:
+    """Every allocation reaches the demand within _MET_TOL."""
+    return all(v >= demand - _MET_TOL for v in allocations.values())
+
+
+def _utilization_initial(seed: int, n_nodes: int, budget: float) -> dict[int, float]:
+    """One seed's initial values in utilization_experiment: n_nodes
+    positive draws scaled so they sum to the budget."""
+    rng = random.Random(seed)
+    raw = [rng.random() + 1e-9 for _ in range(n_nodes)]
+    scale = budget / _left_sum(raw)
+    return {i: raw[i] * scale for i in range(n_nodes)}
+
+
 def load_balance_experiment(
     seeds: int,
     n: int = 30,
@@ -292,10 +306,7 @@ def utilization_experiment(
     rows = []
     for k in range(seeds):
         seed = base_seed + k
-        rng = random.Random(seed)
-        raw = [rng.random() + 1e-9 for _ in range(n_nodes)]
-        scale = budget / _left_sum(raw)
-        initial = {i: raw[i] * scale for i in range(n_nodes)}
+        initial = _utilization_initial(seed, n_nodes, budget)
 
         outcome = run_pipeline(net, initial, sp, gp)
         held = {i: outcome.final.held[i] for i in range(n_nodes)}
@@ -304,7 +315,7 @@ def utilization_experiment(
             "snm_util": utilization(held, demands, budget),
             "snm_rounds": outcome.rounds,
             "snm_converged": outcome.converged,
-            "snm_all_met": all(held[i] >= demand - _MET_TOL for i in range(n_nodes)),
+            "snm_all_met": _all_met(held, demand),
         }
         cobweb_utils = []
         for r, slope in _COBWEB_GRID:
@@ -323,9 +334,7 @@ def utilization_experiment(
             row[f"cobweb_util_{tag}"] = util
             row[f"cobweb_iters_{tag}"] = run.iters
             row[f"cobweb_converged_{tag}"] = run.converged
-            row[f"cobweb_all_met_{tag}"] = all(
-                run.allocations[i] >= demand - _MET_TOL for i in range(n_nodes)
-            )
+            row[f"cobweb_all_met_{tag}"] = _all_met(run.allocations, demand)
         row["cobweb_mean_util"] = _left_sum(cobweb_utils) / len(cobweb_utils)
         rows.append(row)
     return rows

@@ -15,8 +15,10 @@ is node `net.node_ids()[k]`); each round's record is the only place it
 becomes an id-keyed state again. A record keeps only what cannot be
 derived: the state, the realized utilities and the cost. Strategies
 are read off the utilities, and a round that accepts the set the state
-before it activated shares that state's frozenset. `verify_nash`
-replays a final round's offer through the same list-level code.
+before it activated shares that state's frozenset. The outcome reads
+its round count off the history; see `GameOutcome` for why its final
+state is still stored. `verify_nash` replays a final round's offer
+through the same list-level code.
 """
 
 from __future__ import annotations
@@ -110,15 +112,20 @@ class GameOutcome:
     """A finished game: its initial state, every round's record and
     whether the last round's cost fell below epsilon.
 
-    `final` and `rounds` restate `history[-1].state` and `len(history)`;
-    they stay only because the benchmark (`perfbench/`) reads them.
+    `final` restates `history[-1].state`; it stays stored only because a
+    benchmark test (`perfbench/tests`) tampers with an outcome through
+    `dataclasses.replace(outcome, final=...)`.
     """
 
     final: ActivationState
-    rounds: int
     converged: bool
     history: tuple[RoundRecord, ...]
     initial: ActivationState
+
+    @property
+    def rounds(self) -> int:
+        """How many rounds were played."""
+        return len(self.history)
 
 
 def _participants(net: SemanticNetwork, values: list[float], params: GameParams) -> list[int]:
@@ -230,48 +237,20 @@ def _offer(
     return offered, participants, utilities
 
 
-def _round(
-    net: SemanticNetwork, values: list[float], params: GameParams
-) -> tuple[list[float], list[int], dict[int, float]]:
-    """Play one round on held values by dense position: screen, offer,
-    decide per node, commit, rescale.
-
-    A participant accepts iff its accept-utility is strictly positive.
-    Returns the new values, the accepted positions (ascending) and the
-    utility every participant realized (0.0 on reject), keyed by id in
-    ascending order. With no participants the values come back
-    unchanged and the dict is empty.
-    """
-    offered, participants, accept_utilities = _offer(net, values, params)
-    ids = net.node_ids()
-    accepted: list[int] = []
-    utilities: dict[int, float] = {}
-    for k, u in zip(participants, accept_utilities):
-        if u > 0.0:
-            accepted.append(k)
-            utilities[ids[k]] = u
-        else:
-            utilities[ids[k]] = 0.0
-    if not utilities:
-        return values, accepted, utilities
-    if len(accepted) == len(values):
-        committed = offered
-    else:
-        committed = list(values)
-        for k in accepted:
-            committed[k] = offered[k]
-    return _rescale(committed, params.budget), accepted, utilities
-
-
 def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams) -> GameOutcome:
     """Iterate rounds until the distribution change drops below epsilon.
+
+    Each round makes the offer to the screened participants. A
+    participant accepts iff its accept-utility is > 0.0 and realizes
+    it; a rejector realizes 0.0. Accepted positions take their offered
+    value and the whole distribution is rescaled to the budget. A round
+    without participants records the state it started from.
 
     Deterministic: identical inputs give identical outcomes. The outcome
     keeps the full round history so equilibria can be re-verified. The
     initial state must hold a finite, non-negative value for every node
     and no other id, and activate only nodes it holds; any other is
-    rejected before round 1. A round without participants records the
-    state it started from.
+    rejected before round 1.
     """
     values, activated = _held_list(net, initial)
     _check_within_budget(initial.held.values(), params.budget, "initial energy")
@@ -281,8 +260,19 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     history: list[RoundRecord] = []
     converged = False
     for _ in range(params.max_rounds):
-        new_values, accepted, utilities = _round(net, values, params)
-        if utilities:
+        offered, participants, accept_utilities = _offer(net, values, params)
+        accepted = [k for k, u in zip(participants, accept_utilities) if u > 0.0]
+        utilities = {ids[k]: u if u > 0.0 else 0.0 for k, u in zip(participants, accept_utilities)}
+        new_values = values
+        if participants:
+            committed = offered
+            if len(accepted) < len(values):
+                committed = list(values)
+                for k in accepted:
+                    committed[k] = offered[k]
+            new_values = _rescale(committed, params.budget)
+            # Free the round's n-entry lists before the state's dict is built.
+            del offered, committed, participants, accept_utilities
             # `activated` is `state.activated` by position. Both lists are
             # ascending, so equal lists are equal sets, and a steady game
             # keeps one activated frozenset instead of one per round.
@@ -296,13 +286,7 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
             converged = True
             break
 
-    return GameOutcome(
-        final=state,
-        rounds=len(history),
-        converged=converged,
-        history=tuple(history),
-        initial=initial,
-    )
+    return GameOutcome(state, converged, tuple(history), initial)
 
 
 def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) -> bool:

@@ -1,8 +1,10 @@
 """CLI commands: artifacts, reproducibility, exit codes, generation."""
 
 import csv
+import gc
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from semgame.network import (
     ConceptNode,
     WeightedEdge,
     build_network,
+    load_network,
     save_network,
 )
 from semgame.spreading import SpreadParams
@@ -103,6 +106,38 @@ class TestSpreadCommand:
         code = main(["spread", "--network", str(net_path), "--budget", "1e6", *sources, "--out", str(out)])
         assert code == 0
         assert read_summary(out)["sources"] == {str(k): float(e) for k, e in enumerate(energies)}
+
+
+def test_spread_keeps_one_step_in_memory(tmp_path):
+    """Without --trace, `spread` holds only the step in hand: its traced
+    peak stays within 1.3x the peak of loading the network it spreads on,
+    instead of growing with one n-entry state per step."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("gen", root / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    net_path, _ = gen.write_inputs(tmp_path / "in", 2000, 10000, 0, "all", 0)
+
+    def traced_peak(call):
+        gc.collect()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+        del result
+        return peak
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        load_peak = traced_peak(lambda: load_network(net_path))
+        spread_peak = traced_peak(lambda: main(["spread", "--network", str(net_path), "--out", str(tmp_path / "out")]))
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert read_summary(tmp_path / "out")["steps"] == SpreadParams().max_steps
+    assert spread_peak <= 1.3 * load_peak, (spread_peak, load_peak)
 
 
 class TestGameCommand:

@@ -343,6 +343,16 @@ class TestRunGame:
         assert outcome.rounds >= 5
         assert kept / outcome.rounds < 3.0 * unit, kept / outcome.rounds / unit
 
+    def test_outcome_reads_its_round_count_off_the_history(self):
+        """A finished game stores no round count; `rounds` is read off the
+        history, and `final` is the last round's state."""
+        outcome = run_game(*unit_budget_game(60, 5, 1))
+        assert [f.name for f in dataclasses.fields(GameOutcome)] == ["final", "converged", "history", "initial"]
+        assert outcome.final is outcome.history[-1].state
+        assert outcome.rounds == len(outcome.history) >= 2
+        with pytest.raises(AttributeError):
+            outcome.rounds = 1
+
     def test_strategies_keyed_by_final_round_participants(self):
         net = two_cluster_net()
         st = rescale_to_budget(seed_state(net, {0: 1.0}), 1.0)
@@ -424,7 +434,7 @@ class TestVerifyNash:
             ),
             *((ActivationState(0, held, frozenset({0})), "non-finite energy in activation state") for held in NON_FINITE_HELD),
         ):
-            outcome = GameOutcome(state, 1, True, (RoundRecord(state, {}, 0.0),), state)
+            outcome = GameOutcome(state, True, (RoundRecord(state, {}, 0.0),), state)
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 verify_nash(net, outcome, GameParams(budget=1.0))
 

@@ -3,7 +3,11 @@ root's names, every submodule name in `__all__` has a caller, and every
 module-level private name has a reader."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import semgame
@@ -100,3 +104,26 @@ def test_private_names_are_used():
                     used.add(node.attr)
     assert defined
     assert not {f"{module}:{name}" for name, module in defined.items() if name not in used}
+
+
+def test_package_imports_only_the_standard_library():
+    """The package declares no dependencies: importing it and every
+    entry module in a fresh interpreter loads no top-level module
+    outside the standard library except semgame itself."""
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import semgame, semgame.cli, semgame.evaluate, semgame.baselines\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(json.loads(done.stdout))
+    assert "semgame" in loaded
+    assert not {m for m in loaded if m != "semgame" and m not in sys.stdlib_module_names}

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from semgame.baselines import CobwebParams, run_cobweb
 from semgame.errors import ValidationError
-from semgame.evaluate import evaluate_pairs, load_balance, relatedness, run_pipeline
+from semgame.evaluate import _all_met, _utilization_initial, evaluate_pairs, load_balance, relatedness, run_pipeline
 from semgame.game import GameParams, Strategy, run_game
-from semgame.generate import generate_network
+from semgame.generate import complete_network, generate_network
 from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
 from semgame.spreading import ActivationState, SpreadParams, run_spread, step
 
@@ -336,3 +336,25 @@ def test_game_moves_load_balance_beyond_rescaling():
         rescaled = load_balance(outcome.initial)
         moves.append(abs(load_balance(outcome.final) - rescaled) / rescaled)
     assert max(moves) > 1e-9, max(moves)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: criterion 9's surplus case is met by spread and rescale "
+    "alone, before any game round, so the game adds nothing to it",
+)
+def test_spread_and_rescale_alone_leave_a_surplus_demand_unmet():
+    """On utilization_experiment's surplus case (six demands of 20 on
+    complete_network(6), budget 120, seeds 0-9, initial values from the
+    experiment's own draw), the pipeline's state before any game round
+    (outcome.initial) leaves some demand unmet on at least one seed, by
+    the experiment's own met test."""
+    budget, demand, n = 120.0, 20.0, 6
+    sp, gp = SpreadParams(budget=budget), GameParams(budget=budget)
+    net = complete_network(n, 1.0)
+    unmet = []
+    for seed in range(10):
+        outcome = run_pipeline(net, _utilization_initial(seed, n, budget), sp, gp)
+        unmet.append(not _all_met(outcome.initial.held, demand))
+    assert any(unmet), unmet

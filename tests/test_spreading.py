@@ -113,7 +113,7 @@ class TestStep:
         missing = r"no value for 2 node\(s\): 1, 3$"
         with pytest.raises(ValidationError, match=missing):
             step(net, partial, sp)
-        outcome = GameOutcome(partial, 1, True, (RoundRecord(partial, {}, 0.0),), partial)
+        outcome = GameOutcome(partial, True, (RoundRecord(partial, {}, 0.0),), partial)
         for screen_threshold in (None, 0.7, 0.0):
             gp = GameParams(budget=1.0, screen_threshold=screen_threshold)
             with pytest.raises(ValidationError, match=missing):
@@ -132,7 +132,7 @@ class TestStep:
         non_finite = "^non-finite energy in activation state$"
         with pytest.raises(ValidationError, match=non_finite):
             step(net, nan, sp)
-        outcome = GameOutcome(nan, 1, True, (RoundRecord(nan, {}, 0.0),), nan)
+        outcome = GameOutcome(nan, True, (RoundRecord(nan, {}, 0.0),), nan)
         for screen_threshold in (None, 0.7, 0.0):
             gp = GameParams(budget=1.0, screen_threshold=screen_threshold)
             with pytest.raises(ValidationError, match=non_finite):
