@@ -32,32 +32,22 @@ _TOL = 1e-6
 
 @dataclass(frozen=True)
 class CobwebParams:
-    """Linear demand D(o) = demand_intercept - demand_slope * o and
-    supply S(o') = supply_intercept + supply_slope * o', with adjustment
-    rate r applied to the excess demand each iteration. All five numbers
-    must be finite, and the slopes >= 0."""
+    """Adjustment rate r, applied to the excess demand each iteration,
+    and the slopes of the linear demand and supply curves (see
+    `run_cobweb`). All three numbers must be finite, and the slopes >= 0."""
 
     r: float
-    demand_intercept: float
     demand_slope: float
-    supply_intercept: float
     supply_slope: float
     max_iters: int = 100
 
     def __post_init__(self) -> None:
-        coefficients = (self.r, self.demand_intercept, self.demand_slope, self.supply_intercept, self.supply_slope)
-        if not all(map(math.isfinite, coefficients)):
-            raise ValidationError("cobweb rate, intercepts and slopes must be finite")
+        if not all(map(math.isfinite, (self.r, self.demand_slope, self.supply_slope))):
+            raise ValidationError("cobweb rate and slopes must be finite")
         if self.demand_slope < 0 or self.supply_slope < 0:
             raise ValidationError("demand/supply slopes must be >= 0")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters {self.max_iters} < 1")
-
-    def demand(self, o: float) -> float:
-        return self.demand_intercept - self.demand_slope * o
-
-    def supply(self, expected: float) -> float:
-        return self.supply_intercept + self.supply_slope * expected
 
 
 @dataclass(frozen=True)
@@ -86,26 +76,30 @@ def run_cobweb(
     """Iterate per-node cobweb recurrences, granting budget greedily each cycle.
 
     `nodes` is a non-empty list of finite (initial value, demand target)
-    pairs; `budget` is finite and positive. A node keeps a value o and a
-    naive expectation e (both start at the initial value) and a base
-    b = target - r * (D(target) - S(target)), which makes the target the
-    fixed point. Each cycle visits the nodes in list order: o becomes
+    pairs; `budget` is finite and positive. Node k with target T has
+    demand D(o) = 2T - demand_slope * o and supply S(e) = supply_slope * e,
+    a value o and a naive expectation e (both start at the initial value)
+    and a base b = T - r * (D(T) - S(T)), which makes T the fixed point.
+    Each cycle visits the nodes in list order: o becomes
     b + r * (D(o) - S(e)) and e the old o, and the node is granted
     min(max(o, 0), remaining budget). A trace row holds the cycle, the
     node, the new o, the excess D(o) - S(e) at the old values and the
     grant. The run converges in the first cycle where every node moved
     less than 1e-6 and has |b + r * (D(o) - S(o)) - o| < 1e-6, and stops
     after max_iters cycles otherwise. An overflowing value raises
-    ValidationError.
+    ValidationError. Other intercepts would cancel out of
+    b + r * (D(o) - S(e)) and show only in the excess column.
     """
     if not nodes:
         raise ValidationError("cobweb needs at least one node")
     _check_budget(budget)
     if not all(math.isfinite(v) for node in nodes for v in node):
         raise ValidationError("cobweb initial values and targets must be finite")
+    r, ds, ss = params.r, params.demand_slope, params.supply_slope
     values = [float(initial) for initial, _ in nodes]
     expected = list(values)
-    bases = [target - params.r * (params.demand(target) - params.supply(target)) for _, target in nodes]
+    # Per node, the demand intercept 2T and the base.
+    curves = [(2 * t, t - r * ((2 * t - ds * t) - ss * t)) for _, t in nodes]
 
     allocations = [0.0] * len(nodes)
     trace: list[CobwebTraceRow] = []
@@ -115,10 +109,10 @@ def run_cobweb(
         iters = iteration
         remaining = budget
         all_quiet = True
-        for idx, base in enumerate(bases):
+        for idx, (top, base) in enumerate(curves):
             prev = values[idx]
-            excess = params.demand(prev) - params.supply(expected[idx])
-            o = base + params.r * excess
+            excess = (top - ds * prev) - ss * expected[idx]
+            o = base + r * excess
             if not math.isfinite(o):
                 raise ValidationError(f"cobweb value of node {idx} overflowed in iteration {iteration}")
             expected[idx] = prev
@@ -126,7 +120,7 @@ def run_cobweb(
             # Quiet means the value stopped moving AND sits at a genuine
             # fixed point; the residual test keeps periodic orbits with
             # repeated values from masquerading as equilibria.
-            residual = base + params.r * (params.demand(o) - params.supply(o)) - o
+            residual = base + r * ((top - ds * o) - ss * o) - o
             if abs(o - prev) >= _TOL or abs(residual) >= _TOL:
                 all_quiet = False
             granted = min(max(o, 0.0), remaining)

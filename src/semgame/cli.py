@@ -207,14 +207,8 @@ def _cmd_evaluate(args) -> tuple[dict, dict]:
 
 
 def _cmd_cobweb(args) -> tuple[dict, dict]:
-    params = CobwebParams(
-        r=args.r,
-        demand_intercept=2 * args.demand,
-        demand_slope=args.demand_slope,
-        supply_intercept=0.0,
-        supply_slope=args.supply_slope,
-        max_iters=args.max_rounds,
-    )
+    params = CobwebParams(r=args.r, demand_slope=args.demand_slope, supply_slope=args.supply_slope,
+                          max_iters=args.max_rounds)
     rng = random.Random(args.seed)
     nodes = [(args.demand * (0.5 + rng.random()), args.demand) for _ in range(args.nodes)]
     run = run_cobweb(nodes, params, args.budget)

@@ -156,10 +156,7 @@ def relatedness(
             else:
                 final = run_pipeline(net, sources, sp, gp).final
             held = finals[src] = final.held
-        peak = max(held.values())
-        if peak <= 0.0:
-            return 0.0
-        return held[dst] / peak
+        return held[dst] / max(held.values())
 
     return (one_direction(a, b) + one_direction(b, a)) / 2.0
 
@@ -319,14 +316,7 @@ def utilization_experiment(
         }
         cobweb_utils = []
         for r, slope in _COBWEB_GRID:
-            params = CobwebParams(
-                r=r,
-                demand_intercept=2 * demand,
-                demand_slope=slope,
-                supply_intercept=0.0,
-                supply_slope=slope,
-                max_iters=100,
-            )
+            params = CobwebParams(r=r, demand_slope=slope, supply_slope=slope, max_iters=100)
             run = run_cobweb([(initial[i], demand) for i in range(n_nodes)], params, budget)
             util = utilization(run.allocations, demands, budget)
             cobweb_utils.append(util)

@@ -145,13 +145,15 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
     Of the edges, the first faulty one in edge order is reported, whether
     an endpoint references no node or its pair repeats an earlier edge's.
     """
-    seen_ids: set[int] = set()
+    by_id: dict[int, ConceptNode] = {}
     for i, nd in enumerate(nodes):
-        if nd.id in seen_ids:
+        if nd.id in by_id:
             raise ValidationError(f"nodes[{i}]: duplicate node id {nd.id}")
-        seen_ids.add(nd.id)
+        by_id[nd.id] = nd
+    if not by_id:
+        raise ValidationError("network has no nodes")
 
-    ids = tuple(sorted(seen_ids))
+    ids = tuple(sorted(by_id))
     positions = {nid: k for k, nid in enumerate(ids)}
     # Per position, the neighbours' positions and the weights, in edge order.
     targets: list[list[int]] = [[] for _ in ids]
@@ -180,7 +182,6 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
         tuple([(y + 0, w * 1.0) for y, w in sorted(zip(ts, ws))])
         for ts, ws in zip(targets, weights)
     )
-    by_id = {nd.id: nd for nd in nodes}
     return SemanticNetwork(tuple(nodes), tuple(edges), by_id, ids, positions, dense)
 
 
@@ -194,22 +195,12 @@ def _reject_duplicate_pair(edges: list[WeightedEdge]) -> None:
         seen.add(pair)
 
 
-_NO_IDS: dict[int, int] = {}
-
-
-def _as_id(value, what: str, ids: dict[int, int] = _NO_IDS) -> int:
-    """A node id read from JSON: an int or an integral float (not a bool, string, inf or nan).
-
-    An id that `ids` maps comes back as the int object `ids` holds for
-    it, so edge endpoints share the nodes' id ints instead of keeping
-    the parser's copies (ints above 256 are not cached, so the parser
-    makes one per endpoint).
-    """
+def _as_id(value, what: str) -> int:
+    """A node id read from JSON: an int or an integral float (not a bool, string, inf or nan)."""
     if type(value) is int:  # the common case, checked first: files hold thousands of ids
-        return ids.get(value, value)
+        return value
     if isinstance(value, float) and value.is_integer():
-        value = int(value)
-        return ids.get(value, value)
+        return int(value)
     raise ValidationError(f"{what} {value!r} is not an integer")
 
 
@@ -250,21 +241,21 @@ def _records(data) -> tuple[list[ConceptNode], list[WeightedEdge]]:
     edges = []
     for i, raw in enumerate(data["edges"]):
         try:
-            # A plain int endpoint is looked up here, without a call to
-            # _as_id, and the record is built positionally: matching
-            # keywords costs too. Both keep the load as fast as before
-            # the lookup was added.
-            a = raw["a"]
-            a = ids.get(a, a) if type(a) is int else _as_id(a, "endpoint", ids)
-            b = raw["b"]
-            b = ids.get(b, b) if type(b) is int else _as_id(b, "endpoint", ids)
+            # Plain int endpoints skip _as_id and the record is built
+            # positionally: a call and keyword matching per edge would slow
+            # the load of a file with thousands of edges. Each endpoint that
+            # names a node becomes that node's own id int (ints above 256 are
+            # not cached, so the parser made a copy of each).
+            a, b = raw["a"], raw["b"]
+            if type(a) is not int or type(b) is not int:
+                a, b = _as_id(a, "endpoint"), _as_id(b, "endpoint")
             # The weight is copied (`* 1.0` is exact and keeps -0.0): the
             # parsed weights share allocator pools with the parsed endpoint
             # ints, and kept between the ints' holes they would make
             # build_network fill those holes with the adjacency's ints and
             # floats out of row order, slowing spreading about 5% on a
             # loaded 10k-node network.
-            edges.append(WeightedEdge(a, b, _as_number(raw["w"], "weight") * 1.0))
+            edges.append(WeightedEdge(ids.get(a, a), ids.get(b, b), _as_number(raw["w"], "weight") * 1.0))
         except _BAD_ENTRY as exc:
             raise ValidationError(f"edges[{i}]: {exc}") from None
     return nodes, edges

@@ -140,36 +140,36 @@ def cobweb_oracle(
 ) -> tuple[list[float], list[float], int, bool, list[tuple[int, int, float, float, float]]]:
     """Replay of the cobweb baseline from its stated recurrences.
 
-    Reads only the five coefficients and max_iters off `params`.
-    D(o) = demand_intercept - demand_slope * o, S(e) = supply_intercept +
-    supply_slope * e. Node k starts with o = e = its initial value and
-    has base b = target - r * (D(target) - S(target)); each cycle sets
-    o <- b + r * (D(o) - S(e)) and e <- old o, then grants
-    min(max(o, 0), remaining). Converged when, in one cycle, every node
-    moved less than tol and has |b + r * (D(o) - S(o)) - o| < tol.
-    Returns (grants, values, cycles, converged, trace rows
-    (cycle, node, o, excess, grant)).
+    Reads only r, the two slopes and max_iters off `params`. Node k with
+    target T has D(o) = 2T - demand_slope * o and S(e) = supply_slope * e.
+    It starts with o = e = its initial value and has base
+    b = T - r * (D(T) - S(T)); each cycle sets o <- b + r * (D(o) - S(e))
+    and e <- old o, then grants min(max(o, 0), remaining). Converged when,
+    in one cycle, every node moved less than tol and has
+    |b + r * (D(o) - S(o)) - o| < tol. Returns (grants, values, cycles,
+    converged, trace rows (cycle, node, o, excess, grant)).
     """
     r = params.r
+    targets = [target for _, target in nodes]
 
-    def demand(o):
-        return params.demand_intercept - params.demand_slope * o
+    def demand(k, o):
+        return 2 * targets[k] - params.demand_slope * o
 
     def supply(e):
-        return params.supply_intercept + params.supply_slope * e
+        return params.supply_slope * e
 
     values = [float(initial) for initial, _ in nodes]
     expectations = list(values)
-    bases = [target - r * (demand(target) - supply(target)) for _, target in nodes]
+    bases = [t - r * (demand(k, t) - supply(t)) for k, t in enumerate(targets)]
     grants = [0.0] * len(nodes)
     trace = []
     for cycle in range(1, params.max_iters + 1):
         remaining = budget
         quiet = True
         for k, base in enumerate(bases):
-            excess = demand(values[k]) - supply(expectations[k])
+            excess = demand(k, values[k]) - supply(expectations[k])
             new = base + r * excess
-            residual = base + r * (demand(new) - supply(new)) - new
+            residual = base + r * (demand(k, new) - supply(new)) - new
             if abs(new - values[k]) >= tol or abs(residual) >= tol:
                 quiet = False
             expectations[k], values[k] = values[k], new

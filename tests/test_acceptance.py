@@ -98,14 +98,10 @@ def test_c01_equation_arithmetic():
     # Node 0 with neighbors 1, 2, 3 going 1.0 -> 3.0, 2.0, 2.0, at delta 0.5: 4^0.5 / 3.
     assert abs(gain((3.0 - 1.0) + (2.0 - 1.0) + (2.0 - 1.0), 3, 0.5) - 2.0 / 3.0) < 1e-15
 
-    params = CobwebParams(
-        r=0.5, demand_intercept=10.0, demand_slope=1.0, supply_intercept=2.0, supply_slope=1.0
-    )
-    # One node at its target 4 (base 4): 4 + 0.5*((10-4)-(2+4)) = 4.
+    params = CobwebParams(r=0.5, demand_slope=1.0, supply_slope=1.0)
+    # One node at its target 4 (base 4), D(o) = 8 - o, S(e) = e: 4 + 0.5*((8-4)-4) = 4.
     assert run_cobweb([(4.0, 4.0)], params, 100.0).trace[0].o == 4.0
-    zero_r = CobwebParams(
-        r=0.0, demand_intercept=10.0, demand_slope=1.0, supply_intercept=2.0, supply_slope=1.0
-    )
+    zero_r = CobwebParams(r=0.0, demand_slope=1.0, supply_slope=1.0)
     # r = 0 moves a node from any start straight to its base, the target 5.
     assert run_cobweb([(7.0, 5.0)], zero_r, 100.0).trace[0].o == 5.0
 

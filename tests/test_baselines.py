@@ -13,14 +13,12 @@ from conftest import chain_net
 
 
 def linear_params(r: float, ds: float = 1.0, ss: float = 1.0, **kw) -> CobwebParams:
-    return CobwebParams(
-        r=r, demand_intercept=10.0, demand_slope=ds, supply_intercept=2.0, supply_slope=ss, **kw
-    )
+    return CobwebParams(r=r, demand_slope=ds, supply_slope=ss, **kw)
 
 
 class TestCobwebStep:
-    """One node's first cycles. D(o) = 10 - o and S(e) = 2 + e, so a node
-    with target t has base t - r * (8 - 2t)."""
+    """One node's first cycles. With target t, D(o) = 2t - o and S(e) = e,
+    so the base is t - r * (2t - t - t) = t."""
 
     def test_zero_adjustment_rate(self):
         # r = 0 makes the base the target and pins o there from any start.
@@ -29,19 +27,19 @@ class TestCobwebStep:
         assert run.final_values[0] == 5.0
 
     def test_scalar_re_evaluation(self):
-        """r=0.5, start 4 and target 4 (base 4): 4 + 0.5*((10-4)-(2+4)) = 4."""
+        """r=0.5, start 4 and target 4 (base 4): 4 + 0.5*((8-4)-4) = 4."""
         run = run_cobweb([(4.0, 4.0)], linear_params(r=0.5), budget=100.0)
-        assert run.trace[0].o == 4.0 + 0.5 * ((10.0 - 4.0) - (2.0 + 4.0))
+        assert run.trace[0].o == 4.0 + 0.5 * ((8.0 - 4.0) - 4.0)
         assert run.trace[0].o == 4.0
         assert run.trace[0].excess_demand == 0.0
 
     def test_expectation_becomes_previous_value(self):
-        # r = 0.25, target 2 (base 1), start 6: o goes 6 -> 0, and the
+        # r = 0.25, target 2 (base 2), start 6: o goes 6 -> 0, and the
         # second cycle's supply is evaluated at the previous value 6.
         run = run_cobweb([(6.0, 2.0)], linear_params(r=0.25, max_iters=2), budget=100.0)
         assert run.trace[0].o == 0.0
-        assert run.trace[1].excess_demand == (10.0 - 0.0) - (2.0 + 6.0)
-        assert run.final_values[0] == 1.0 + 0.25 * 2.0
+        assert run.trace[1].excess_demand == (4.0 - 0.0) - 6.0
+        assert run.final_values[0] == 2.0 + 0.25 * -2.0
 
 
 class TestRunCobweb:
@@ -58,17 +56,23 @@ class TestRunCobweb:
         budget = 60.0
         run = run_cobweb(nodes, params, budget)
 
+        def demand(i, o):
+            return 2 * nodes[i][1] - params.demand_slope * o
+
+        def supply(e):
+            return params.supply_slope * e
+
         o = {i: float(init) for i, (init, _) in enumerate(nodes)}
         e = dict(o)
         base = {
-            i: target - params.r * (params.demand(target) - params.supply(target))
+            i: target - params.r * (demand(i, target) - supply(target))
             for i, (_, target) in enumerate(nodes)
         }
         allocations = {}
         for _ in range(run.iters):
             remaining = budget
             for i in range(5):
-                new_o = base[i] + params.r * (params.demand(o[i]) - params.supply(e[i]))
+                new_o = base[i] + params.r * (demand(i, o[i]) - supply(e[i]))
                 e[i] = o[i]
                 o[i] = new_o
                 granted = min(max(new_o, 0.0), remaining)
@@ -84,20 +88,14 @@ class TestRunCobweb:
             for s in (0.5, 1.0, 2.0):
                 if r * (s + s) >= 1.0:
                     continue
-                params = CobwebParams(
-                    r=r, demand_intercept=40.0, demand_slope=s,
-                    supply_intercept=0.0, supply_slope=s, max_iters=200,
-                )
+                params = CobwebParams(r=r, demand_slope=s, supply_slope=s, max_iters=200)
                 run = run_cobweb([(28.0, 20.0)], params, budget=100.0)
                 assert run.converged, (r, s)
                 assert run.final_values[0] == pytest.approx(20.0, abs=1e-4)
 
     def test_unstable_setting_leaves_demand_unmet_despite_surplus(self):
         """Oscillation on |r|*(slopes) > 1 misses targets even with spare budget."""
-        params = CobwebParams(
-            r=0.9, demand_intercept=40.0, demand_slope=2.0,
-            supply_intercept=0.0, supply_slope=2.0, max_iters=100,
-        )
+        params = CobwebParams(r=0.9, demand_slope=2.0, supply_slope=2.0, max_iters=100)
         nodes = [(24.0, 20.0), (17.0, 20.0), (22.0, 20.0)]
         run = run_cobweb(nodes, params, budget=1000.0)
         assert not run.converged
@@ -138,21 +136,16 @@ class TestRunCobweb:
         cycle and overflows in cycle 344. Unchecked, the value turned into
         NaN a cycle later, and a NaN move compares as quiet, so the run
         reported convergence."""
-        params = CobwebParams(
-            r=0.9, demand_intercept=40.0, demand_slope=10.0,
-            supply_intercept=0.0, supply_slope=10.0, max_iters=1000,
-        )
+        params = CobwebParams(r=0.9, demand_slope=10.0, supply_slope=10.0, max_iters=1000)
         with pytest.raises(ValidationError, match="overflowed"):
             run_cobweb([(24.0, 20.0)], params, budget=100.0)
 
 
 class TestCobwebParams:
-    @pytest.mark.parametrize(
-        "field", ["r", "demand_intercept", "demand_slope", "supply_intercept", "supply_slope"]
-    )
+    @pytest.mark.parametrize("field", ["r", "demand_slope", "supply_slope"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_coefficients_must_be_finite(self, field, value):
-        kw = dict(r=0.5, demand_intercept=10.0, demand_slope=1.0, supply_intercept=2.0, supply_slope=1.0)
+        kw = dict(r=0.5, demand_slope=1.0, supply_slope=1.0)
         with pytest.raises(ValidationError, match="must be finite"):
             CobwebParams(**{**kw, field: value})
 

@@ -107,6 +107,17 @@ class TestSpreadCommand:
         assert code == 0
         assert read_summary(out)["sources"] == {str(k): float(e) for k, e in enumerate(energies)}
 
+    def test_numeric_source_names_a_label_when_no_id_matches(self, tmp_path):
+        """--source 7 names node 7 if there is one, else the node labelled "7"."""
+        nodes = [ConceptNode(id=0, label="7"), ConceptNode(id=1, label="x")]
+        path = tmp_path / "net.json"
+        save_network(build_network(nodes, [WeightedEdge(0, 1, 0.5)]), path)
+        out = tmp_path / "out"
+        assert main(["spread", "--network", str(path), "--source", "7", "--out", str(out)]) == 0
+        assert read_summary(out)["sources"] == {"0": 100.0}
+        with_id_7 = build_network([*nodes, ConceptNode(id=7, label="y")], [])
+        assert cli._node_ref(with_id_7, "7") == 7
+
 
 def test_spread_keeps_one_step_in_memory(tmp_path):
     """Without --trace, `spread` holds only the step in hand: its traced
@@ -344,6 +355,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_unparsable_source_energy_exits_2(self, tmp_path, capsys):
+        _, net_path = write_chain(tmp_path)
+        out = tmp_path / "o"
+        assert main(["spread", "--network", str(net_path), "--source", "n1=abc", "--out", str(out)]) == 2
+        assert "semgame: error: --source 'n1=abc': bad energy value" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Nothing builds an empty network on purpose; unchecked, one reaches
+    # the default source (the lowest id) and fails as a runtime error.
+    @pytest.mark.parametrize("command", ["spread", "game"])
+    def test_network_without_nodes_exits_2(self, tmp_path, capsys, command):
+        net_path = tmp_path / "empty.json"
+        net_path.write_text('{"nodes": [], "edges": []}')
+        out = tmp_path / "o"
+        assert main([command, "--network", str(net_path), "--out", str(out)]) == 2
+        assert "semgame: error: network has no nodes" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("first, second", [("0=30", "0=50"), ("0", "0=50"), ("0", "n0")])
     def test_node_named_twice_in_source_exits_2(self, tmp_path, capsys, first, second):
         _, net_path = write_chain(tmp_path)
@@ -508,6 +537,8 @@ class TestGenerateNetwork:
             generate_network(1, 0.5, 0)
         with pytest.raises(ValidationError):
             generate_network(5, 0.0, 0)
+        with pytest.raises(ValidationError, match="^n 1 must be >= 2$"):
+            complete_network(1)
 
 
 def test_golden_manifest_covers_every_invocation():

@@ -292,7 +292,7 @@ class TestUtilization:
         """A NaN or infinite budget raises instead of giving a quiet 0.0 (or,
         in a rescale, NaN values), with the message every budget check
         gives."""
-        cobweb = CobwebParams(r=0.1, demand_intercept=10.0, demand_slope=1.0, supply_intercept=2.0, supply_slope=1.0)
+        cobweb = CobwebParams(r=0.1, demand_slope=1.0, supply_slope=1.0)
         for budget in (math.nan, math.inf, 0.0, -1.0):
             message = f"^budget {budget} must be finite and positive$"
             with pytest.raises(ValidationError, match=message):

@@ -81,6 +81,10 @@ class TestCost:
         with pytest.raises(ValidationError, match="1 held values but 2 offered"):
             cost([1.0], [1.0, 1.0])
 
+    def test_empty_states(self):
+        with pytest.raises(ValidationError, match="^cost: empty states$"):
+            cost([], [])
+
 
 class TestGain:
     """gain(change, degree, delta): the change is the round's
@@ -421,6 +425,22 @@ class TestVerifyNash:
         assert tampered.history[-1].strategies[0] is Strategy.REJECT
         assert not verify_nash(net, tampered, params)
 
+    def test_participants_differing_from_the_replay_detected(self):
+        """A last record that names a node the replayed offer left out, or
+        leaves out one it screened in, fails whatever the utilities say."""
+        net = generate_network(8, 0.3, 1)
+        params = GameParams(screen_threshold=1.0)
+        outcome = run_game(net, seed_state(net, {0: 50.0, 1: 30.0, 2: 20.0}), params)
+        assert verify_nash(net, outcome, params)
+        last = outcome.history[-1]
+        outsiders = [nid for nid in net.node_ids() if nid not in last.utilities]
+        assert outsiders and len(last.utilities) > 1
+        assert not verify_nash(net, self.with_last_utility(outcome, outsiders[0], 0.0), params)
+        first = next(iter(last.utilities))
+        fewer = {nid: u for nid, u in last.utilities.items() if nid != first}
+        history = (*outcome.history[:-1], dataclasses.replace(last, utilities=fewer))
+        assert not verify_nash(net, dataclasses.replace(outcome, history=history), params)
+
     def test_negative_or_unheld_activated_state_rejected(self, monkeypatch):
         """The state that entered the final round is validated before its
         offer is replayed, with check_state's messages."""
@@ -502,3 +522,7 @@ class TestGameParams:
     def test_max_rounds_at_least_one(self):
         with pytest.raises(ValidationError):
             GameParams(max_rounds=0)
+
+    def test_delta_in_unit_interval(self):
+        with pytest.raises(ValidationError, match=r"^delta -0\.1 outside \[0, 1\]$"):
+            GameParams(delta=-0.1)

@@ -106,6 +106,14 @@ class TestLoadNetwork:
         with pytest.raises(ValidationError, match="must be lists"):
             load_network(write_net(tmp_path, data))
 
+    @pytest.mark.parametrize("data, message", [
+        ([], "network file must be an object with 'nodes' and 'edges'"),
+        ({"nodes": [], "edges": []}, "network has no nodes"),
+    ], ids=["list", "no-nodes"])
+    def test_file_must_hold_an_object_with_nodes(self, tmp_path, data, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            load_network(write_net(tmp_path, data))
+
     def test_duplicate_node_id(self, tmp_path):
         bad = {"nodes": [{"id": 0, "label": "a"}, {"id": 0, "label": "b"}], "edges": []}
         with pytest.raises(ValidationError, match=r"nodes\[1\].*duplicate"):
@@ -350,6 +358,22 @@ class TestLoadPairs:
         with pytest.raises(ValidationError, match="not a number"):
             load_pairs(path)
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read"),
+        ("a\tb\t1.5\n", ":1: score 1.5 outside unit scale"),
+    ], ids=["missing-file", "unit-score-1.5"])
+    def test_unreadable_file_or_score_off_scale(self, tmp_path, text, message):
+        path = tmp_path / "pairs.tsv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            load_pairs(path, scale="unit")
+
+    def test_blank_and_whitespace_only_lines_skipped(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("\na\tb\t0.5\n  \n\t\nc\td\t0.25\n\n")
+        assert load_pairs(path) == [PairJudgment("a", "b", 0.5), PairJudgment("c", "d", 0.25)]
+
     def test_unknown_scale(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("a\tb\t0.5\n")
@@ -362,6 +386,8 @@ class TestWeightSums:
         net = quick_net(2, [])
         with pytest.raises(ValidationError, match="unknown node"):
             net.neighbors(5)
+        with pytest.raises(ValidationError, match="^unknown node id 99$"):
+            quick_net(3, [(0, 1, 0.5)]).node(99)
 
     def test_handshake_identity(self):
         """Adjacency is symmetric, and the per-node incident weights sum to

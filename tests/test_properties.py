@@ -266,9 +266,7 @@ def cobweb_cases(draw):
     nodes = draw(st.lists(st.tuples(_finite(-100, 100), _finite(-100, 100)), min_size=1, max_size=6))
     params = CobwebParams(
         r=draw(st.one_of(st.sampled_from([0.0, 0.2, 0.5, 0.9]), _finite(0, 1))),
-        demand_intercept=draw(_finite(-100, 100)),
         demand_slope=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), _finite(0, 3))),
-        supply_intercept=draw(_finite(-100, 100)),
         supply_slope=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), _finite(0, 3))),
         max_iters=draw(st.integers(1, 60)),
     )

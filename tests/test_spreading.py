@@ -258,6 +258,14 @@ class TestRunSpread:
             with pytest.raises(ValidationError, match="fire_threshold"):
                 SpreadParams(fire_threshold=bad)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"delta": 1.5}, r"^delta 1\.5 outside \[0, 1\]$"),
+        ({"max_steps": 0}, "^max_steps 0 < 1$"),
+    ], ids=["delta-1.5", "max-steps-0"])
+    def test_out_of_range_params_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            SpreadParams(**kwargs)
+
     def test_bad_budget_reported_before_the_threshold_derived_from_it(self):
         for bad in (math.nan, math.inf, -1.0):
             with pytest.raises(ValidationError, match=f"budget {bad} must be finite"):

@@ -33,7 +33,10 @@ def test_pairs_alternate_and_traced_runs_keep_their_medians(monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
     bench = {
         "run_seconds": 20,
-        "end_to_end": [{"name": "ops_per_s", "better": "higher"}, {"name": "game.cost.calls", "better": "lower"}],
+        "end_to_end": [
+            {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+            {"name": "game.cost.calls", "better": "lower", "bound": 0.25},
+        ],
     }
     args = argparse.Namespace(parent=Path("P"), change=Path("C"))
     record = bench_pairs.pairs_for(args, bench, "game-1k", 11, 4)
@@ -59,7 +62,7 @@ def test_a_bytecode_cache_in_one_checkout_only_stops_the_run(tmp_path, monkeypat
     error before any run; with one under both it runs, and the record
     says whether bytecode writing was off."""
     bench_pairs = load_bench_pairs()
-    bench = {"run_seconds": 20, "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}
+    bench = {"run_seconds": 20, "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}
     for side in ("parent", "change"):
         (tmp_path / side / "src" / "pkg").mkdir(parents=True)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench), encoding="utf-8")
@@ -81,6 +84,34 @@ def test_a_bytecode_cache_in_one_checkout_only_stops_the_run(tmp_path, monkeypat
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["machine"]["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
     assert record["workloads"]["game-1k"]["pairs"] == 4
+
+
+# One metric over 10 pairs with bound 0.25; parent [99, 101] * 5 has
+# median 100 and IQR 2, parent [40, 160] * 5 median 100 and IQR 120.
+@pytest.mark.parametrize("better, parent, change, expected", [
+    ("higher", [100.0] * 10, [70.0] * 10, "worse"),
+    ("lower", [100.0] * 10, [130.0] * 10, "worse"),
+    ("higher", [40.0, 160.0] * 5, [101.0, 99.0] * 5, "unresolved"),
+    ("higher", [40.0, 160.0] * 5, [250.0] * 10, "better"),
+    ("lower", [99.0, 101.0] * 5, [90.0] * 10, "better"),
+    ("higher", [99.0, 101.0] * 5, [110.0] * 8 + [90.0] * 2, "no_worse"),
+    ("higher", [99.0, 101.0] * 5, [100.0] * 10, "no_worse"),
+], ids=[
+    "worse-higher", "worse-lower", "unresolved", "better-beats-every-parent-run",
+    "better-lower", "no-worse-8-of-10", "no-worse-equal",
+])
+def test_each_end_to_end_metric_gets_a_verdict(monkeypatch, better, parent, change, expected):
+    """worse is checked first, then unresolved (unless every change run beats
+    every parent run), then better (9 of 10 pairs and a median gain beyond
+    the parent IQR); any other case is no_worse."""
+    bench_pairs = load_bench_pairs()
+    values = {"P": iter(parent), "C": iter(change)}
+    monkeypatch.setattr(bench_pairs, "run_bench",
+                        lambda checkout, workload, seed, trace: {"m": next(values[str(checkout)])} if trace == 0 else {})
+    bench = {"run_seconds": 20, "end_to_end": [{"name": "m", "better": better, "bound": 0.25}]}
+    args = argparse.Namespace(parent=Path("P"), change=Path("C"))
+    record = bench_pairs.pairs_for(args, bench, "game-1k", 11, 10)
+    assert record["end_to_end"]["m"]["verdict"] == expected
 
 
 def load_kernel_pairs():

@@ -10,9 +10,10 @@ which side goes first, then `--trace 1` TRACED_RUNS times per side,
 alternating the same way; run.py sets the run length. The record keeps
 every run's end-to-end metrics, their median and quartiles per side,
 how many pairs the change won on each metric (in the direction the
-change's `BENCHMARK.json` gives it), every traced run's per-layer
-metrics with their median per side, the run length, and the machine
-and Python version, with whether Python was told not to write bytecode.
+change's `BENCHMARK.json` gives it), a verdict on each (see `verdict`),
+every traced run's per-layer metrics with their median per side, the
+run length, and the machine and Python version, with whether Python was
+told not to write bytecode.
 
 A bytecode cache in one checkout's `src/` and not the other's makes
 that side skip compiling the package in every setup probe, which alone
@@ -69,6 +70,31 @@ def spread(values: list[float]) -> dict:
 TRACED_RUNS = 3
 
 
+def verdict(parent: dict, change: dict, wins: int, sign: float, bound: float) -> str:
+    """One end-to-end metric's verdict from both sides' spreads, the pairs
+    the change won, the metric's direction (sign +1.0 when higher is
+    better, -1.0 when lower is) and its bound, checked in this order:
+
+    - "worse": the change median is worse than the parent median by more
+      than bound * |parent median|;
+    - "unresolved": the parent IQR is larger than that margin, unless
+      every change run beats every parent run;
+    - "better": the change won at least 9 of 10 pairs, and its median
+      beats the parent's by more than the parent IQR;
+    - "no_worse": any other case.
+    """
+    margin = bound * abs(parent["median"])
+    gain = sign * (change["median"] - parent["median"])
+    if gain < -margin:
+        return "worse"
+    beats_all = min(sign * v for v in change["runs"]) > max(sign * v for v in parent["runs"])
+    if parent["iqr"] > margin and not beats_all:
+        return "unresolved"
+    if 10 * wins >= 9 * len(parent["runs"]) and gain > parent["iqr"]:
+        return "better"
+    return "no_worse"
+
+
 def alternated(sides: dict[str, Path], workload: str, seed: int, trace: int, n: int) -> dict[str, list[dict]]:
     """n runs per side, the parent first in even rounds and the change first in odd ones."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -87,11 +113,14 @@ def pairs_for(args, bench: dict, workload: str, seed: int, n_pairs: int) -> dict
     for metric in bench["end_to_end"]:
         before = [r[metric["name"]] for r in runs["parent"]]
         after = [r[metric["name"]] for r in runs["change"]]
-        better = (lambda a, b: a > b) if metric["better"] == "higher" else (lambda a, b: a < b)
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        wins = sum(sign * a > sign * b for a, b in zip(after, before))
+        parent, change = spread(before), spread(after)
         record["end_to_end"][metric["name"]] = {
-            "parent": spread(before),
-            "change": spread(after),
-            "change_wins": sum(better(a, b) for a, b in zip(after, before)),
+            "parent": parent,
+            "change": change,
+            "change_wins": wins,
+            "verdict": verdict(parent, change, wins, sign, metric["bound"]),
         }
     traced = alternated(sides, workload, seed, 1, TRACED_RUNS)
     record["traced"] = {
