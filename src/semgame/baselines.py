@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import ActivationState, SpreadParams, _check_budget, run_spread
+from .spreading import ActivationState, SpreadParams, _check_budget, _check_limit, run_spread
 
 __all__ = [
     "CobwebParams",
@@ -46,8 +46,7 @@ class CobwebParams:
             raise ValidationError("cobweb rate and slopes must be finite")
         if self.demand_slope < 0 or self.supply_slope < 0:
             raise ValidationError("demand/supply slopes must be >= 0")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters {self.max_iters} < 1")
+        _check_limit("max_iters", self.max_iters)
 
 
 @dataclass(frozen=True)

@@ -216,11 +216,10 @@ def _cmd_cobweb(args) -> tuple[dict, dict]:
     if args.trace:
         rows = [[t.iteration, t.node, t.o, t.excess_demand, t.allocated] for t in run.trace]
         tables["trace.csv"] = (["iter", "node", "o", "excess_demand", "allocated"], rows)
+    # Every flag that moves the run, so a summary names the run it came from.
+    settings = ("r", "demand_slope", "supply_slope", "demand", "nodes", "budget", "max_rounds", "seed")
     summary = {
-        "r": args.r,
-        "demand": args.demand,
-        "nodes": args.nodes,
-        "budget": args.budget,
+        **{name: getattr(args, name) for name in settings},
         "iters": run.iters,
         "converged": run.converged,
         "allocations": {str(k): v for k, v in sorted(run.allocations.items())},

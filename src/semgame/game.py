@@ -2,12 +2,14 @@
 
 Each round, nodes holding enough energy to pass screening are offered a
 redistribution (one spreading step over the participant set). Every
-participant independently weighs the gain of the offer against the
-global cost of changing the distribution and accepts or rejects it;
-accepted values are committed and the whole distribution is rescaled so
-total energy stays at the budget. Rounds repeat until the distribution
-stops moving (Nash equilibrium of the accept/reject game) or the round
-limit is hit.
+participant weighs the gain of the offer against the global cost of
+the whole offer; both are fixed before anyone chooses, so its payoff
+does not depend on the others' choices. Accepting iff that
+accept-utility is > 0.0 is therefore each participant's dominant
+strategy, and every round plays the stage game's dominant-strategy
+profile. Accepted values are committed and the whole distribution is
+rescaled so total energy stays at the budget. Rounds repeat until the
+distribution stops moving or the round limit is hit.
 
 `run_game` validates its initial state once, then carries the
 distribution from round to round as a list by dense position (entry k
@@ -17,8 +19,8 @@ derived: the state, the realized utilities and the cost. Strategies
 are read off the utilities, and a round that accepts the set the state
 before it activated shares that state's frozenset. The outcome reads
 its round count off the history; see `GameOutcome` for why its final
-state is still stored. `verify_nash` replays a final round's offer
-through the same list-level code.
+state is still stored. `verify_nash` is a replay check: it plays a
+final round's offer again through `_offer` and compares.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from enum import Enum
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import ActivationState, _check_budget, _check_within_budget, _held_list, _left_sum, _spread_once
+from .spreading import (ActivationState, _check_budget, _check_limit, _check_within_budget, _held_list,
+                        _left_sum, _spread_once)
 
 __all__ = [
     "Strategy",
@@ -75,8 +78,7 @@ class GameParams:
             object.__setattr__(self, "epsilon", 1e-3 * self.budget)
         if not math.isfinite(self.epsilon) or self.epsilon <= 0:
             raise ValidationError(f"epsilon {self.epsilon} must be finite and positive")
-        if self.max_rounds < 1:
-            raise ValidationError(f"max_rounds {self.max_rounds} < 1")
+        _check_limit("max_rounds", self.max_rounds)
         if self.screen_threshold is not None and not (
             math.isfinite(self.screen_threshold) and self.screen_threshold >= 0
         ):
@@ -203,51 +205,57 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
 
 def _offer(
     net: SemanticNetwork, values: list[float], params: GameParams
-) -> tuple[list[float], list[int], list[float]]:
-    """A round's offer, its participants and their accept-utilities.
+) -> tuple[list[float], list[int], dict[int, float]]:
+    """A round's offer, the positions that accept it and every
+    participant's realized utility.
 
     `values` and the offer are lists by dense position (entry k is node
     `net.node_ids()[k]`). The offer is one spreading step over the
-    screened participants, whose positions come ascending; each one's
-    accept-utility, at the same index, is its gain minus the global
-    cost. An isolated node has no neighborhood to gain from, so
-    accepting is worth 0.0 to it. With no participants the offer is
-    `values` itself.
+    screened participants. Each one's accept-utility is its gain minus
+    the global cost; an isolated node has no neighborhood to gain from,
+    so accepting is worth 0.0 to it. A participant accepts iff its
+    accept-utility is > 0.0 and realizes it; a rejector realizes 0.0.
+    The accepted positions come ascending, and the utilities are keyed
+    by id in ascending order. With no participants the offer is
+    `values` itself and both are empty.
     """
     participants = _participants(net, values, params)
     if not participants:
-        return values, participants, []
+        return values, [], {}
     offered = _spread_once(net, values, participants, params.delta)
     c = cost(values, offered)
     # Each participant pulls its neighbors' differences in ascending
     # position, from 0.0, left to right: the order tests/oracles.round_oracle
     # sums them in, so every utility matches it bit for bit.
     diff = [o - v for o, v in zip(offered, values)]
-    adjacency, delta = net._dense, params.delta
-    utilities = []
+    adjacency, delta, ids = net._dense, params.delta, net.node_ids()
+    accepted, utilities = [], {}
     for k in participants:
         row = adjacency[k]
+        u = 0.0
         if row:
             change = 0.0
             for y, _ in row:
                 change += diff[y]
-            utilities.append(gain(change, len(row), delta) - c)
+            u = gain(change, len(row), delta) - c
+        if u > 0.0:
+            accepted.append(k)
         else:
-            utilities.append(0.0)
-    return offered, participants, utilities
+            u = 0.0
+        utilities[ids[k]] = u
+    return offered, accepted, utilities
 
 
 def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams) -> GameOutcome:
     """Iterate rounds until the distribution change drops below epsilon.
 
-    Each round makes the offer to the screened participants. A
-    participant accepts iff its accept-utility is > 0.0 and realizes
-    it; a rejector realizes 0.0. Accepted positions take their offered
-    value and the whole distribution is rescaled to the budget. A round
-    without participants records the state it started from.
+    Each round plays `_offer`'s dominant-strategy profile: accepted
+    positions take their offered value and the whole distribution is
+    rescaled to the budget. A round without participants records the
+    state it started from.
 
     Deterministic: identical inputs give identical outcomes. The outcome
-    keeps the full round history so equilibria can be re-verified. The
+    keeps the full round history so a final round can be replayed. The
     initial state must hold a finite, non-negative value for every node
     and no other id, and activate only nodes it holds; any other is
     rejected before round 1.
@@ -260,19 +268,15 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     history: list[RoundRecord] = []
     converged = False
     for _ in range(params.max_rounds):
-        offered, participants, accept_utilities = _offer(net, values, params)
-        accepted = [k for k, u in zip(participants, accept_utilities) if u > 0.0]
-        utilities = {ids[k]: u if u > 0.0 else 0.0 for k, u in zip(participants, accept_utilities)}
+        offered, accepted, utilities = _offer(net, values, params)
         new_values = values
-        if participants:
-            committed = offered
-            if len(accepted) < len(values):
-                committed = list(values)
-                for k in accepted:
-                    committed[k] = offered[k]
+        if utilities:
+            committed = list(values)
+            for k in accepted:
+                committed[k] = offered[k]
             new_values = _rescale(committed, params.budget)
             # Free the round's n-entry lists before the state's dict is built.
-            del offered, committed, participants, accept_utilities
+            del offered, committed
             # `activated` is `state.activated` by position. Both lists are
             # ascending, so equal lists are equal sets, and a steady game
             # keeps one activated frozenset instead of one per round.
@@ -290,25 +294,15 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
 
 
 def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) -> bool:
-    """Check that no participant could gain by unilaterally switching strategy.
+    """Replay check: True iff the final round's record holds exactly the
+    utilities `_offer` realizes again from the state that entered it.
 
-    Reconstructs the final round's offer from the state that entered it
-    and compares both strategies for every participant. That state is
-    validated as run_game validates an initial state.
+    Each round plays the stage game's dominant-strategy profile, so this
+    holds on any outcome `run_game` produced with these params. The
+    entering state is validated as run_game validates an initial state.
     """
     pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-    _, participants, accept_utilities = _offer(net, _held_list(net, pre)[0], params)
-    realized = outcome.history[-1].utilities
-    ids = net.node_ids()
-    if {ids[k] for k in participants} != realized.keys():
-        return False
-    # An acceptor realized a positive utility, a rejector 0.0. Switching
-    # pays off when an acceptor's accept-utility is negative or a
-    # rejector's is positive.
-    for k, u in zip(participants, accept_utilities):
-        if (u < 0.0) if realized[ids[k]] > 0.0 else (u > 0.0):
-            return False
-    return True
+    return _offer(net, _held_list(net, pre)[0], params)[2] == outcome.history[-1].utilities
 
 
 def rank_nodes(state: ActivationState, k: int) -> list[tuple[int, float]]:

@@ -66,14 +66,19 @@ class SpreadParams:
             raise ValidationError(f"delta {self.delta} outside [0, 1]")
         if not math.isfinite(self.fire_threshold) or self.fire_threshold < 0:
             raise ValidationError(f"fire_threshold {self.fire_threshold} must be finite and >= 0")
-        if self.max_steps < 1:
-            raise ValidationError(f"max_steps {self.max_steps} < 1")
+        _check_limit("max_steps", self.max_steps)
 
 
 def _check_budget(budget: float) -> None:
     """Raise unless the budget is finite and positive."""
     if not math.isfinite(budget) or budget <= 0:
         raise ValidationError(f"budget {budget} must be finite and positive")
+
+
+def _check_limit(name: str, value: int) -> None:
+    """Raise unless a step, round or iteration limit is a non-bool int >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name} {value!r} must be an int >= 1")
 
 
 def check_state(net: SemanticNetwork, state: ActivationState) -> None:

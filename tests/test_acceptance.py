@@ -194,7 +194,7 @@ def test_c03_spearman_oracle():
     assert time.perf_counter() - start < 1.0
 
 
-@criterion(4, "converged games are Nash equilibria (exhaustive cross-check)")
+@criterion(4, "converged games' final rounds replay as dominant-strategy profiles (exhaustive cross-check)")
 def test_c04_nash_verification():
     start = time.perf_counter()
     weights = (0.0, 0.25, 0.5, 1.0)

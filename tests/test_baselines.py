@@ -1,6 +1,7 @@
 """Cobweb dynamics and the spread-only traditional baseline."""
 
 import math
+import re
 
 import pytest
 
@@ -152,8 +153,9 @@ class TestCobwebParams:
     def test_negative_slope_and_zero_iterations_rejected(self):
         with pytest.raises(ValidationError, match="slopes"):
             linear_params(r=0.5, ds=-1.0)
-        with pytest.raises(ValidationError, match="max_iters"):
-            linear_params(r=0.5, max_iters=0)
+        for bad in (0, 2.5, math.inf, math.nan, True):
+            with pytest.raises(ValidationError, match=re.escape(f"max_iters {bad!r} must be an int >= 1")):
+                linear_params(r=0.5, max_iters=bad)
 
 
 class TestRunTraditional:

@@ -262,6 +262,20 @@ class TestCobwebCommand:
         assert set(summary["allocations"]) == {"0", "1", "2"}
         assert (out / "trace.csv").exists()
 
+    def test_summary_records_every_setting_that_moves_the_run(self, tmp_path):
+        """Two runs that differ only in --demand-slope record different
+        settings, so a summary says which run it came from."""
+        outputs = {"iters", "converged", "allocations", "final_values"}
+        settings = []
+        for slope in ("1", "2"):
+            out = tmp_path / slope
+            assert main(["cobweb", "--r", "0.2", "--demand-slope", slope, "--seed", "3", "--out", str(out)]) == 0
+            summary = read_summary(out)
+            settings.append({k: v for k, v in summary.items() if k not in outputs})
+        assert settings[0] == {"command": "cobweb", "r": 0.2, "demand_slope": 1.0, "supply_slope": 1.0,
+                               "demand": 20.0, "nodes": 6, "budget": 100.0, "max_rounds": 100, "seed": 3}
+        assert settings[1] == {**settings[0], "demand_slope": 2.0}
+
 
 class TestCompareCommand:
     def test_load_balance_csv(self, tmp_path):

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -425,6 +426,19 @@ class TestVerifyNash:
         assert tampered.history[-1].strategies[0] is Strategy.REJECT
         assert not verify_nash(net, tampered, params)
 
+    def test_acceptor_with_another_positive_utility_detected(self):
+        """The replay compares values, not only signs: an acceptor shown
+        with twice the utility it realized is still shown accepting, and
+        the record fails."""
+        net = generate_network(8, 0.3, 1)
+        params = GameParams()
+        outcome = run_game(net, seed_state(net, {0: 100.0}), params)
+        realized = outcome.history[-1].utilities[0]
+        assert realized > 0.0
+        tampered = self.with_last_utility(outcome, 0, 2.0 * realized)
+        assert tampered.history[-1].strategies == outcome.history[-1].strategies
+        assert not verify_nash(net, tampered, params)
+
     def test_participants_differing_from_the_replay_detected(self):
         """A last record that names a node the replayed offer left out, or
         leaves out one it screened in, fails whatever the utilities say."""
@@ -520,8 +534,9 @@ class TestGameParams:
         assert GameParams(epsilon=0.5, budget=budget).epsilon == 0.5
 
     def test_max_rounds_at_least_one(self):
-        with pytest.raises(ValidationError):
-            GameParams(max_rounds=0)
+        for bad in (0, 2.5, math.inf, math.nan, True):
+            with pytest.raises(ValidationError, match=re.escape(f"max_rounds {bad!r} must be an int >= 1")):
+                GameParams(max_rounds=bad)
 
     def test_delta_in_unit_interval(self):
         with pytest.raises(ValidationError, match=r"^delta -0\.1 outside \[0, 1\]$"):

@@ -260,8 +260,12 @@ class TestRunSpread:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"delta": 1.5}, r"^delta 1\.5 outside \[0, 1\]$"),
-        ({"max_steps": 0}, "^max_steps 0 < 1$"),
-    ], ids=["delta-1.5", "max-steps-0"])
+        ({"max_steps": 0}, "^max_steps 0 must be an int >= 1$"),
+        ({"max_steps": 2.5}, r"^max_steps 2\.5 must be an int >= 1$"),
+        ({"max_steps": math.inf}, "^max_steps inf must be an int >= 1$"),
+        ({"max_steps": math.nan}, "^max_steps nan must be an int >= 1$"),
+        ({"max_steps": True}, "^max_steps True must be an int >= 1$"),
+    ], ids=["delta-1.5", "max-steps-0", "max-steps-2.5", "max-steps-inf", "max-steps-nan", "max-steps-True"])
     def test_out_of_range_params_rejected(self, kwargs, message):
         with pytest.raises(ValidationError, match=message):
             SpreadParams(**kwargs)

@@ -86,8 +86,9 @@ def test_a_bytecode_cache_in_one_checkout_only_stops_the_run(tmp_path, monkeypat
     assert record["workloads"]["game-1k"]["pairs"] == 4
 
 
-# One metric over 10 pairs with bound 0.25; parent [99, 101] * 5 has
-# median 100 and IQR 2, parent [40, 160] * 5 median 100 and IQR 120.
+# One metric over 10 pairs (3 in the last case) with bound 0.25; parent
+# [99, 101] * 5 has median 100 and IQR 2, parent [40, 160] * 5 median 100
+# and IQR 120.
 @pytest.mark.parametrize("better, parent, change, expected", [
     ("higher", [100.0] * 10, [70.0] * 10, "worse"),
     ("lower", [100.0] * 10, [130.0] * 10, "worse"),
@@ -96,21 +97,22 @@ def test_a_bytecode_cache_in_one_checkout_only_stops_the_run(tmp_path, monkeypat
     ("lower", [99.0, 101.0] * 5, [90.0] * 10, "better"),
     ("higher", [99.0, 101.0] * 5, [110.0] * 8 + [90.0] * 2, "no_worse"),
     ("higher", [99.0, 101.0] * 5, [100.0] * 10, "no_worse"),
+    ("higher", [99.0, 100.0, 101.0], [110.0] * 3, "no_worse"),
 ], ids=[
     "worse-higher", "worse-lower", "unresolved", "better-beats-every-parent-run",
-    "better-lower", "no-worse-8-of-10", "no-worse-equal",
+    "better-lower", "no-worse-8-of-10", "no-worse-equal", "no-worse-3-of-3-pairs",
 ])
 def test_each_end_to_end_metric_gets_a_verdict(monkeypatch, better, parent, change, expected):
     """worse is checked first, then unresolved (unless every change run beats
-    every parent run), then better (9 of 10 pairs and a median gain beyond
-    the parent IQR); any other case is no_worse."""
+    every parent run), then better (at least 10 pairs, 9 in 10 of them won
+    and a median gain beyond the parent IQR); any other case is no_worse."""
     bench_pairs = load_bench_pairs()
     values = {"P": iter(parent), "C": iter(change)}
     monkeypatch.setattr(bench_pairs, "run_bench",
                         lambda checkout, workload, seed, trace: {"m": next(values[str(checkout)])} if trace == 0 else {})
     bench = {"run_seconds": 20, "end_to_end": [{"name": "m", "better": better, "bound": 0.25}]}
     args = argparse.Namespace(parent=Path("P"), change=Path("C"))
-    record = bench_pairs.pairs_for(args, bench, "game-1k", 11, 10)
+    record = bench_pairs.pairs_for(args, bench, "game-1k", 11, len(parent))
     assert record["end_to_end"]["m"]["verdict"] == expected
 
 

@@ -79,8 +79,9 @@ def verdict(parent: dict, change: dict, wins: int, sign: float, bound: float) ->
       than bound * |parent median|;
     - "unresolved": the parent IQR is larger than that margin, unless
       every change run beats every parent run;
-    - "better": the change won at least 9 of 10 pairs, and its median
-      beats the parent's by more than the parent IQR;
+    - "better": at least 10 pairs ran, the change won at least 9 in 10
+      of them, and its median beats the parent's by more than the parent
+      IQR; fewer pairs cannot show a gain;
     - "no_worse": any other case.
     """
     margin = bound * abs(parent["median"])
@@ -90,7 +91,8 @@ def verdict(parent: dict, change: dict, wins: int, sign: float, bound: float) ->
     beats_all = min(sign * v for v in change["runs"]) > max(sign * v for v in parent["runs"])
     if parent["iqr"] > margin and not beats_all:
         return "unresolved"
-    if 10 * wins >= 9 * len(parent["runs"]) and gain > parent["iqr"]:
+    pairs = len(parent["runs"])
+    if pairs >= 10 and 10 * wins >= 9 * pairs and gain > parent["iqr"]:
         return "better"
     return "no_worse"
 
