@@ -240,6 +240,14 @@ def _utilization_initial(seed: int, n_nodes: int, budget: float) -> dict[int, fl
     return {i: raw[i] * scale for i in range(n_nodes)}
 
 
+def _check_seeds(seeds: int) -> None:
+    """Raise unless an experiment's seed count is a non-bool int >= 1."""
+    if isinstance(seeds, bool) or not isinstance(seeds, int):
+        raise ValidationError(f"seeds {seeds!r} must be an int")
+    if seeds < 1:
+        raise ValidationError(f"seeds {seeds} must be >= 1")
+
+
 def load_balance_experiment(
     seeds: int,
     n: int = 30,
@@ -255,8 +263,7 @@ def load_balance_experiment(
     spread per seed feeds both columns: its unscaled final is the
     baseline, and the game starts from it rescaled to the budget.
     """
-    if seeds < 1:
-        raise ValidationError(f"seeds {seeds} must be >= 1")
+    _check_seeds(seeds)
     sp = SpreadParams(delta=delta, budget=budget)
     gp = GameParams(delta=delta, budget=budget)
     rows = []
@@ -293,8 +300,7 @@ def utilization_experiment(
     once per (r, slope) grid combo; a demand counts as met when the
     allocation reaches it within _MET_TOL.
     """
-    if seeds < 1:
-        raise ValidationError(f"seeds {seeds} must be >= 1")
+    _check_seeds(seeds)
     n_nodes, demand = 6, 20.0
     net = complete_network(n_nodes, 1.0)
     demands = {i: demand for i in range(n_nodes)}

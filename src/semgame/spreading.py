@@ -11,7 +11,7 @@ energy budget.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -155,7 +155,7 @@ def _held_list(net: SemanticNetwork, state: ActivationState) -> tuple[list[float
 
 
 def _spread_once(
-    net: SemanticNetwork, values: list[float], firing: Iterable[int], delta: float
+    net: SemanticNetwork, values: list[float], firing: Sequence[int], delta: float
 ) -> list[float]:
     """Every node's held value plus what arrives from the firing set.
 
@@ -165,10 +165,24 @@ def _spread_once(
     arrivals `o * w * keep` left to right in ascending source order,
     starting from 0.0, and only then adds them to its own value: bit
     for bit what tests/oracles.step_oracle and criterion 2 compute.
+
+    When every position fires, each target pulls its arrivals over its
+    own row in one pass instead. Rows are symmetric and ascending by
+    position, so a target adds the same products in the same ascending
+    source order from 0.0, and the pull gives the push's floats. Any
+    smaller frontier is pushed, so its cost follows the firing set.
     """
     adjacency = net._dense
-    arriving = [0.0] * len(values)
     keep = 1.0 - delta
+    if len(firing) == len(values):
+        new = []
+        for v, row in zip(values, adjacency):
+            a = 0.0
+            for x, w in row:
+                a = a + values[x] * w * keep
+            new.append(v + a)
+        return new
+    arriving = [0.0] * len(values)
     for x in firing:
         o = values[x]
         for y, w in adjacency[x]:

@@ -321,7 +321,8 @@ class TestExperiments:
         assert 0.0 <= rows[0]["snm_util"] <= 1.0
 
     @pytest.mark.parametrize("experiment", [load_balance_experiment, utilization_experiment])
-    @pytest.mark.parametrize("seeds", [0, -1])
+    # A float once raised a bare TypeError from range(), and True ran one seed.
+    @pytest.mark.parametrize("seeds", [0, -1, 2.5, True, "3"])
     def test_experiments_need_a_seed(self, experiment, seeds):
         with pytest.raises(ValidationError, match="seeds"):
             experiment(seeds)

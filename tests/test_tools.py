@@ -159,8 +159,10 @@ def test_kernel_timings_alternate_and_ratios_pair_each_alternation(monkeypatch):
 
 def test_kernel_pairs_runs_and_a_planted_kernel_that_differs_stops_it(tmp_path, monkeypatch, capsys):
     """With this checkout on both sides the script prints one record per
-    size; with a change whose kernel folds `w * keep` first, which moves
-    the last bit of some arrivals, it exits before timing anything."""
+    size, timing each frontier apart; with a change whose kernel folds
+    `w * keep` first, which moves the last bit of some arrivals, it
+    exits before timing anything, whether the fold sits in the push
+    (reached by the partial frontier) or in the pull (the full one)."""
     kernel_pairs = load_kernel_pairs()
     repo = TOOLS.parent
     monkeypatch.setattr(kernel_pairs, "TIMING_S", 0.001)
@@ -170,19 +172,27 @@ def test_kernel_pairs_runs_and_a_planted_kernel_that_differs_stops_it(tmp_path, 
     assert list(record["sizes"]) == ["30", "40"]
     assert record["sizes"]["40"]["edges"] == 160
     assert record["sizes"]["30"]["python"] == record["python"]
-    assert len(record["sizes"]["30"]["ratios"]) == 2
+    frontiers = record["sizes"]["30"]["frontiers"]
+    assert {name: f["firing"] for name, f in frontiers.items()} == {"full": 30, "partial": 15}
+    assert all(len(f["ratios"]) == 2 for f in frontiers.values())
 
-    planted = tmp_path / "planted" / "src" / "semgame"
-    planted.mkdir(parents=True)
-    for path in (repo / "src" / "semgame").glob("*.py"):
-        text = path.read_text(encoding="utf-8")
-        if path.name == "spreading.py":
-            assert "arriving[y] + o * w * keep" in text
-            text = text.replace("arriving[y] + o * w * keep", "arriving[y] + o * (w * keep)")
-        (planted / path.name).write_text(text, encoding="utf-8")
     monkeypatch.setattr(kernel_pairs, "time_kernel", lambda *args: pytest.fail("a kernel was timed"))
-    with pytest.raises(SystemExit) as stopped:
-        kernel_pairs.main(["--parent", str(repo), "--change", str(tmp_path / "planted"), "--sizes", "30",
-                           "--alternations", "2"])
-    assert "at 30 nodes the kernels differ first at position" in str(stopped.value.code)
-    assert capsys.readouterr().out == ""
+    plants = {
+        "partial": ("arriving[y] + o * w * keep", "arriving[y] + o * (w * keep)"),
+        "full": ("a + values[x] * w * keep", "a + values[x] * (w * keep)"),
+    }
+    for frontier, (line, fold) in plants.items():
+        planted = tmp_path / frontier / "src" / "semgame"
+        planted.mkdir(parents=True)
+        for path in (repo / "src" / "semgame").glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            if path.name == "spreading.py":
+                assert text.count(line) == 1
+                text = text.replace(line, fold)
+            (planted / path.name).write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as stopped:
+            kernel_pairs.main(["--parent", str(repo), "--change", str(tmp_path / frontier), "--sizes", "30",
+                               "--alternations", "2"])
+        assert f"at 30 nodes with the {frontier} frontier the kernels differ first at position" in str(
+            stopped.value.code)
+        assert capsys.readouterr().out == ""

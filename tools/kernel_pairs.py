@@ -7,17 +7,18 @@ DIR is a source checkout holding `src/semgame`. Both checkouts' packages
 are imported into this one process under their own names, and each
 builds, with its own `build_network`, the same seeded graph per size: n
 nodes and 4n edges drawn like `perfbench/gen.py`. Each side's
-`spreading._spread_once` then pushes from every node at once. Before any
-timing both sides must give the same output bit for bit (by
-`float.hex`); the script stops otherwise. Per size it then times both
-sides per alternation, on graphs built afresh for it, alternating
-which side goes first and, every second alternation, which side is
-built first; each side's time in an alternation is the fastest of a
-few timings of a calibrated number of calls with the garbage collector
-off. It prints, per size, the change/parent ratio of
-every alternation, their median and how many the change won, and the
-Python version. Only the standard library is used, so any installed
-Python can run it.
+`spreading._spread_once` then runs on two frontiers (`FRONTIERS`):
+every node firing, which it pulls, and every second position, which it
+pushes. Before any timing both sides must give the same output bit for
+bit (by `float.hex`) at every size and frontier; the script stops
+otherwise. Per size and frontier it then times both sides per
+alternation, on graphs built afresh for it, alternating which side goes
+first and, every second alternation, which side is built first; each
+side's time in an alternation is the fastest of a few timings of a
+calibrated number of calls with the garbage collector off. It prints,
+per size and frontier, the change/parent ratio of every alternation,
+their median and how many the change won, and the Python version. Only
+the standard library is used, so any installed Python can run it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ SIDES = ("parent", "change")
 EDGES_PER_NODE = 4
 DELTA = 0.2
 SEED = 18
+# Frontier name -> stride of the firing positions: every node firing
+# (the pull) and every second position (the push).
+FRONTIERS = {"full": 1, "partial": 2}
 # Each timing lasts at least this long, so that the clock's resolution
 # is small against it; of REPEATS timings per side and alternation the
 # fastest counts, so that a stall from another process drops out.
@@ -71,22 +75,24 @@ def load_package(checkout: Path, alias: str) -> None:
     spec.loader.exec_module(package)
 
 
-def kernel_for(alias: str, edges: list[tuple[int, int, float]], values: list[float]) -> Kernel:
-    """The package's `_spread_once` on its own build of the graph, every node firing."""
+def kernel_for(alias: str, edges: list[tuple[int, int, float]], values: list[float], stride: int) -> Kernel:
+    """The package's `_spread_once` on its own build of the graph, every
+    `stride`-th position firing."""
     network = importlib.import_module(f"{alias}.network")
     spreading = importlib.import_module(f"{alias}.spreading")
     nodes = [network.ConceptNode(i, f"c{i}") for i in range(len(values))]
     net = network.build_network(nodes, [network.WeightedEdge(a, b, w) for a, b, w in edges])
-    firing = list(range(len(values)))
+    firing = list(range(0, len(values), stride))
     return lambda: spreading._spread_once(net, values, firing, DELTA)
 
 
-def check_identical(kernels: dict[str, Kernel], n: int) -> None:
+def check_identical(kernels: dict[str, Kernel], n: int, frontier: str) -> None:
     """Stop unless both sides' outputs are the same floats bit for bit."""
     parent, change = ([v.hex() for v in kernels[side]()] for side in SIDES)
     if parent != change:
         k = next((k for k, (a, b) in enumerate(zip(parent, change)) if a != b), min(len(parent), len(change)))
-        sys.exit(f"kernel_pairs: at {n} nodes the kernels differ first at position {k}; nothing was timed")
+        sys.exit(f"kernel_pairs: at {n} nodes with the {frontier} frontier the kernels differ first"
+                 f" at position {k}; nothing was timed")
 
 
 def time_kernel(kernel: Kernel, calls: int) -> float:
@@ -156,14 +162,20 @@ def main(argv: list[str] | None = None) -> int:
         "seed": SEED,
         "sizes": {},
     }
+    cases = []
     for n in sizes:
         rng = random.Random(SEED + n)
         edges = gen.random_edges(n, min(EDGES_PER_NODE * n, n * (n - 1) // 2), rng)
         values = [rng.random() for _ in range(n)]
-        builders = {side: functools.partial(kernel_for, alias, edges, values) for side, alias in aliases.items()}
-        check_identical({side: build() for side, build in builders.items()}, n)
-        record["sizes"][str(n)] = {"nodes": n, "edges": len(edges), "python": record["python"],
-                                   **alternate(builders, args.alternations)}
+        record["sizes"][str(n)] = {"nodes": n, "edges": len(edges), "python": record["python"], "frontiers": {}}
+        for frontier, stride in FRONTIERS.items():
+            builders = {side: functools.partial(kernel_for, alias, edges, values, stride)
+                        for side, alias in aliases.items()}
+            check_identical({side: build() for side, build in builders.items()}, n, frontier)
+            cases.append((n, frontier, stride, builders))
+    for n, frontier, stride, builders in cases:
+        record["sizes"][str(n)]["frontiers"][frontier] = {
+            "firing": len(range(0, n, stride)), **alternate(builders, args.alternations)}
     print(json.dumps(record, indent=1))
     return 0
 
