@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .game import GameOutcome, GameParams, rescale_to_budget, run_game
 from .generate import complete_network, generate_network
 from .network import PairJudgment, SemanticNetwork
-from .spreading import ActivationState, SpreadParams, _check_budget, _left_sum, run_spread
+from .spreading import ActivationState, SpreadParams, _check_budget, _check_limit, _left_sum, run_spread
 
 __all__ = [
     "EvalReport",
@@ -240,14 +240,6 @@ def _utilization_initial(seed: int, n_nodes: int, budget: float) -> dict[int, fl
     return {i: raw[i] * scale for i in range(n_nodes)}
 
 
-def _check_seeds(seeds: int) -> None:
-    """Raise unless an experiment's seed count is a non-bool int >= 1."""
-    if isinstance(seeds, bool) or not isinstance(seeds, int):
-        raise ValidationError(f"seeds {seeds!r} must be an int")
-    if seeds < 1:
-        raise ValidationError(f"seeds {seeds} must be >= 1")
-
-
 def load_balance_experiment(
     seeds: int,
     n: int = 30,
@@ -263,7 +255,7 @@ def load_balance_experiment(
     spread per seed feeds both columns: its unscaled final is the
     baseline, and the game starts from it rescaled to the budget.
     """
-    _check_seeds(seeds)
+    _check_limit("seeds", seeds)
     sp = SpreadParams(delta=delta, budget=budget)
     gp = GameParams(delta=delta, budget=budget)
     rows = []
@@ -300,7 +292,7 @@ def utilization_experiment(
     once per (r, slope) grid combo; a demand counts as met when the
     allocation reaches it within _MET_TOL.
     """
-    _check_seeds(seeds)
+    _check_limit("seeds", seeds)
     n_nodes, demand = 6, 20.0
     net = complete_network(n_nodes, 1.0)
     demands = {i: demand for i in range(n_nodes)}

@@ -307,7 +307,6 @@ def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) 
 
 def rank_nodes(state: ActivationState, k: int) -> list[tuple[int, float]]:
     """Top-k nodes by held energy, descending; ties broken by ascending id."""
-    if k < 1:
-        raise ValidationError(f"k {k} must be >= 1")
+    _check_limit("k", k)
     ordered = sorted(state.held.items(), key=lambda item: (-item[1], item[0]))
     return ordered[:k]

@@ -6,6 +6,7 @@ import random
 
 from .errors import ValidationError
 from .network import ConceptNode, SemanticNetwork, WeightedEdge, build_network
+from .spreading import _check_limit
 
 __all__ = ["generate_network", "complete_network"]
 
@@ -17,8 +18,7 @@ def generate_network(n: int, edge_prob: float, seed: int) -> SemanticNetwork:
     then gets an edge with probability edge_prob. The same (n,
     edge_prob, seed) triple always yields the identical network.
     """
-    if n < 2:
-        raise ValidationError(f"n {n} must be >= 2")
+    _check_limit("n", n, 2)
     if not 0.0 < edge_prob <= 1.0:
         raise ValidationError(f"edge_prob {edge_prob} outside (0, 1]")
     rng = random.Random(seed)
@@ -45,8 +45,7 @@ def generate_network(n: int, edge_prob: float, seed: int) -> SemanticNetwork:
 
 def complete_network(n: int, weight: float = 1.0) -> SemanticNetwork:
     """Complete graph with one uniform edge weight (symmetric scenario)."""
-    if n < 2:
-        raise ValidationError(f"n {n} must be >= 2")
+    _check_limit("n", n, 2)
     nodes = [ConceptNode(id=i, label=f"c{i}") for i in range(n)]
     edges = [WeightedEdge(a, b, weight) for a in range(n) for b in range(a + 1, n)]
     return build_network(nodes, edges)

@@ -75,10 +75,10 @@ def _check_budget(budget: float) -> None:
         raise ValidationError(f"budget {budget} must be finite and positive")
 
 
-def _check_limit(name: str, value: int) -> None:
-    """Raise unless a step, round or iteration limit is a non-bool int >= 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{name} {value!r} must be an int >= 1")
+def _check_limit(name: str, value: int, least: int = 1) -> None:
+    """Raise unless a count (limit, size, seeds, k) is a non-bool int >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValidationError(f"{name} {value!r} must be an int >= {least}")
 
 
 def check_state(net: SemanticNetwork, state: ActivationState) -> None:
@@ -250,6 +250,8 @@ def initial_activation(history: tuple[float, ...] | list[float], now: float) -> 
     energy is the log of the summed contributions, clamped at zero so
     stale or empty histories start cold. Same-moment uses are ignored.
     """
+    if not math.isfinite(now):
+        raise ValidationError(f"now {now} must be finite")
     if any(t > now for t in history):
         raise ValidationError("history timestamp in the future")
     terms = [(now - t) ** (-_HISTORY_DECAY) for t in history if now - t > 0]

@@ -1,8 +1,8 @@
 """Independent reference implementations used only to check the library.
 
 Everything here recomputes results from first principles (dense
-matrices, O(n^2) rank counting, exhaustive profile enumeration) and
-deliberately shares no code with the package internals it verifies.
+matrices, O(n^2) rank counting) and deliberately shares no code with
+the package internals it verifies.
 The planted-partition generator and the two reference scorers
 (source-blind centrality, personalized PageRank) are the relatedness
 instrument: data with known structure and the scores to beat.
@@ -109,30 +109,6 @@ def round_oracle(
             g = math.copysign(abs(change) ** (1.0 - delta), change) / len(nbrs)
         utilities[i] = g - rms
     return utilities
-
-
-def enumerate_equilibria(participants: list[int], utilities: dict[int, float]) -> list[dict]:
-    """All pure equilibria of the accept/reject game by 2^n enumeration.
-
-    A profile maps node -> True (accept) / False (reject). Each node's
-    payoff is its accept-utility when accepting and 0 when rejecting,
-    independent of the others, so a profile is an equilibrium iff no
-    single flip strictly improves that node's payoff.
-    """
-    m = len(participants)
-    equilibria = []
-    for mask in range(2 ** m):
-        profile = {nid: bool(mask >> pos & 1) for pos, nid in enumerate(participants)}
-        stable = True
-        for nid in participants:
-            payoff = utilities[nid] if profile[nid] else 0.0
-            flipped = 0.0 if profile[nid] else utilities[nid]
-            if flipped > payoff:
-                stable = False
-                break
-        if stable:
-            equilibria.append(profile)
-    return equilibria
 
 
 def cobweb_oracle(

@@ -35,7 +35,7 @@ from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_netwo
 from semgame.spreading import ActivationState, SpreadParams, seed_state, step
 
 from conftest import first_round, quick_net, two_cluster_net
-from oracles import counting_ranks, enumerate_equilibria, pearson, round_oracle, step_oracle
+from oracles import counting_ranks, pearson, round_oracle, step_oracle
 
 _MODULE_START = time.perf_counter()
 
@@ -194,7 +194,7 @@ def test_c03_spearman_oracle():
     assert time.perf_counter() - start < 1.0
 
 
-@criterion(4, "converged games' final rounds replay as dominant-strategy profiles (exhaustive cross-check)")
+@criterion(4, "converged games' final rounds replay as dominant-strategy profiles")
 def test_c04_nash_verification():
     start = time.perf_counter()
     weights = (0.0, 0.25, 0.5, 1.0)
@@ -217,11 +217,10 @@ def test_c04_nash_verification():
                 converged_count += 1
                 assert verify_nash(net, outcome, params)
                 pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-                participants = sorted(pre.held)
                 utils = round_oracle(n, edges, dict(pre.held), [0.0] * n, None, params.delta)
                 last = outcome.history[-1]
                 chosen = {nid: s is Strategy.ACCEPT for nid, s in last.strategies.items()}
-                assert chosen in enumerate_equilibria(participants, utils)
+                assert chosen == {nid: u > 0.0 for nid, u in utils.items()}
     assert converged_count > 8000
     assert time.perf_counter() - start < 60.0
 

@@ -4,6 +4,8 @@ import csv
 import gc
 import importlib.util
 import json
+import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from semgame import cli
 from semgame.cli import main
 from semgame.errors import ValidationError
-from semgame.evaluate import relatedness
+from semgame.evaluate import load_balance_experiment, relatedness
 from semgame.game import GameParams, RoundRecord
 from semgame.generate import complete_network, generate_network
 from semgame.network import (
@@ -216,7 +218,8 @@ class TestRelatednessCommand:
 
 
 class TestEvaluateCommand:
-    def test_monotone_pairs_give_rho_one(self, tmp_path):
+    @pytest.mark.parametrize("game", [True, False], ids=["game", "no-game"])
+    def test_monotone_pairs_give_rho_one(self, tmp_path, game):
         nodes = [ConceptNode(id=i, label=f"n{i}") for i in range(4)]
         edges = [WeightedEdge(0, 1, 0.2), WeightedEdge(0, 2, 0.5), WeightedEdge(0, 3, 0.9)]
         net = build_network(nodes, edges)
@@ -224,7 +227,7 @@ class TestEvaluateCommand:
         save_network(net, net_path)
 
         sp = SpreadParams(budget=100.0)
-        gp = GameParams(budget=100.0)
+        gp = GameParams(budget=100.0) if game else None
         models = {i: relatedness(net, 0, i, sp, gp) for i in (1, 2, 3)}
         order = sorted(models, key=models.get)
         human = {nid: 0.1 + 0.4 * pos for pos, nid in enumerate(order)}
@@ -234,7 +237,7 @@ class TestEvaluateCommand:
         out = tmp_path / "out"
         code = main([
             "evaluate", "--network", str(net_path), "--pairs", str(pairs_path),
-            "--scale", "unit", "--out", str(out),
+            "--scale", "unit", *([] if game else ["--no-game"]), "--out", str(out),
         ])
         assert code == 0
         summary = read_summary(out)
@@ -387,6 +390,19 @@ class TestExitCodes:
         assert "semgame: error: network has no nodes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicated_edge_exits_2(self, tmp_path, capsys):
+        """A pair given twice, here in reversed orientation, repeats a target
+        in a node's adjacency row; the error names the later edge."""
+        net_path = tmp_path / "dup.json"
+        net_path.write_text(json.dumps({
+            "nodes": [{"id": 0, "label": "a"}, {"id": 1, "label": "b"}],
+            "edges": [{"a": 0, "b": 1, "w": 0.5}, {"a": 1, "b": 0, "w": 0.2}],
+        }))
+        out = tmp_path / "o"
+        assert main(["spread", "--network", str(net_path), "--source", "a", "--out", str(out)]) == 2
+        assert "semgame: error: edges[1]: duplicate edge for pair (0, 1)" in capsys.readouterr().err.splitlines()
+        assert not out.exists()
+
     @pytest.mark.parametrize("first, second", [("0=30", "0=50"), ("0", "0=50"), ("0", "n0")])
     def test_node_named_twice_in_source_exits_2(self, tmp_path, capsys, first, second):
         _, net_path = write_chain(tmp_path)
@@ -442,7 +458,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         code = main(["compare", "--experiment", experiment, "--seeds", seeds, "--out", str(out)])
         assert code == 2
-        assert f"seeds {seeds} must be >= 1" in capsys.readouterr().err
+        assert f"seeds {seeds} must be an int >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     # The default fire threshold and epsilon are derived from --budget;
@@ -547,12 +563,17 @@ class TestGenerateNetwork:
         assert all(0.0 < e.weight <= 1.0 for e in net.edges)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValidationError):
-            generate_network(1, 0.5, 0)
+        # A float size once raised a bare TypeError from range().
+        for n in (1, 2.5, True, math.nan):
+            message = f"^n {re.escape(repr(n))} must be an int >= 2$"
+            with pytest.raises(ValidationError, match=message):
+                generate_network(n, 0.5, 0)
+            with pytest.raises(ValidationError, match=message):
+                complete_network(n)
+        with pytest.raises(ValidationError, match="^n 2.5 must be an int >= 2$"):
+            load_balance_experiment(1, n=2.5)
         with pytest.raises(ValidationError):
             generate_network(5, 0.0, 0)
-        with pytest.raises(ValidationError, match="^n 1 must be >= 2$"):
-            complete_network(1)
 
 
 def test_golden_manifest_covers_every_invocation():

@@ -384,3 +384,9 @@ class TestInitialActivation:
     def test_future_timestamp_rejected(self):
         with pytest.raises(ValidationError, match="future"):
             initial_activation((11.0,), now=10.0)
+
+    # nan once returned 0.0 silently, and inf raised a bare math domain error.
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    def test_non_finite_now_rejected(self, now):
+        with pytest.raises(ValidationError, match=f"^now {now} must be finite$"):
+            initial_activation((1.0,), now)
