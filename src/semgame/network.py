@@ -95,6 +95,11 @@ class SemanticNetwork:
     with them. Each node's entries, with the position ints and weight
     floats they hold, are allocated together, in node order, so a pass
     over the whole graph walks memory in order.
+
+    `_id_set` is the frozenset of every id, built once after `_dense`.
+    A spreading step in which every node fires returns it as the new
+    state's `activated`, and the next step knows it for the full set
+    without looking at its members.
     """
 
     nodes: tuple[ConceptNode, ...]
@@ -103,6 +108,7 @@ class SemanticNetwork:
     _sorted_ids: tuple[int, ...] = field(repr=False, compare=False)
     _positions: dict[int, int] = field(repr=False, compare=False)
     _dense: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False, compare=False)
+    _id_set: frozenset[int] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -182,7 +188,9 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
         tuple([(y + 0, w * 1.0) for y, w in sorted(zip(ts, ws))])
         for ts, ws in zip(targets, weights)
     )
-    return SemanticNetwork(tuple(nodes), tuple(edges), by_id, ids, positions, dense)
+    # The id set holds the ids' own ints, so, built last, it allocates
+    # one table and leaves the adjacency's layout as it is.
+    return SemanticNetwork(tuple(nodes), tuple(edges), by_id, ids, positions, dense, frozenset(ids))
 
 
 def _reject_duplicate_pair(edges: list[WeightedEdge]) -> None:

@@ -6,6 +6,11 @@ each neighbor, scaled by the edge weight and damped by the attenuation
 factor. Transmission copies energy rather than moving it, so totals can
 grow; the attention game (see game.py) is what enforces the fixed
 energy budget.
+
+A step in which every node fires returns the network's one all-ids
+frozenset (`SemanticNetwork._id_set`) as its `activated`, so a spread
+whose whole network keeps firing holds one set for all those steps, and
+the next step reads it as every position without sorting it.
 """
 
 from __future__ import annotations
@@ -136,14 +141,21 @@ def _held_list(net: SemanticNetwork, state: ActivationState) -> tuple[list[float
     """`state.held` by dense position (entry k is node `net.node_ids()[k]`)
     and the activated nodes' positions, ascending.
 
-    A subscript per id, one length check, a C-level min() and sum() find
-    every fault check_state names; only then does it run, to raise
-    naming the fault. (Finite values whose total overflows are valid.)
+    A held dict keyed in id order, as every state the package makes is,
+    is read by its values; any other by a subscript per id. Either read,
+    one length check, a C-level min() and sum() find every fault
+    check_state names; only then does it run, to raise naming the fault.
+    (Finite values whose total overflows are valid.) When `activated` is
+    the network's `_id_set`, the firing positions are all of them: the
+    reads have already found held to hold exactly the network's ids.
     """
-    held, positions = state.held, net._positions
+    held, ids, positions = state.held, net.node_ids(), net._positions
     try:
-        values = [held[nid] for nid in net.node_ids()]
-        firing = sorted([positions[nid] for nid in state.activated])
+        values = list(held.values()) if tuple(held) == ids else [held[nid] for nid in ids]
+        if state.activated is net._id_set:
+            firing = list(range(len(ids)))
+        else:
+            firing = sorted([positions[nid] for nid in state.activated])
     except KeyError:
         values = firing = None
     # min() misses a NaN after the first position; sum() carries it.
@@ -204,7 +216,8 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
     at or above the fire threshold; unchanged nodes never re-fire. The
     state must hold a finite, non-negative value for every node and for
     no other id, and fire only nodes it holds. A step whose total
-    overflows to a non-finite value raises.
+    overflows to a non-finite value raises. When every node fires, the
+    new state's `activated` is the network's `_id_set`, not a new set.
     """
     ids, threshold = net.node_ids(), params.fire_threshold
     values, firing = _held_list(net, state)
@@ -212,7 +225,8 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
     if not math.isfinite(sum(new)):
         raise ValidationError(f"spreading overflowed to a non-finite total at step {state.t + 1}")
     fired = [nid for nid, v, old in zip(ids, new, values) if v >= threshold and v != old]
-    return ActivationState(state.t + 1, dict(zip(ids, new)), frozenset(fired))
+    activated = net._id_set if len(fired) == len(ids) else frozenset(fired)
+    return ActivationState(state.t + 1, dict(zip(ids, new)), activated)
 
 
 def iter_spread(
@@ -254,6 +268,9 @@ def initial_activation(history: tuple[float, ...] | list[float], now: float) -> 
         raise ValidationError(f"now {now} must be finite")
     if any(t > now for t in history):
         raise ValidationError("history timestamp in the future")
+    for t in history:
+        if not math.isfinite(t):
+            raise ValidationError(f"history timestamp {t} must be finite")
     terms = [(now - t) ** (-_HISTORY_DECAY) for t in history if now - t > 0]
     if not terms:
         return 0.0

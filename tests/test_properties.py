@@ -11,7 +11,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semgame.baselines import CobwebParams, run_cobweb
@@ -145,6 +145,43 @@ def test_step_on_scattered_ids_equals_the_oracle_bit_for_bit(case, data):
     assert list(nxt.held) == ids
     assert [nxt.held[nid].hex() for nid in ids] == [want[k].hex() for k in range(n)]
     assert nxt.activated == {ids[k] for k in fired}
+
+
+@settings(max_examples=200, deadline=None)
+@given(scattered_networks(st.floats(0.05, 1.0)), st.data())
+def test_step_from_the_full_activated_set_equals_the_oracle_bit_for_bit(case, data):
+    """A step in which every node fires leaves the network's own all-ids
+    set as `activated`. The next step from that state equals the oracle
+    bit for bit, and equals the step from a copy with an equal but
+    distinct set and a held dict in reverse key order, which is read by a
+    subscript per id and a lookup per activated id."""
+    net, ids, edges = case
+    n = len(ids)
+    # With a neighbour each, held values of at least 1, weights of at
+    # least 0.05 and keep at least 0.1, every node's value moves, and
+    # stays at or above every drawn threshold: every node fires.
+    assume(all(net._dense))
+    held = data.draw(st.lists(st.floats(1.0, 100.0), min_size=n, max_size=n))
+    delta = data.draw(st.one_of(st.sampled_from([0.0, 0.2]), st.floats(0.0, 0.9)))
+    threshold = data.draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    params = SpreadParams(delta=delta, fire_threshold=threshold, budget=1.0)
+    state = step(net, ActivationState(0, dict(zip(ids, held)), frozenset(ids)), params)
+    assert state.activated is net._id_set
+
+    nxt = step(net, state, params)
+    values = {k: state.held[nid] for k, nid in enumerate(ids)}
+    want, fired = step_oracle(n, edges, values, set(range(n)), delta, threshold)
+    assert [nxt.held[nid].hex() for nid in ids] == [want[k].hex() for k in range(n)]
+    assert nxt.activated == {ids[k] for k in fired}
+    assert (nxt.activated is net._id_set) is (len(fired) == n)
+
+    copy = ActivationState(state.t, dict(reversed(state.held.items())), frozenset(list(state.activated)))
+    assert copy.activated == state.activated and copy.activated is not state.activated
+    assert list(copy.held) != list(state.held)
+    again = step(net, copy, params)
+    assert list(again.held) == ids
+    assert [again.held[nid].hex() for nid in ids] == [nxt.held[nid].hex() for nid in ids]
+    assert again.activated == nxt.activated
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 
 from semgame.errors import ValidationError
 from semgame.game import GameOutcome, GameParams, RoundRecord, run_game, verify_nash
-from semgame.generate import complete_network
+from semgame.generate import complete_network, generate_network
 from semgame.spreading import (
     ActivationState,
     SpreadParams,
@@ -161,6 +161,26 @@ class TestStep:
         with pytest.raises(ValidationError, match="^spreading overflowed to a non-finite total at step 1$"):
             step(net, seed_state(net, {0: 1e308}), SpreadParams(budget=1e308))
 
+    def test_full_activated_set_skips_no_check(self):
+        """A state whose activated set is the network's own all-ids set, as
+        a step in which every node fired leaves it, is checked as any other:
+        a negative, a NaN, a missing or an extra id raises what check_state
+        names, whichever order the held dict is keyed in."""
+        net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9)])
+        good = dict.fromkeys(range(5), 0.2)
+        for held, message in (
+            ({**good, 3: -1.0}, "^negative energy in activation state$"),
+            ({**good, 3: math.nan}, "^non-finite energy in activation state$"),
+            ({k: v for k, v in good.items() if k != 3}, r"^state holds no value for 1 node\(s\): 3$"),
+            ({**good, 7: 0.0}, "^state holds unknown node id 7$"),
+        ):
+            for keyed in (held, dict(reversed(held.items()))):
+                state = ActivationState(0, keyed, net._id_set)
+                with pytest.raises(ValidationError, match=message):
+                    step(net, state, SpreadParams(budget=1.0))
+                with pytest.raises(ValidationError, match=message):
+                    run_game(net, state, GameParams(budget=1.0))
+
     def test_activated_id_outside_network_rejected(self):
         """An activated id the network lacks is a ValidationError naming the
         activated set, not a bare KeyError."""
@@ -306,6 +326,21 @@ class TestRunSpread:
         assert states[0].t == 0
         assert [s.t for s in states] == list(range(len(states)))
 
+    def test_steady_full_frontier_spread_shares_one_activated_set(self):
+        """From the first step in which every node fires, each state's
+        activated set is the network's own all-ids frozenset; a step that
+        fires only some nodes still builds a set of its own."""
+        net = generate_network(200, 0.05, 0)
+        states = list(iter_spread(net, {0: 100.0}, SpreadParams()))
+        assert states[-1].t == SpreadParams().max_steps
+        full = next(t for t, state in enumerate(states) if len(state.activated) == net.n)
+        assert 1 < full < len(states) - 1
+        assert all(state.activated is net._id_set for state in states[full:])
+        for before, state in zip(states, states[1:full]):
+            fired = {nid for nid, v in state.held.items() if v != before.held[nid] and v >= 1e-4}
+            assert state.activated == fired and len(fired) < net.n
+            assert state.activated is not net._id_set
+
 
 class TestSpreadingProperties:
     def test_attenuation_bound_on_chains(self):
@@ -390,3 +425,12 @@ class TestInitialActivation:
     def test_non_finite_now_rejected(self, now):
         with pytest.raises(ValidationError, match=f"^now {now} must be finite$"):
             initial_activation((1.0,), now)
+
+    # nan once returned 0.0 silently, and -inf raised a bare math domain error.
+    @pytest.mark.parametrize(
+        "t, message",
+        [(math.nan, "nan must be finite"), (-math.inf, "-inf must be finite"), (math.inf, "in the future")],
+    )
+    def test_non_finite_timestamp_rejected(self, t, message):
+        with pytest.raises(ValidationError, match=f"^history timestamp {message}$"):
+            initial_activation((0.0, t), now=1.0)
