@@ -112,7 +112,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _held_json(state) -> dict[str, float]:
-    return {str(nid): state.held[nid] for nid in sorted(state.held)}
+    return {str(nid): v for nid, v in state.held.items()}
 
 
 def _cmd_spread(args) -> tuple[dict, dict]:
@@ -123,7 +123,7 @@ def _cmd_spread(args) -> tuple[dict, dict]:
     # Only the step in hand is kept; a trace keeps each step's rows.
     for final in iter_spread(net, sources, sp):
         if args.trace:
-            rows.extend([final.t, nid, final.held[nid]] for nid in sorted(final.held))
+            rows.extend([final.t, nid, v] for nid, v in final.held.items())
     tables = {"trace.csv": (["step", "node", "held"], rows)} if args.trace else {}
     summary = {
         "network": str(args.network),
@@ -149,10 +149,10 @@ def _cmd_game(args) -> tuple[dict, dict]:
             # Read once per record: each read builds the dict anew.
             strategies = rec.strategies
             rows.extend(
-                [index, nid, rec.state.held[nid],
+                [index, nid, v,
                  strategies[nid].value if nid in strategies else "",
                  rec.utilities.get(nid, ""), rec.cost]
-                for nid in sorted(rec.state.held)
+                for nid, v in rec.state.held.items()
             )
         tables["trace.csv"] = (["round", "node", "held", "strategy", "utility", "round_cost"], rows)
     summary = {

@@ -88,12 +88,17 @@ def spearman(xs: list[float], ys: list[float]) -> float:
     mean of their positions).
 
     Ranks are multiples of 0.5, so the sums are exact: monotone
-    agreement gives +1.0 and reversal -1.0.
+    agreement gives +1.0 and reversal -1.0. A NaN in either sample
+    raises; ±inf ranks like any other value.
     """
     if len(xs) != len(ys):
         raise ValidationError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValidationError("need at least 2 observations")
+    for name, sample in (("xs", xs), ("ys", ys)):
+        for i, v in enumerate(sample):
+            if math.isnan(v):
+                raise ValidationError(f"spearman: {name}[{i}] is NaN, which has no rank")
     rho = _pearson(_average_ranks(xs), _average_ranks(ys))
     return min(1.0, max(-1.0, rho))
 
@@ -197,21 +202,35 @@ def evaluate_pairs(
 
 
 def load_balance(state: ActivationState) -> float:
-    """Population standard deviation of held energies (0 iff uniform)."""
-    values = [state.held[nid] for nid in sorted(state.held)]
+    """Population standard deviation of held energies (0 iff uniform);
+    a non-finite mean or result raises."""
+    values = [v for _, v in sorted(state.held.items())]
     if len(values) < 2:
         raise ValidationError("load balance needs at least 2 nodes")
     mean = _left_sum(values) / len(values)
-    return math.sqrt(_left_sum((v - mean) ** 2 for v in values) / len(values))
+    if not math.isfinite(mean):
+        raise ValidationError(f"load balance undefined: mean held energy {mean} is not finite")
+    try:
+        result = math.sqrt(_left_sum((v - mean) ** 2 for v in values) / len(values))
+    except OverflowError:  # a square beyond the float range
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValidationError(f"load balance {result} is not finite")
+    return result
 
 
 def utilization(
     allocations: Mapping[int, float], demands: Mapping[int, float], budget: float
 ) -> float:
-    """Fraction of the budget that lands within demand: sum(min(a_i, d_i)) / budget."""
+    """Fraction of the budget that lands within demand: sum(min(a_i, d_i)) / budget.
+    A NaN allocation or demand raises."""
     _check_budget(budget)
     if set(allocations) != set(demands):
         raise ValidationError("allocations and demands keyed over different nodes")
+    for what, mapping in (("allocation", allocations), ("demand", demands)):
+        for k, v in mapping.items():
+            if math.isnan(v):
+                raise ValidationError(f"utilization: NaN {what} for node {k}")
     useful = _left_sum(min(allocations[k], demands[k]) for k in sorted(allocations))
     return min(1.0, max(0.0, useful / budget))
 
@@ -304,7 +323,7 @@ def utilization_experiment(
         initial = _utilization_initial(seed, n_nodes, budget)
 
         outcome = run_pipeline(net, initial, sp, gp)
-        held = {i: outcome.final.held[i] for i in range(n_nodes)}
+        held = dict(outcome.final.held.items())
         row = {
             "seed": seed,
             "snm_util": utilization(held, demands, budget),

@@ -12,9 +12,10 @@ rescaled so total energy stays at the budget. Rounds repeat until the
 distribution stops moving or the round limit is hit.
 
 `run_game` validates its initial state once, then carries the
-distribution from round to round as a list by dense position (entry k
-is node `net.node_ids()[k]`); each round's record is the only place it
-becomes an id-keyed state again. A record keeps only what cannot be
+distribution from round to round as a tuple by dense position (entry k
+is node `net.node_ids()[k]`); each round's record holds that same tuple
+behind a read-only id-keyed view (`spreading._Held`), which the next
+round or step reads without a copy. A record keeps only what cannot be
 derived: the state, the realized utilities and the cost. Strategies
 are read off the utilities, and a round that accepts the set the state
 before it activated shares that state's frozenset. The outcome reads
@@ -32,8 +33,8 @@ from enum import Enum
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import (ActivationState, _check_budget, _check_limit, _check_within_budget, _held_list,
-                        _left_sum, _spread_once)
+from .spreading import (ActivationState, _check_budget, _check_limit, _check_within_budget, _Held,
+                        _held_list, _left_sum, _spread_once)
 
 __all__ = [
     "Strategy",
@@ -130,7 +131,7 @@ class GameOutcome:
         return len(self.history)
 
 
-def _participants(net: SemanticNetwork, values: list[float], params: GameParams) -> list[int]:
+def _participants(net: SemanticNetwork, values: Sequence[float], params: GameParams) -> list[int]:
     """Screened participants' dense positions, ascending.
 
     `values` is the round's held value by position. A position takes
@@ -173,9 +174,9 @@ def gain(change: float, degree: int, delta: float) -> float:
     return math.copysign(abs(change) ** (1.0 - delta), change) / degree
 
 
-def _rescale(values: list[float], budget: float) -> list[float]:
+def _rescale(values: Sequence[float], budget: float) -> Sequence[float]:
     """`values` scaled so that their left-to-right sum is the budget; the
-    list itself when that sum is not positive. A non-finite sum raises."""
+    sequence itself when that sum is not positive. A non-finite sum raises."""
     total = _left_sum(values)
     if not math.isfinite(total):
         raise ValidationError(f"cannot rescale energies totalling {total} to the budget")
@@ -192,20 +193,26 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
     states; a non-finite total or budget raises).
 
     The sum runs in ascending id order, and the result holds its values
-    in that order.
+    in that order. A state holding a `_Held` view, as every state the
+    package builds does, comes back holding a view over the same ids;
+    any other mapping comes back as a dict. `dict(state.held)` copies
+    a view.
     """
     _check_budget(budget)
-    ids = sorted(state.held)
-    values = [state.held[nid] for nid in ids]
+    held = state.held
+    view = type(held) is _Held
+    ids = held._ids if view else sorted(held)
+    values = held._values if view else [held[nid] for nid in ids]
     scaled = _rescale(values, budget)
     if scaled is values:
         return state
-    return ActivationState(state.t, dict(zip(ids, scaled)), state.activated)
+    rescaled = _Held(ids, held._positions, tuple(scaled)) if view else dict(zip(ids, scaled))
+    return ActivationState(state.t, rescaled, state.activated)
 
 
 def _offer(
-    net: SemanticNetwork, values: list[float], params: GameParams
-) -> tuple[list[float], list[int], dict[int, float]]:
+    net: SemanticNetwork, values: Sequence[float], params: GameParams
+) -> tuple[Sequence[float], list[int], dict[int, float]]:
     """A round's offer, the positions that accept it and every
     participant's realized utility.
 
@@ -263,7 +270,7 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     values, activated = _held_list(net, initial)
     _check_within_budget(initial.held.values(), params.budget, "initial energy")
 
-    ids = net.node_ids()
+    ids, positions = net.node_ids(), net._positions
     state = initial
     history: list[RoundRecord] = []
     converged = False
@@ -274,14 +281,14 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
             committed = list(values)
             for k in accepted:
                 committed[k] = offered[k]
-            new_values = _rescale(committed, params.budget)
-            # Free the round's n-entry lists before the state's dict is built.
+            new_values = tuple(_rescale(committed, params.budget))
+            # Free the round's n-entry lists; the record keeps only the tuple.
             del offered, committed
             # `activated` is `state.activated` by position. Both lists are
             # ascending, so equal lists are equal sets, and a steady game
             # keeps one activated frozenset instead of one per round.
             shared = state.activated if accepted == activated else frozenset([ids[k] for k in accepted])
-            state = ActivationState(state.t + 1, dict(zip(ids, new_values)), shared)
+            state = ActivationState(state.t + 1, _Held(ids, positions, new_values), shared)
             activated = accepted
         round_cost = cost(values, new_values)
         history.append(RoundRecord(state, utilities, round_cost))

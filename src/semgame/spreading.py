@@ -11,12 +11,18 @@ A step in which every node fires returns the network's one all-ids
 frozenset (`SemanticNetwork._id_set`) as its `activated`, so a spread
 whose whole network keeps firing holds one set for all those steps, and
 the next step reads it as every position without sorting it.
+
+Every state the package builds (`seed_state`, `step`, `rescale_to_budget`
+and each game round's record) holds a read-only `_Held` view: the
+network's ids beside a tuple of values by dense position, which the
+next step reads as it is. It is a `Mapping` like any other, ascending
+by id; `dict(state.held)` gives a mutable or JSON-ready copy.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -38,11 +44,64 @@ class ActivationState:
 
     `held` is what each node currently holds; `activated` is the set of
     nodes that fired (or, after a game round, accepted) at this step.
+    A state the package builds holds a read-only view as `held` (see
+    `_Held`); `dict(state.held)` gives a mutable or JSON-ready copy.
     """
 
     t: int
     held: Mapping[int, float]
     activated: frozenset[int]
+
+
+class _Held(Mapping):
+    """Read-only id -> value mapping over a network's `node_ids()`, its
+    `_positions` and a tuple with one value per id by dense position;
+    iterates in ascending id order. Only the package builds one.
+
+    `values()` is the tuple itself, so `_held_list` takes it as it is
+    when the view is over the network's own `node_ids()` tuple.
+    """
+
+    __slots__ = ("_ids", "_positions", "_values")
+
+    def __init__(self, ids: tuple[int, ...], positions: dict[int, int], values: tuple[float, ...]) -> None:
+        self._ids, self._positions, self._values = ids, positions, values
+
+    def __getitem__(self, nid: int) -> float:
+        return self._values[self._positions[nid]]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __reversed__(self) -> Iterator[int]:
+        return reversed(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __contains__(self, nid: object) -> bool:
+        return nid in self._positions
+
+    def values(self) -> tuple[float, ...]:
+        return self._values
+
+    def items(self) -> _HeldItems:
+        return _HeldItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _HeldItems(ItemsView):
+    """A `_Held`'s (id, value) pairs, zipped rather than looked up."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        return zip(self._mapping._ids, self._mapping._values)
+
+    def __reversed__(self) -> Iterator[tuple[int, float]]:
+        return zip(reversed(self._mapping._ids), reversed(self._mapping._values))
 
 
 @dataclass(frozen=True)
@@ -120,7 +179,8 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
             raise ValidationError(f"source id {nid} not in network")
         if not math.isfinite(energy) or energy < 0:
             raise ValidationError(f"source {nid}: negative or non-finite energy {energy}")
-    held = {nid: float(sources.get(nid, 0.0)) for nid in net.node_ids()}
+    ids = net.node_ids()
+    held = _Held(ids, net._positions, tuple([float(sources.get(nid, 0.0)) for nid in ids]))
     return ActivationState(0, held, frozenset(sources))
 
 
@@ -137,21 +197,29 @@ def _left_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _held_list(net: SemanticNetwork, state: ActivationState) -> tuple[list[float], list[int]]:
+def _held_list(net: SemanticNetwork, state: ActivationState) -> tuple[Sequence[float], list[int]]:
     """`state.held` by dense position (entry k is node `net.node_ids()[k]`)
     and the activated nodes' positions, ascending.
 
-    A held dict keyed in id order, as every state the package makes is,
-    is read by its values; any other by a subscript per id. Either read,
-    one length check, a C-level min() and sum() find every fault
-    check_state names; only then does it run, to raise naming the fault.
-    (Finite values whose total overflows are valid.) When `activated` is
-    the network's `_id_set`, the firing positions are all of them: the
-    reads have already found held to hold exactly the network's ids.
+    A `_Held` view over this network's own `node_ids()` tuple, as every
+    state the package builds holds, is read as its values tuple with no
+    copy. Any other mapping keyed in id order (a view from another
+    network among them) is read by its values, and the rest by a
+    subscript per id. Whichever read, one length check, a C-level min()
+    and sum() then find every fault check_state names, on views as on
+    dicts; only then does it run, to raise naming the fault. (Finite
+    values whose total overflows are valid.) When `activated` is the
+    network's `_id_set`, the firing positions are all of them: the reads
+    have already found held to hold exactly the network's ids.
     """
     held, ids, positions = state.held, net.node_ids(), net._positions
     try:
-        values = list(held.values()) if tuple(held) == ids else [held[nid] for nid in ids]
+        if type(held) is _Held and held._ids is ids:
+            values = held._values
+        elif tuple(held) == ids:
+            values = list(held.values())
+        else:
+            values = [held[nid] for nid in ids]
         if state.activated is net._id_set:
             firing = list(range(len(ids)))
         else:
@@ -167,13 +235,13 @@ def _held_list(net: SemanticNetwork, state: ActivationState) -> tuple[list[float
 
 
 def _spread_once(
-    net: SemanticNetwork, values: list[float], firing: Sequence[int], delta: float
+    net: SemanticNetwork, values: Sequence[float], firing: Sequence[int], delta: float
 ) -> list[float]:
     """Every node's held value plus what arrives from the firing set.
 
-    `values` and the result are lists by dense position: entry k is
-    node `net.node_ids()[k]`. `firing` holds positions in ascending
-    order, which is ascending id order, so each target sums its
+    `values` (a list or tuple) and the result are by dense position:
+    entry k is node `net.node_ids()[k]`. `firing` holds positions in
+    ascending order, which is ascending id order, so each target sums its
     arrivals `o * w * keep` left to right in ascending source order,
     starting from 0.0, and only then adds them to its own value: bit
     for bit what tests/oracles.step_oracle and criterion 2 compute.
@@ -218,6 +286,8 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
     no other id, and fire only nodes it holds. A step whose total
     overflows to a non-finite value raises. When every node fires, the
     new state's `activated` is the network's `_id_set`, not a new set.
+    The new state's `held` is a read-only `_Held` view over the step's
+    values; `dict(state.held)` copies it.
     """
     ids, threshold = net.node_ids(), params.fire_threshold
     values, firing = _held_list(net, state)
@@ -226,7 +296,7 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
         raise ValidationError(f"spreading overflowed to a non-finite total at step {state.t + 1}")
     fired = [nid for nid, v, old in zip(ids, new, values) if v >= threshold and v != old]
     activated = net._id_set if len(fired) == len(ids) else frozenset(fired)
-    return ActivationState(state.t + 1, dict(zip(ids, new)), activated)
+    return ActivationState(state.t + 1, _Held(ids, net._positions, tuple(new)), activated)
 
 
 def iter_spread(

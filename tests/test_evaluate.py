@@ -87,6 +87,17 @@ class TestSpearman:
         with pytest.raises(ValidationError, match="zero rank variance"):
             spearman([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_nan_sample_raises_and_infinities_rank(self):
+        """A NaN has no rank: it raises, naming the sample and position,
+        instead of giving rho 1.0. ±inf rank below and above every
+        finite value."""
+        with pytest.raises(ValidationError, match=r"^spearman: xs\[0\] is NaN, which has no rank$"):
+            spearman([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match=r"^spearman: ys\[2\] is NaN, which has no rank$"):
+            spearman([1.0, 2.0, 3.0], [1.0, 2.0, math.nan])
+        assert spearman([-math.inf, 0.0, math.inf], [1.0, 2.0, 3.0]) == 1.0
+        assert spearman([math.inf, 5.0, -math.inf], [1.0, 2.0, 3.0]) == -1.0
+
 
 class TestRelatedness:
     def test_self_pair_is_one_on_symmetric_networks(self):
@@ -260,6 +271,20 @@ class TestLoadBalance:
         with pytest.raises(ValidationError):
             load_balance(self.state({0: 1.0}))
 
+    def test_non_finite_mean_or_result_raises(self):
+        """A NaN or infinite energy makes the mean non-finite, and energies
+        whose squared deviations overflow make the result infinite: each
+        raises instead of returning nan or inf."""
+        for held, mean in (({0: math.nan, 1: 1.0}, "nan"), ({0: math.inf, 1: 1.0}, "inf"),
+                           ({0: 1.0, 1: -math.inf}, "-inf"), ({0: math.inf, 1: -math.inf}, "nan")):
+            with pytest.raises(ValidationError, match=f"^load balance undefined: mean held energy {mean} is not finite$"):
+                load_balance(self.state(held))
+        # 2.5e154 squares within range but the squares' sum overflows;
+        # 1e200's square is beyond the float range.
+        for big in (2.5e154, 1e200):
+            with pytest.raises(ValidationError, match="^load balance inf is not finite$"):
+                load_balance(self.state({0: big, 1: 0.0}))
+
 
 class TestUtilization:
     def test_demands_met_under_budget(self):
@@ -287,6 +312,14 @@ class TestUtilization:
     def test_mismatched_keys(self):
         with pytest.raises(ValidationError, match="different nodes"):
             utilization({0: 1.0}, {1: 1.0}, 10.0)
+
+    def test_nan_allocation_or_demand_raises(self):
+        """min() passes a NaN allocation through and drops a NaN demand, so
+        either used to give a quiet figure (0.0 here); now each raises."""
+        with pytest.raises(ValidationError, match="^utilization: NaN allocation for node 0$"):
+            utilization({0: math.nan, 1: 1.0}, {0: 1.0, 1: 1.0}, 2.0)
+        with pytest.raises(ValidationError, match="^utilization: NaN demand for node 1$"):
+            utilization({0: 1.0, 1: 1.0}, {0: 1.0, 1: math.nan}, 2.0)
 
     def test_budget_must_be_finite_and_positive(self):
         """A NaN or infinite budget raises instead of giving a quiet 0.0 (or,

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from semgame.baselines import CobwebParams, run_cobweb
 from semgame.errors import ValidationError
 from semgame.evaluate import _all_met, _utilization_initial, evaluate_pairs, load_balance, relatedness, run_pipeline
-from semgame.game import GameParams, Strategy, run_game
+from semgame.game import GameParams, Strategy, rescale_to_budget, run_game, verify_nash
 from semgame.generate import complete_network, generate_network
 from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
-from semgame.spreading import ActivationState, SpreadParams, run_spread, step
+from semgame.spreading import ActivationState, SpreadParams, _Held, run_spread, seed_state, step
 
 from conftest import first_round
 from oracles import cobweb_oracle, game_oracle, round_oracle, step_oracle
@@ -274,6 +274,55 @@ def test_game_equals_the_oracle_without_participants_and_on_mixed_rounds():
     params = dataclasses.replace(params, screen_threshold=None)
     rounds = _assert_game_equals_the_oracle(net, ids, edges, [0.0] * 3, held, {2}, params)
     assert set(rounds[0][2].values()) == {True, False}
+
+
+def _bits(state: ActivationState) -> tuple[list, list]:
+    """A state's (id, float.hex) pairs in iteration order and its activated ids."""
+    return [(nid, v.hex()) for nid, v in state.held.items()], sorted(state.activated)
+
+
+@SETTINGS
+@given(scattered_networks(st.one_of(SIGNED_ZERO, WEIGHTS)), st.data())
+def test_view_backed_states_run_as_their_dict_copies_bit_for_bit(case, data):
+    """Two steps, a rescale, a game's whole history and the replay check
+    give the same floats (by float.hex) from a package-built state, which
+    holds a `_Held` view, from its copy holding `dict(s.held)`, and from
+    the view carried to a second network built from the same nodes and
+    edges, whose distinct node_ids() tuple sends the view through the
+    checked read."""
+    net, ids, _ = case
+    n = len(ids)
+    twin = build_network(list(net.nodes), list(net.edges))
+    assert twin.node_ids() == net.node_ids() and twin.node_ids() is not net.node_ids()
+    budget = data.draw(st.sampled_from([1.0, 100.0]))
+    held = data.draw(st.lists(st.one_of(SIGNED_ZERO, st.floats(0.0, budget / n)), min_size=n, max_size=n))
+    firing = data.draw(st.one_of(st.just(set(range(n))), st.sets(st.integers(0, n - 1))))
+    view = dataclasses.replace(seed_state(net, dict(zip(ids, held))), activated=frozenset(ids[k] for k in firing))
+    assert type(view.held) is _Held
+    copy = ActivationState(view.t, dict(view.held), view.activated)
+    delta = data.draw(st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0)))
+    sp = SpreadParams(delta=delta, fire_threshold=data.draw(st.sampled_from([0.0, 1e-6 * budget])), budget=budget)
+    gp = GameParams(
+        max_rounds=data.draw(st.integers(1, 4)),
+        screen_threshold=data.draw(st.one_of(st.none(), st.sampled_from([0.0, 0.01 * budget]))),
+        delta=delta,
+        budget=budget,
+    )
+    runs = []
+    for network, state in ((net, view), (net, copy), (twin, view)):
+        first = step(network, state, sp)
+        outcome = run_game(network, state, gp)
+        runs.append((
+            _bits(first),
+            _bits(step(network, first, sp)),
+            _bits(rescale_to_budget(state, budget)),
+            [(_bits(rec.state), [(k, u.hex()) for k, u in rec.utilities.items()], rec.cost.hex())
+             for rec in outcome.history],
+            outcome.converged,
+            verify_nash(network, outcome, gp),
+        ))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][-1] is True
 
 
 @SETTINGS

@@ -3,16 +3,19 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 
 import pytest
 
 from semgame.errors import ValidationError
-from semgame.game import GameOutcome, GameParams, RoundRecord, run_game, verify_nash
+from semgame.game import GameOutcome, GameParams, RoundRecord, rescale_to_budget, run_game, verify_nash
 from semgame.generate import complete_network, generate_network
+from semgame.network import ConceptNode, WeightedEdge, build_network
 from semgame.spreading import (
     ActivationState,
     SpreadParams,
+    _Held,
     initial_activation,
     iter_spread,
     run_spread,
@@ -340,6 +343,96 @@ class TestRunSpread:
             fired = {nid for nid, v in state.held.items() if v != before.held[nid] and v >= 1e-4}
             assert state.activated == fired and len(fired) < net.n
             assert state.activated is not net._id_set
+
+
+class TestHeldView:
+    """Every state the package builds holds a read-only `_Held` view that
+    behaves as the id-keyed dict the package built before it."""
+
+    @staticmethod
+    def package_states():
+        """A network with scattered ids, listed out of order, and the states
+        seed_state, step, rescale_to_budget and each game round build on it."""
+        ids = (-7, 2, 9, 30, 31)
+        nodes = [ConceptNode(nid, f"c{nid}") for nid in reversed(ids)]
+        edges = [WeightedEdge(9, -7, 0.6), WeightedEdge(2, 9, 0.3), WeightedEdge(30, 2, 0.9),
+                 WeightedEdge(9, 31, 0.45)]
+        net = build_network(nodes, edges)
+        assert net.node_ids() == ids
+        seeded = seed_state(net, {9: 0.75})
+        stepped = step(net, seeded, SpreadParams(budget=1.0))
+        scaled = rescale_to_budget(stepped, 1.0)
+        assert scaled != stepped
+        history = run_game(net, scaled, GameParams(budget=1.0, max_rounds=4)).history
+        assert any(rec.state != scaled for rec in history)
+        return net, [seeded, stepped, scaled, *(rec.state for rec in history)]
+
+    def test_package_states_hold_a_view_that_acts_as_a_dict(self):
+        """Iteration is ascending by id; len, in, reversed(), items(), ==,
+        repr and dict() agree with the dict over the same values; an unknown
+        id raises KeyError; item assignment raises TypeError; values() is
+        an immutable tuple; pickle round-trips to an equal state that steps
+        to the same state."""
+        net, states = self.package_states()
+        ids = net.node_ids()
+        for state in states:
+            held = state.held
+            assert type(held) is _Held
+            as_dict = {nid: held[nid] for nid in ids}
+            assert list(held) == list(held.keys()) == list(as_dict) == sorted(ids)
+            assert len(held) == len(as_dict) == 5
+            assert all(nid in held for nid in ids) and 8 not in held and "9" not in held
+            assert list(held.items()) == list(as_dict.items())
+            assert list(reversed(held.items())) == list(reversed(as_dict.items()))
+            assert list(reversed(held)) == list(reversed(as_dict))
+            assert list(held.values()) == list(as_dict.values())
+            assert dict(held) == as_dict and held == as_dict and as_dict == held
+            assert repr(held) == repr(as_dict)
+            assert held.get(8) is None and held.get(9) == as_dict[9]
+            with pytest.raises(KeyError):
+                held[8]
+            with pytest.raises(TypeError):
+                held[9] = 1.0
+            with pytest.raises(TypeError):
+                del held[9]
+            assert type(held.values()) is tuple
+            with pytest.raises(TypeError):
+                held.values()[0] = 1.0
+            copy = pickle.loads(pickle.dumps(state))
+            assert copy == state and type(copy.held) is _Held
+            params = SpreadParams(budget=1.0)
+            assert step(net, copy, params) == step(net, state, params)
+
+    def test_checks_fire_on_views(self):
+        """A view holding a negative, NaN or inf value, or a view over
+        another network with a node fewer or one more, raises what
+        check_state names from step and from run_game, with a partial or
+        the network's own all-ids activated set: the min/sum validation
+        runs on views as on dicts."""
+        net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9)])
+        ids, positions = net.node_ids(), net._positions
+        cases = []
+        for position, bad, message in (
+            (3, -1.0, "^negative energy in activation state$"),
+            (3, -math.inf, "^negative energy in activation state$"),
+            (0, math.nan, "^non-finite energy in activation state$"),
+            (3, math.nan, "^non-finite energy in activation state$"),
+            (3, math.inf, "^non-finite energy in activation state$"),
+        ):
+            values = [0.2] * 5
+            values[position] = bad
+            cases.append((_Held(ids, positions, tuple(values)), message))
+        for other, message in ((4, r"^state holds no value for 1 node\(s\): 4$"),
+                               (6, "^state holds unknown node id 5$")):
+            cases.append((seed_state(quick_net(other, [(0, 1, 0.5)]), {0: 0.2}).held, message))
+        for held, message in cases:
+            assert type(held) is _Held
+            for activated in (frozenset({0}), net._id_set):
+                state = ActivationState(0, held, activated)
+                with pytest.raises(ValidationError, match=message):
+                    step(net, state, SpreadParams(budget=1.0))
+                with pytest.raises(ValidationError, match=message):
+                    run_game(net, state, GameParams(budget=1.0))
 
 
 class TestSpreadingProperties:
