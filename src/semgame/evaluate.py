@@ -95,10 +95,8 @@ def spearman(xs: list[float], ys: list[float]) -> float:
         raise ValidationError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValidationError("need at least 2 observations")
-    for name, sample in (("xs", xs), ("ys", ys)):
-        for i, v in enumerate(sample):
-            if math.isnan(v):
-                raise ValidationError(f"spearman: {name}[{i}] is NaN, which has no rank")
+    if any(map(math.isnan, xs)) or any(map(math.isnan, ys)):
+        raise ValidationError("spearman: a NaN sample value has no rank")
     rho = _pearson(_average_ranks(xs), _average_ranks(ys))
     return min(1.0, max(-1.0, rho))
 
@@ -203,19 +201,17 @@ def evaluate_pairs(
 
 def load_balance(state: ActivationState) -> float:
     """Population standard deviation of held energies (0 iff uniform);
-    a non-finite mean or result raises."""
+    a non-finite result raises."""
     values = [v for _, v in sorted(state.held.items())]
     if len(values) < 2:
         raise ValidationError("load balance needs at least 2 nodes")
     mean = _left_sum(values) / len(values)
-    if not math.isfinite(mean):
-        raise ValidationError(f"load balance undefined: mean held energy {mean} is not finite")
     try:
         result = math.sqrt(_left_sum((v - mean) ** 2 for v in values) / len(values))
     except OverflowError:  # a square beyond the float range
         result = math.inf
     if not math.isfinite(result):
-        raise ValidationError(f"load balance {result} is not finite")
+        raise ValidationError(f"load balance {result} is not finite (mean held energy {mean})")
     return result
 
 
@@ -227,10 +223,8 @@ def utilization(
     _check_budget(budget)
     if set(allocations) != set(demands):
         raise ValidationError("allocations and demands keyed over different nodes")
-    for what, mapping in (("allocation", allocations), ("demand", demands)):
-        for k, v in mapping.items():
-            if math.isnan(v):
-                raise ValidationError(f"utilization: NaN {what} for node {k}")
+    if any(map(math.isnan, allocations.values())) or any(map(math.isnan, demands.values())):
+        raise ValidationError("utilization: NaN allocation or demand")
     useful = _left_sum(min(allocations[k], demands[k]) for k in sorted(allocations))
     return min(1.0, max(0.0, useful / budget))
 

@@ -13,10 +13,9 @@ distribution stops moving or the round limit is hit.
 
 `run_game` validates its initial state once, then carries the
 distribution from round to round as a tuple by dense position (entry k
-is node `net.node_ids()[k]`); each round's record holds that same tuple
-behind a read-only id-keyed view (`spreading._Held`), which the next
-round or step reads without a copy. A record keeps only what cannot be
-derived: the state, the realized utilities and the cost. Strategies
+is node `net.node_ids()[k]`); each round's record holds that tuple
+behind a read-only view. A record keeps only what cannot be derived:
+the state, the realized utilities and the cost. Strategies
 are read off the utilities, and a round that accepts the set the state
 before it activated shares that state's frozenset. The outcome reads
 its round count off the history; see `GameOutcome` for why its final
@@ -193,20 +192,18 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
     states; a non-finite total or budget raises).
 
     The sum runs in ascending id order, and the result holds its values
-    in that order. A state holding a `_Held` view, as every state the
-    package builds does, comes back holding a view over the same ids;
-    any other mapping comes back as a dict. `dict(state.held)` copies
-    a view.
+    in that order: a read-only view for a package-built state, else a
+    dict. `dict(state.held)` copies a view.
     """
     _check_budget(budget)
     held = state.held
     view = type(held) is _Held
-    ids = held._ids if view else sorted(held)
-    values = held._values if view else [held[nid] for nid in ids]
+    ids = None if view else sorted(held)
+    values = held.values() if view else [held[nid] for nid in ids]
     scaled = _rescale(values, budget)
     if scaled is values:
         return state
-    rescaled = _Held(ids, held._positions, tuple(scaled)) if view else dict(zip(ids, scaled))
+    rescaled = held._with(tuple(scaled)) if view else dict(zip(ids, scaled))
     return ActivationState(state.t, rescaled, state.activated)
 
 
@@ -270,7 +267,7 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     values, activated = _held_list(net, initial)
     _check_within_budget(initial.held.values(), params.budget, "initial energy")
 
-    ids, positions = net.node_ids(), net._positions
+    ids = net.node_ids()
     state = initial
     history: list[RoundRecord] = []
     converged = False
@@ -288,7 +285,7 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
             # ascending, so equal lists are equal sets, and a steady game
             # keeps one activated frozenset instead of one per round.
             shared = state.activated if accepted == activated else frozenset([ids[k] for k in accepted])
-            state = ActivationState(state.t + 1, _Held(ids, positions, new_values), shared)
+            state = ActivationState(state.t + 1, _Held(net, new_values), shared)
             activated = accepted
         round_cost = cost(values, new_values)
         history.append(RoundRecord(state, utilities, round_cost))

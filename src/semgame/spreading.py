@@ -12,11 +12,9 @@ frozenset (`SemanticNetwork._id_set`) as its `activated`, so a spread
 whose whole network keeps firing holds one set for all those steps, and
 the next step reads it as every position without sorting it.
 
-Every state the package builds (`seed_state`, `step`, `rescale_to_budget`
-and each game round's record) holds a read-only `_Held` view: the
-network's ids beside a tuple of values by dense position, which the
-next step reads as it is. It is a `Mapping` like any other, ascending
-by id; `dict(state.held)` gives a mutable or JSON-ready copy.
+Every state the package builds holds a read-only `_Held` view, which
+the next step reads without a copy; `dict(state.held)` gives a mutable
+or JSON-ready copy.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ class ActivationState:
 
     `held` is what each node currently holds; `activated` is the set of
     nodes that fired (or, after a game round, accepted) at this step.
-    A state the package builds holds a read-only view as `held` (see
-    `_Held`); `dict(state.held)` gives a mutable or JSON-ready copy.
+    Package-built states hold a read-only view; `dict(state.held)` copies it.
     """
 
     t: int
@@ -54,27 +51,26 @@ class ActivationState:
 
 
 class _Held(Mapping):
-    """Read-only id -> value mapping over a network's `node_ids()`, its
-    `_positions` and a tuple with one value per id by dense position;
-    iterates in ascending id order. Only the package builds one.
-
-    `values()` is the tuple itself, so `_held_list` takes it as it is
-    when the view is over the network's own `node_ids()` tuple.
-    """
+    """Read-only id -> value mapping over a network's ids and a tuple of
+    values by dense position, ascending by id. `values()` is the tuple;
+    `items()` is a dict built from it."""
 
     __slots__ = ("_ids", "_positions", "_values")
 
-    def __init__(self, ids: tuple[int, ...], positions: dict[int, int], values: tuple[float, ...]) -> None:
-        self._ids, self._positions, self._values = ids, positions, values
+    def __init__(self, net: SemanticNetwork, values: tuple[float, ...]) -> None:
+        self._ids, self._positions, self._values = net.node_ids(), net._positions, values
+
+    def _with(self, values: tuple[float, ...]) -> _Held:
+        """A view over the same ids holding `values`."""
+        held = object.__new__(_Held)
+        held._ids, held._positions, held._values = self._ids, self._positions, values
+        return held
 
     def __getitem__(self, nid: int) -> float:
         return self._values[self._positions[nid]]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._ids)
-
-    def __reversed__(self) -> Iterator[int]:
-        return reversed(self._ids)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -85,23 +81,11 @@ class _Held(Mapping):
     def values(self) -> tuple[float, ...]:
         return self._values
 
-    def items(self) -> _HeldItems:
-        return _HeldItems(self)
+    def items(self) -> ItemsView[int, float]:
+        return dict(zip(self._ids, self._values)).items()
 
     def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
-class _HeldItems(ItemsView):
-    """A `_Held`'s (id, value) pairs, zipped rather than looked up."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[int, float]]:
-        return zip(self._mapping._ids, self._mapping._values)
-
-    def __reversed__(self) -> Iterator[tuple[int, float]]:
-        return zip(reversed(self._mapping._ids), reversed(self._mapping._values))
+        return repr(dict(zip(self._ids, self._values)))
 
 
 @dataclass(frozen=True)
@@ -179,8 +163,7 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
             raise ValidationError(f"source id {nid} not in network")
         if not math.isfinite(energy) or energy < 0:
             raise ValidationError(f"source {nid}: negative or non-finite energy {energy}")
-    ids = net.node_ids()
-    held = _Held(ids, net._positions, tuple([float(sources.get(nid, 0.0)) for nid in ids]))
+    held = _Held(net, tuple([float(sources.get(nid, 0.0)) for nid in net.node_ids()]))
     return ActivationState(0, held, frozenset(sources))
 
 
@@ -201,25 +184,18 @@ def _held_list(net: SemanticNetwork, state: ActivationState) -> tuple[Sequence[f
     """`state.held` by dense position (entry k is node `net.node_ids()[k]`)
     and the activated nodes' positions, ascending.
 
-    A `_Held` view over this network's own `node_ids()` tuple, as every
-    state the package builds holds, is read as its values tuple with no
-    copy. Any other mapping keyed in id order (a view from another
-    network among them) is read by its values, and the rest by a
-    subscript per id. Whichever read, one length check, a C-level min()
-    and sum() then find every fault check_state names, on views as on
-    dicts; only then does it run, to raise naming the fault. (Finite
-    values whose total overflows are valid.) When `activated` is the
-    network's `_id_set`, the firing positions are all of them: the reads
-    have already found held to hold exactly the network's ids.
+    A read-only view over this network's own ids, as every package-built
+    state holds, is read as its values tuple with no copy; any other
+    mapping by a subscript per id. Either read, one length check, a
+    C-level min() and sum() find every fault check_state names; only
+    then does it run, to raise naming the fault. (Finite values whose
+    total overflows are valid.) When `activated` is the network's
+    `_id_set`, the firing positions are all of them: the reads have
+    already found held to hold exactly the network's ids.
     """
     held, ids, positions = state.held, net.node_ids(), net._positions
     try:
-        if type(held) is _Held and held._ids is ids:
-            values = held._values
-        elif tuple(held) == ids:
-            values = list(held.values())
-        else:
-            values = [held[nid] for nid in ids]
+        values = held._values if type(held) is _Held and held._ids is ids else [held[nid] for nid in ids]
         if state.activated is net._id_set:
             firing = list(range(len(ids)))
         else:
@@ -285,9 +261,8 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
     state must hold a finite, non-negative value for every node and for
     no other id, and fire only nodes it holds. A step whose total
     overflows to a non-finite value raises. When every node fires, the
-    new state's `activated` is the network's `_id_set`, not a new set.
-    The new state's `held` is a read-only `_Held` view over the step's
-    values; `dict(state.held)` copies it.
+    new state's `activated` is the network's `_id_set`, not a new set,
+    and its `held` a read-only view; `dict(state.held)` copies it.
     """
     ids, threshold = net.node_ids(), params.fire_threshold
     values, firing = _held_list(net, state)
@@ -296,7 +271,7 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
         raise ValidationError(f"spreading overflowed to a non-finite total at step {state.t + 1}")
     fired = [nid for nid, v, old in zip(ids, new, values) if v >= threshold and v != old]
     activated = net._id_set if len(fired) == len(ids) else frozenset(fired)
-    return ActivationState(state.t + 1, _Held(ids, net._positions, tuple(new)), activated)
+    return ActivationState(state.t + 1, _Held(net, tuple(new)), activated)
 
 
 def iter_spread(
