@@ -219,14 +219,17 @@ def utilization(
     allocations: Mapping[int, float], demands: Mapping[int, float], budget: float
 ) -> float:
     """Fraction of the budget that lands within demand: sum(min(a_i, d_i)) / budget.
-    A NaN allocation or demand raises."""
+    A NaN, negative or infinite allocation or demand raises."""
     _check_budget(budget)
     if set(allocations) != set(demands):
         raise ValidationError("allocations and demands keyed over different nodes")
-    if any(map(math.isnan, allocations.values())) or any(map(math.isnan, demands.values())):
+    values = [*allocations.values(), *demands.values()]
+    if any(map(math.isnan, values)):
         raise ValidationError("utilization: NaN allocation or demand")
+    if min(values, default=0.0) < 0.0 or not all(map(math.isfinite, values)):
+        raise ValidationError("utilization: negative or infinite allocation or demand")
     useful = _left_sum(min(allocations[k], demands[k]) for k in sorted(allocations))
-    return min(1.0, max(0.0, useful / budget))
+    return min(1.0, useful / budget)
 
 
 # Adjustment-rate / slope grid for the cobweb comparison experiments;

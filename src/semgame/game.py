@@ -29,6 +29,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, repeat
 
 from .errors import ValidationError
 from .network import SemanticNetwork
@@ -130,19 +131,6 @@ class GameOutcome:
         return len(self.history)
 
 
-def _participants(net: SemanticNetwork, values: Sequence[float], params: GameParams) -> list[int]:
-    """Screened participants' dense positions, ascending.
-
-    `values` is the round's held value by position. A position takes
-    part when its value reaches the global `screen_threshold`, if one
-    is set, or else its node's own threshold (boundary inclusive).
-    """
-    if params.screen_threshold is not None:
-        return [k for k, v in enumerate(values) if v >= params.screen_threshold]
-    by_id = net._by_id
-    return [k for k, (nid, v) in enumerate(zip(net.node_ids(), values)) if v >= by_id[nid].threshold]
-
-
 def cost(held: Sequence[float], offered: Sequence[float]) -> float:
     """Root-mean-square change between two distributions given as value
     sequences in the same node order; squares are summed left to right."""
@@ -189,7 +177,7 @@ def _rescale(values: Sequence[float], budget: float) -> Sequence[float]:
 
 def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
     """Scale all energies so held values sum to the budget (no-op on zero
-    states; a non-finite total or budget raises).
+    states; a negative energy, a non-finite total or budget raises).
 
     The sum runs in ascending id order, and the result holds its values
     in that order: a read-only view for a package-built state, else a
@@ -200,6 +188,8 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
     view = type(held) is _Held
     ids = None if view else sorted(held)
     values = held.values() if view else [held[nid] for nid in ids]
+    if min(values, default=0.0) < 0.0:
+        raise ValidationError("negative energy in activation state")
     scaled = _rescale(values, budget)
     if scaled is values:
         return state
@@ -215,15 +205,19 @@ def _offer(
 
     `values` and the offer are lists by dense position (entry k is node
     `net.node_ids()[k]`). The offer is one spreading step over the
-    screened participants. Each one's accept-utility is its gain minus
-    the global cost; an isolated node has no neighborhood to gain from,
-    so accepting is worth 0.0 to it. A participant accepts iff its
-    accept-utility is > 0.0 and realizes it; a rejector realizes 0.0.
+    participants: the positions, ascending, whose value reaches the
+    global `screen_threshold`, if one is set, or else their node's own
+    threshold (boundary inclusive). Each participant's accept-utility
+    is its gain minus the global cost; an isolated node has no
+    neighborhood to gain from, so accepting is worth 0.0 to it. A
+    participant accepts iff its accept-utility is > 0.0 and realizes
+    it; a rejector realizes 0.0.
     The accepted positions come ascending, and the utilities are keyed
     by id in ascending order. With no participants the offer is
     `values` itself and both are empty.
     """
-    participants = _participants(net, values, params)
+    limits = net._thresholds if params.screen_threshold is None else repeat(params.screen_threshold)
+    participants = [k for k, v, t in zip(count(), values, limits) if v >= t]
     if not participants:
         return values, [], {}
     offered = _spread_once(net, values, participants, params.delta)
@@ -310,7 +304,11 @@ def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) 
 
 
 def rank_nodes(state: ActivationState, k: int) -> list[tuple[int, float]]:
-    """Top-k nodes by held energy, descending; ties broken by ascending id."""
+    """Top-k nodes by held energy, descending; ties broken by ascending id.
+    A NaN energy has no rank and raises, naming the lowest such id."""
     _check_limit("k", k)
+    if any(map(math.isnan, state.held.values())):
+        nid = min(nid for nid, v in state.held.items() if math.isnan(v))
+        raise ValidationError(f"rank_nodes: node {nid} holds NaN energy")
     ordered = sorted(state.held.items(), key=lambda item: (-item[1], item[0]))
     return ordered[:k]

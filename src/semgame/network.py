@@ -33,7 +33,6 @@ __all__ = [
     "build_network",
     "load_network",
     "save_network",
-    "network_to_dict",
     "load_pairs",
 ]
 
@@ -99,16 +98,17 @@ class SemanticNetwork:
     `_id_set` is the frozenset of every id, built once after `_dense`.
     A spreading step in which every node fires returns it as the new
     state's `activated`, and the next step knows it for the full set
-    without looking at its members.
+    without looking at its members. `_thresholds[k]` is node k's
+    screening threshold.
     """
 
     nodes: tuple[ConceptNode, ...]
     edges: tuple[WeightedEdge, ...]
-    _by_id: dict[int, ConceptNode] = field(repr=False, compare=False)
     _sorted_ids: tuple[int, ...] = field(repr=False, compare=False)
     _positions: dict[int, int] = field(repr=False, compare=False)
     _dense: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False, compare=False)
     _id_set: frozenset[int] = field(repr=False, compare=False)
+    _thresholds: tuple[float, ...] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -120,12 +120,6 @@ class SemanticNetwork:
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self._positions
-
-    def node(self, node_id: int) -> ConceptNode:
-        try:
-            return self._by_id[node_id]
-        except KeyError:
-            raise ValidationError(f"unknown node id {node_id}") from None
 
     def neighbors(self, node_id: int) -> tuple[tuple[int, float], ...]:
         """(neighbor id, weight) pairs in ascending id order."""
@@ -188,9 +182,10 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
         tuple([(y + 0, w * 1.0) for y, w in sorted(zip(ts, ws))])
         for ts, ws in zip(targets, weights)
     )
-    # The id set holds the ids' own ints, so, built last, it allocates
-    # one table and leaves the adjacency's layout as it is.
-    return SemanticNetwork(tuple(nodes), tuple(edges), by_id, ids, positions, dense, frozenset(ids))
+    # The id set holds the ids' own ints and the thresholds the nodes' own
+    # floats, so, built last, they leave the adjacency's layout as it is.
+    return SemanticNetwork(tuple(nodes), tuple(edges), ids, positions, dense, frozenset(ids),
+                           tuple([by_id[nid].threshold for nid in ids]))
 
 
 def _reject_duplicate_pair(edges: list[WeightedEdge]) -> None:
@@ -269,22 +264,6 @@ def _records(data) -> tuple[list[ConceptNode], list[WeightedEdge]]:
     return nodes, edges
 
 
-def network_to_dict(net: SemanticNetwork) -> dict:
-    """The JSON-format dict that `load_network` reads back exactly."""
-    return {
-        "nodes": [
-            {
-                "id": nd.id,
-                "label": nd.label,
-                "threshold": nd.threshold,
-                "history": list(nd.history),
-            }
-            for nd in net.nodes
-        ],
-        "edges": [{"a": e.a, "b": e.b, "w": e.weight} for e in net.edges],
-    }
-
-
 def load_network(path: str | Path) -> SemanticNetwork:
     """Load and validate a network from a JSON file.
 
@@ -306,7 +285,20 @@ def load_network(path: str | Path) -> SemanticNetwork:
 
 
 def save_network(net: SemanticNetwork, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net), indent=2) + "\n", encoding="utf-8")
+    """Write the network as the JSON file that `load_network` reads back exactly."""
+    data = {
+        "nodes": [
+            {
+                "id": nd.id,
+                "label": nd.label,
+                "threshold": nd.threshold,
+                "history": list(nd.history),
+            }
+            for nd in net.nodes
+        ],
+        "edges": [{"a": e.a, "b": e.b, "w": e.weight} for e in net.edges],
+    }
+    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True, slots=True)

@@ -321,6 +321,17 @@ class TestUtilization:
             with pytest.raises(ValidationError, match="^utilization: NaN allocation or demand$"):
                 utilization(allocations, demands, 2.0)
 
+    def test_negative_or_infinite_allocation_or_demand_raises(self):
+        """A negative value dragged the useful sum down to a clamped 0.0, and
+        an infinite allocation against an infinite demand gave 1.0."""
+        for allocations, demands in (({0: -5.0, 1: 1.0}, {0: 1.0, 1: 1.0}),
+                                     ({0: 1.0, 1: 1.0}, {0: -3.0, 1: 1.0}),
+                                     ({0: math.inf, 1: 1.0}, {0: math.inf, 1: 1.0}),
+                                     ({0: 1.0, 1: 1.0}, {0: 1.0, 1: -math.inf})):
+            with pytest.raises(ValidationError,
+                               match="^utilization: negative or infinite allocation or demand$"):
+                utilization(allocations, demands, 2.0)
+
     def test_budget_must_be_finite_and_positive(self):
         """A NaN or infinite budget raises instead of giving a quiet 0.0 (or,
         in a rescale, NaN values), with the message every budget check

@@ -132,6 +132,13 @@ class TestRescale:
             with pytest.raises(ValidationError, match="^cannot rescale energies totalling (inf|nan) to the budget$"):
                 rescale_to_budget(state_of(held), 1.0)
 
+    def test_negative_energy_rejected(self):
+        """A negative energy used to scale along with the rest
+        ({0: -1.0, 1: 3.0} to budget 1 gave {0: -0.5, 1: 1.5})."""
+        for held in ({0: -1.0, 1: 3.0}, {0: 2.0, 1: -math.inf}):
+            with pytest.raises(ValidationError, match="^negative energy in activation state$"):
+                rescale_to_budget(state_of(held), 1.0)
+
     def test_subnormal_total_scales_without_nan(self):
         """A valid state totalling 5e-324 makes budget / total overflow; the
         zeros stay 0.0 rather than become 0.0 * inf = nan, and a game from
@@ -362,7 +369,7 @@ class TestRunGame:
         outcome = run_game(net, st, params)
         last = outcome.history[-1]
         pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-        participants = {nid for nid in net.node_ids() if pre.held[nid] >= net.node(nid).threshold}
+        participants = {nd.id for nd in net.nodes if pre.held[nd.id] >= nd.threshold}
         assert set(last.strategies) == set(last.utilities) == participants
 
     def test_rank_stable_after_convergence(self):
@@ -501,6 +508,15 @@ class TestRankNodes:
     def test_k_beyond_n_returns_all(self):
         st = state_of({0: 1.0, 1: 2.0})
         assert len(rank_nodes(st, 10)) == 2
+
+    def test_nan_energy_raises(self):
+        """Sorting by -energy once ranked around a NaN and returned
+        [(0, 1.0), (1, nan), (2, 2.0)] here; infinities still rank."""
+        st = state_of({0: 1.0, 1: math.nan, 2: 2.0, 3: 0.5})
+        with pytest.raises(ValidationError, match="^rank_nodes: node 1 holds NaN energy$"):
+            rank_nodes(st, 3)
+        st = state_of({0: 1.0, 1: math.inf, 2: -math.inf})
+        assert rank_nodes(st, 3) == [(1, math.inf), (0, 1.0), (2, -math.inf)]
 
     def test_k_must_be_positive(self):
         # A float or nan k once raised a bare TypeError from the slice,
