@@ -23,7 +23,6 @@ from .spreading import ActivationState, SpreadParams, _check_budget, _check_limi
 __all__ = [
     "EvalReport",
     "spearman",
-    "has_ties",
     "run_pipeline",
     "relatedness",
     "evaluate_pairs",
@@ -66,7 +65,7 @@ def _average_ranks(values: list[float]) -> list[float]:
     return ranks
 
 
-def has_ties(values: list[float]) -> bool:
+def _has_ties(values: list[float]) -> bool:
     return len(set(values)) < len(values)
 
 
@@ -195,7 +194,7 @@ def evaluate_pairs(
     return EvalReport(
         rho=rho,
         pairs=tuple(table),
-        tie_warning=has_ties(humans) or has_ties(models),
+        tie_warning=_has_ties(humans) or _has_ties(models),
     )
 
 

@@ -325,12 +325,12 @@ def load_pairs(path: str | Path, scale: str = "unit") -> list[PairJudgment]:
     `scale` is "unit" for scores already in [0, 1] or "five-point" for a
     1..5 scale mapped linearly onto [0, 1]. A first row whose score
     column does not parse as a number is treated as a header. Row order
-    is preserved.
+    is preserved; a leading UTF-8 byte-order mark is dropped.
     """
     if scale not in _SCALES:
         raise ValidationError(f"unknown scale {scale!r}; expected one of {_SCALES}")
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 

@@ -247,7 +247,7 @@ def _spread_once(
             # left to right: folding w * keep changes it too. Not `+=`:
             # float has no __iadd__, so both forms make the same float_add
             # call, but from 3.11 `+=` on a subscript adds COPY/SWAP stack
-            # shuffles per edge (tools/kernel_pairs.py times the two).
+            # shuffles per edge.
             arriving[y] = arriving[y] + o * w * keep
     return [v + a for v, a in zip(values, arriving)]
 

@@ -9,8 +9,8 @@ from semgame import baselines, evaluate
 from semgame.errors import ValidationError
 from semgame.baselines import CobwebParams, run_cobweb, run_traditional
 from semgame.evaluate import (
+    _has_ties,
     evaluate_pairs,
-    has_ties,
     load_balance,
     load_balance_experiment,
     relatedness,
@@ -45,7 +45,7 @@ class TestSpearman:
     def test_monotone_of_self_is_one(self):
         rng = random.Random(0)
         xs = [rng.uniform(-5, 5) for _ in range(25)]
-        while has_ties(xs):  # pragma: no cover - astronomically unlikely
+        while _has_ties(xs):  # pragma: no cover - astronomically unlikely
             xs = [rng.uniform(-5, 5) for _ in range(25)]
         ys = [math.exp(0.3 * x) + x ** 3 for x in xs]
         assert spearman(xs, ys) == 1.0

@@ -347,6 +347,17 @@ class TestLoadPairs:
         pairs = load_pairs(path, scale="five-point")
         assert [(p.label_a, p.human_score) for p in pairs] == [("x", 0.0), ("u", 1.0)]
 
+    @pytest.mark.parametrize("text", [
+        "a\tb\t0.5\n",
+        "label_a\tlabel_b\tscore\na\tb\t0.5\n",
+    ], ids=["no-header", "header"])
+    def test_byte_order_mark_dropped(self, tmp_path, text):
+        """A spreadsheet-saved TSV starts with a UTF-8 BOM; it is dropped
+        before the first row, whether that row is a header or data."""
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_pairs(path) == [PairJudgment("a", "b", 0.5)]
+
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("a\tb\t0.5\nc d 0.2\n")

@@ -1,5 +1,4 @@
-"""tools/bench_pairs.py with its benchmark runs stubbed out, and
-tools/kernel_pairs.py with its timings stubbed out or on tiny sizes."""
+"""tools/bench_pairs.py with its benchmark runs stubbed out."""
 
 import argparse
 import importlib.util
@@ -115,84 +114,3 @@ def test_each_end_to_end_metric_gets_a_verdict(monkeypatch, better, parent, chan
     record = bench_pairs.pairs_for(args, bench, "game-1k", 11, len(parent))
     assert record["end_to_end"]["m"]["verdict"] == expected
 
-
-def load_kernel_pairs():
-    spec = importlib.util.spec_from_file_location("kernel_pairs", TOOLS / "kernel_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_kernel_timings_alternate_and_ratios_pair_each_alternation(monkeypatch):
-    """After one calibration on the parent, every alternation builds both
-    graphs afresh, the side built first swapping every second alternation;
-    the side timed first swaps every alternation; each side keeps its
-    fastest of REPEATS timings, and each ratio divides the change's time
-    by the parent's time from the same alternation."""
-    kernel_pairs = load_kernel_pairs()
-    built, timed = [], []
-
-    def builder(side):
-        def build():
-            built.append(side)
-            return lambda: [side]
-        return build
-
-    def time_kernel(kernel, n_calls):
-        timed.append((kernel()[0], n_calls))
-        return kernel_pairs.TIMING_S / 10 if len(timed) == 1 else float(len(timed))
-
-    monkeypatch.setattr(kernel_pairs, "time_kernel", time_kernel)
-    monkeypatch.setattr(kernel_pairs, "REPEATS", 2)
-    record = kernel_pairs.alternate({side: builder(side) for side in ("parent", "change")}, 4)
-
-    P, C = "parent", "change"
-    assert built == [P, P, C, P, C, C, P, C, P]
-    assert timed[0] == (P, 3)
-    assert timed[1:] == [(side, 10) for side in (P, C, P, C, C, P, C, P) * 2]
-    assert record["parent_s"] == [2.0, 7.0, 10.0, 15.0]
-    assert record["change_s"] == [3.0, 6.0, 11.0, 14.0]
-    assert record["ratios"] == [3.0 / 2.0, 6.0 / 7.0, 11.0 / 10.0, 14.0 / 15.0]
-    assert record["change_wins"] == 2
-    assert record["median_ratio"] == (14.0 / 15.0 + 11.0 / 10.0) / 2
-
-
-def test_kernel_pairs_runs_and_a_planted_kernel_that_differs_stops_it(tmp_path, monkeypatch, capsys):
-    """With this checkout on both sides the script prints one record per
-    size, timing each frontier apart; with a change whose kernel folds
-    `w * keep` first, which moves the last bit of some arrivals, it
-    exits before timing anything, whether the fold sits in the push
-    (reached by the partial frontier) or in the pull (the full one)."""
-    kernel_pairs = load_kernel_pairs()
-    repo = TOOLS.parent
-    monkeypatch.setattr(kernel_pairs, "TIMING_S", 0.001)
-    assert kernel_pairs.main(["--parent", str(repo), "--change", str(repo), "--sizes", "30,40",
-                              "--alternations", "2"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert list(record["sizes"]) == ["30", "40"]
-    assert record["sizes"]["40"]["edges"] == 160
-    assert record["sizes"]["30"]["python"] == record["python"]
-    frontiers = record["sizes"]["30"]["frontiers"]
-    assert {name: f["firing"] for name, f in frontiers.items()} == {"full": 30, "partial": 15}
-    assert all(len(f["ratios"]) == 2 for f in frontiers.values())
-
-    monkeypatch.setattr(kernel_pairs, "time_kernel", lambda *args: pytest.fail("a kernel was timed"))
-    plants = {
-        "partial": ("arriving[y] + o * w * keep", "arriving[y] + o * (w * keep)"),
-        "full": ("a + values[x] * w * keep", "a + values[x] * (w * keep)"),
-    }
-    for frontier, (line, fold) in plants.items():
-        planted = tmp_path / frontier / "src" / "semgame"
-        planted.mkdir(parents=True)
-        for path in (repo / "src" / "semgame").glob("*.py"):
-            text = path.read_text(encoding="utf-8")
-            if path.name == "spreading.py":
-                assert text.count(line) == 1
-                text = text.replace(line, fold)
-            (planted / path.name).write_text(text, encoding="utf-8")
-        with pytest.raises(SystemExit) as stopped:
-            kernel_pairs.main(["--parent", str(repo), "--change", str(tmp_path / frontier), "--sizes", "30",
-                               "--alternations", "2"])
-        assert f"at 30 nodes with the {frontier} frontier the kernels differ first at position" in str(
-            stopped.value.code)
-        assert capsys.readouterr().out == ""
