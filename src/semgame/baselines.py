@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import ActivationState, SpreadParams, _check_budget, _check_limit, run_spread
+from .spreading import ActivationState, SpreadParams, _check_budget, _check_limit, _check_number, run_spread
 
 __all__ = [
     "CobwebParams",
@@ -42,6 +42,8 @@ class CobwebParams:
     max_iters: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("r", "demand_slope", "supply_slope"):
+            _check_number(name, getattr(self, name))
         if not all(map(math.isfinite, (self.r, self.demand_slope, self.supply_slope))):
             raise ValidationError("cobweb rate and slopes must be finite")
         if self.demand_slope < 0 or self.supply_slope < 0:

@@ -15,7 +15,10 @@ distribution stops moving or the round limit is hit.
 distribution from round to round as a tuple by dense position (entry k
 is node `net.node_ids()[k]`); each round's record holds that tuple
 behind a read-only view. A record keeps only what cannot be derived:
-the state, the realized utilities and the cost. Strategies
+the state, the realized utilities and the cost. The utilities are a
+tuple in participant order behind the same kind of read-only view,
+which shares the network's ids when every node takes part;
+`dict(rec.utilities)` copies it. Strategies
 are read off the utilities, and a round that accepts the set the state
 before it activated shares that state's frozenset. The outcome reads
 its round count off the history; see `GameOutcome` for why its final
@@ -26,15 +29,16 @@ final round's offer again through `_offer` and compares.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, repeat
 
 from .errors import ValidationError
 from .network import SemanticNetwork
-from .spreading import (ActivationState, _check_budget, _check_limit, _check_within_budget, _Held,
-                        _held_list, _left_sum, _spread_once)
+from .spreading import (ActivationState, _check_budget, _check_limit, _check_number, _check_within_budget,
+                        _Held, _held_list, _left_sum, _spread_once)
 
 __all__ = [
     "Strategy",
@@ -77,13 +81,16 @@ class GameParams:
         _check_budget(self.budget)
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 1e-3 * self.budget)
+        _check_number("epsilon", self.epsilon)
         if not math.isfinite(self.epsilon) or self.epsilon <= 0:
             raise ValidationError(f"epsilon {self.epsilon} must be finite and positive")
         _check_limit("max_rounds", self.max_rounds)
+        _check_number("screen_threshold", self.screen_threshold)
         if self.screen_threshold is not None and not (
             math.isfinite(self.screen_threshold) and self.screen_threshold >= 0
         ):
             raise ValidationError(f"screen_threshold {self.screen_threshold} must be finite and >= 0")
+        _check_number("delta", self.delta)
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError(f"delta {self.delta} outside [0, 1]")
 
@@ -93,13 +100,16 @@ class RoundRecord:
     """What one round produced: the committed state, every participant's
     realized utility, keyed by id in ascending order, and the round cost.
 
+    `utilities` is a read-only view over the participants' ids and a
+    tuple of their utilities; `dict(rec.utilities)` copies it.
+
     An acceptor realizes its accept-utility, which is positive; a
     rejector realizes 0.0. So the choices are not stored but read off
     the utilities by `strategies`.
     """
 
     state: ActivationState
-    utilities: dict[int, float]
+    utilities: Mapping[int, float]
     cost: float
 
     @property
@@ -133,7 +143,8 @@ class GameOutcome:
 
 def cost(held: Sequence[float], offered: Sequence[float]) -> float:
     """Root-mean-square change between two distributions given as value
-    sequences in the same node order; squares are summed left to right."""
+    sequences in the same node order; squares are summed left to right.
+    A non-finite RMS (a NaN value, or squares beyond the float range) raises."""
     n = len(held)
     if len(offered) != n:
         raise ValidationError(f"cost: {n} held values but {len(offered)} offered")
@@ -143,7 +154,10 @@ def cost(held: Sequence[float], offered: Sequence[float]) -> float:
     for h, o in zip(held, offered):
         d = o - h
         total += d * d
-    return math.sqrt(total / n)
+    rms = math.sqrt(total / n)
+    if not math.isfinite(rms):
+        raise ValidationError(f"cost: RMS change {rms} is not finite")
+    return rms
 
 
 def gain(change: float, degree: int, delta: float) -> float:
@@ -197,9 +211,36 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
     return ActivationState(state.t, rescaled, state.activated)
 
 
+class _Ranks(Mapping):
+    """Read-only id -> position map over ascending ids, found by bisection,
+    so it adds nothing to the ids it indexes: the index of a screened
+    round's utilities, which cover only the participants' ids."""
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: tuple[int, ...]) -> None:
+        self._ids = ids
+
+    def __getitem__(self, nid: int) -> int:
+        ids = self._ids
+        try:
+            k = bisect_left(ids, nid)
+        except TypeError:  # not comparable with the int ids, so not one of them
+            raise KeyError(nid) from None
+        if k < len(ids) and ids[k] == nid:
+            return k
+        raise KeyError(nid)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
 def _offer(
     net: SemanticNetwork, values: Sequence[float], params: GameParams
-) -> tuple[Sequence[float], list[int], dict[int, float]]:
+) -> tuple[Sequence[float], list[int], _Held]:
     """A round's offer, the positions that accept it and every
     participant's realized utility.
 
@@ -212,22 +253,24 @@ def _offer(
     neighborhood to gain from, so accepting is worth 0.0 to it. A
     participant accepts iff its accept-utility is > 0.0 and realizes
     it; a rejector realizes 0.0.
-    The accepted positions come ascending, and the utilities are keyed
-    by id in ascending order. With no participants the offer is
-    `values` itself and both are empty.
+    The accepted positions come ascending. The utilities are a read-only
+    view over the participants' ids, ascending, and a tuple in that
+    order; when every node takes part, the view shares the network's ids
+    and positions. With no participants the offer is `values` itself
+    and both are empty.
     """
     limits = net._thresholds if params.screen_threshold is None else repeat(params.screen_threshold)
     participants = [k for k, v, t in zip(count(), values, limits) if v >= t]
     if not participants:
-        return values, [], {}
+        return values, [], _Held((), _Ranks(()), ())
     offered = _spread_once(net, values, participants, params.delta)
     c = cost(values, offered)
     # Each participant pulls its neighbors' differences in ascending
     # position, from 0.0, left to right: the order tests/oracles.round_oracle
     # sums them in, so every utility matches it bit for bit.
     diff = [o - v for o, v in zip(offered, values)]
-    adjacency, delta, ids = net._dense, params.delta, net.node_ids()
-    accepted, utilities = [], {}
+    adjacency, delta = net._dense, params.delta
+    accepted, utilities = [], []
     for k in participants:
         row = adjacency[k]
         u = 0.0
@@ -240,8 +283,12 @@ def _offer(
             accepted.append(k)
         else:
             u = 0.0
-        utilities[ids[k]] = u
-    return offered, accepted, utilities
+        utilities.append(u)
+    ids = net.node_ids()
+    if len(participants) == len(ids):
+        return offered, accepted, _Held(ids, net._positions, tuple(utilities))
+    screened = tuple([ids[k] for k in participants])
+    return offered, accepted, _Held(screened, _Ranks(screened), tuple(utilities))
 
 
 def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams) -> GameOutcome:
@@ -279,7 +326,7 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
             # ascending, so equal lists are equal sets, and a steady game
             # keeps one activated frozenset instead of one per round.
             shared = state.activated if accepted == activated else frozenset([ids[k] for k in accepted])
-            state = ActivationState(state.t + 1, _Held(net, new_values), shared)
+            state = ActivationState(state.t + 1, _Held(ids, net._positions, new_values), shared)
             activated = accepted
         round_cost = cost(values, new_values)
         history.append(RoundRecord(state, utilities, round_cost))

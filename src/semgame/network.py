@@ -54,9 +54,15 @@ class ConceptNode:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValidationError(f"node {self.id}: empty label")
+        # True and False would pass every range check below as 1 and 0.
+        if type(self.threshold) is bool:
+            raise ValidationError(f"node {self.id}: threshold {self.threshold!r} is not a number")
         if not math.isfinite(self.threshold) or self.threshold < 0:
             raise ValidationError(f"node {self.id}: threshold {self.threshold} must be finite and >= 0")
         if self.history:
+            for t in self.history:
+                if type(t) is bool:
+                    raise ValidationError(f"node {self.id}: history entry {t!r} is not a number")
             if any(not math.isfinite(t) or t < 0 for t in self.history):
                 raise ValidationError(f"node {self.id}: negative or non-finite history timestamp")
             if any(a > b for a, b in zip(self.history, self.history[1:])):
@@ -74,6 +80,8 @@ class WeightedEdge:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValidationError(f"edge ({self.a}, {self.b}): self-loop")
+        if type(self.weight) is bool:
+            raise ValidationError(f"edge ({self.a}, {self.b}): weight {self.weight!r} is not a number")
         if not 0.0 <= self.weight <= 1.0:
             raise ValidationError(
                 f"edge ({self.a}, {self.b}): weight {self.weight} outside [0, 1]"
@@ -310,6 +318,10 @@ class PairJudgment:
     human_score: float
 
     def __post_init__(self) -> None:
+        if type(self.human_score) is bool:
+            raise ValidationError(
+                f"pair ({self.label_a}, {self.label_b}): score {self.human_score!r} is not a number"
+            )
         if not 0.0 <= self.human_score <= 1.0:
             raise ValidationError(
                 f"pair ({self.label_a}, {self.label_b}): score {self.human_score} outside [0, 1]"

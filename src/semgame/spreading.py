@@ -51,14 +51,16 @@ class ActivationState:
 
 
 class _Held(Mapping):
-    """Read-only id -> value mapping over a network's ids and a tuple of
-    values by dense position, ascending by id. `values()` is the tuple;
-    `items()` is a dict built from it."""
+    """Read-only id -> value mapping over ascending ids, an index that
+    maps each of them to its position among them, and a tuple of values
+    by that position. A state's view holds its network's `node_ids()`
+    and `_positions`. `values()` is the tuple; `items()` is a dict built
+    from it."""
 
     __slots__ = ("_ids", "_positions", "_values")
 
-    def __init__(self, net: SemanticNetwork, values: tuple[float, ...]) -> None:
-        self._ids, self._positions, self._values = net.node_ids(), net._positions, values
+    def __init__(self, ids: tuple[int, ...], positions: Mapping[int, int], values: tuple[float, ...]) -> None:
+        self._ids, self._positions, self._values = ids, positions, values
 
     def _with(self, values: tuple[float, ...]) -> _Held:
         """A view over the same ids holding `values`."""
@@ -110,15 +112,25 @@ class SpreadParams:
         _check_budget(self.budget)
         if self.fire_threshold is None:
             object.__setattr__(self, "fire_threshold", 1e-6 * self.budget)
+        _check_number("delta", self.delta)
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError(f"delta {self.delta} outside [0, 1]")
+        _check_number("fire_threshold", self.fire_threshold)
         if not math.isfinite(self.fire_threshold) or self.fire_threshold < 0:
             raise ValidationError(f"fire_threshold {self.fire_threshold} must be finite and >= 0")
         _check_limit("max_steps", self.max_steps)
 
 
+def _check_number(name: str, value: float) -> None:
+    """Raise if a real-valued field holds a bool: every range check would
+    take True and False as 1 and 0."""
+    if type(value) is bool:
+        raise ValidationError(f"{name} {value!r} is not a number")
+
+
 def _check_budget(budget: float) -> None:
-    """Raise unless the budget is finite and positive."""
+    """Raise unless the budget is a finite, positive number (not a bool)."""
+    _check_number("budget", budget)
     if not math.isfinite(budget) or budget <= 0:
         raise ValidationError(f"budget {budget} must be finite and positive")
 
@@ -163,7 +175,8 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
             raise ValidationError(f"source id {nid} not in network")
         if not math.isfinite(energy) or energy < 0:
             raise ValidationError(f"source {nid}: negative or non-finite energy {energy}")
-    held = _Held(net, tuple([float(sources.get(nid, 0.0)) for nid in net.node_ids()]))
+    ids = net.node_ids()
+    held = _Held(ids, net._positions, tuple([float(sources.get(nid, 0.0)) for nid in ids]))
     return ActivationState(0, held, frozenset(sources))
 
 
@@ -271,7 +284,7 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
         raise ValidationError(f"spreading overflowed to a non-finite total at step {state.t + 1}")
     fired = [nid for nid, v, old in zip(ids, new, values) if v >= threshold and v != old]
     activated = net._id_set if len(fired) == len(ids) else frozenset(fired)
-    return ActivationState(state.t + 1, _Held(net, tuple(new)), activated)
+    return ActivationState(state.t + 1, _Held(ids, net._positions, tuple(new)), activated)
 
 
 def iter_spread(

@@ -150,6 +150,13 @@ class TestCobwebParams:
         with pytest.raises(ValidationError, match="must be finite"):
             CobwebParams(**{**kw, field: value})
 
+    @pytest.mark.parametrize("field", ["r", "demand_slope", "supply_slope"])
+    def test_coefficients_must_not_be_bools(self, field):
+        kw = dict(r=0.5, demand_slope=1.0, supply_slope=1.0)
+        for flag in (True, False):
+            with pytest.raises(ValidationError, match=f"^{field} {flag} is not a number$"):
+                CobwebParams(**{**kw, field: flag})
+
     def test_negative_slope_and_zero_iterations_rejected(self):
         with pytest.raises(ValidationError, match="slopes"):
             linear_params(r=0.5, ds=-1.0)

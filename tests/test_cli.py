@@ -574,6 +574,14 @@ class TestGenerateNetwork:
             load_balance_experiment(1, n=2.5)
         with pytest.raises(ValidationError):
             generate_network(5, 0.0, 0)
+        # A bool probability or weight once ran as 1.0 or 0.0, and a network
+        # built with weight True was saved as `"w": true`, which the load
+        # then refused.
+        for flag in (True, False):
+            with pytest.raises(ValidationError, match=f"^edge_prob {flag} is not a number$"):
+                generate_network(5, flag, 0)
+            with pytest.raises(ValidationError, match=rf"^edge \(0, 1\): weight {flag} is not a number$"):
+                complete_network(3, flag)
 
 
 def test_golden_manifest_covers_every_invocation():

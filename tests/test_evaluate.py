@@ -337,8 +337,9 @@ class TestUtilization:
         in a rescale, NaN values), with the message every budget check
         gives."""
         cobweb = CobwebParams(r=0.1, demand_slope=1.0, supply_slope=1.0)
-        for budget in (math.nan, math.inf, 0.0, -1.0):
-            message = f"^budget {budget} must be finite and positive$"
+        for budget in (math.nan, math.inf, 0.0, -1.0, True, False):
+            message = (f"^budget {budget} is not a number$" if type(budget) is bool
+                       else f"^budget {budget} must be finite and positive$")
             with pytest.raises(ValidationError, match=message):
                 utilization({0: 1.0}, {0: 2.0}, budget)
             with pytest.raises(ValidationError, match=message):

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -25,7 +26,8 @@ from semgame.game import (
     verify_nash,
 )
 from semgame.generate import generate_network
-from semgame.spreading import ActivationState, SpreadParams, run_spread, seed_state
+from semgame.network import ConceptNode, WeightedEdge, build_network
+from semgame.spreading import ActivationState, SpreadParams, _Held, run_spread, seed_state
 
 from conftest import first_round, quick_net, two_cluster_net
 from oracles import round_oracle
@@ -85,6 +87,24 @@ class TestCost:
     def test_empty_states(self):
         with pytest.raises(ValidationError, match="^cost: empty states$"):
             cost([], [])
+
+    @pytest.mark.parametrize("held, offered, rms", [
+        ([math.nan], [0.0], "nan"),
+        ([0.0, 1.0], [0.0, math.nan], "nan"),
+        ([math.inf], [math.inf], "nan"),  # inf - inf
+        ([0.0], [math.inf], "inf"),
+        ([1e200], [-1e200], "inf"),  # a square beyond the float range
+        ([0.0, 0.0], [1e154, 1e154], "inf"),  # two squares in range, their sum beyond it
+    ])
+    def test_non_finite_rms_raises(self, held, offered, rms):
+        """A NaN or an overflowing change raises, naming the RMS, instead
+        of coming back as nan or inf."""
+        with pytest.raises(ValidationError, match=f"^cost: RMS change {rms} is not finite$"):
+            cost(held, offered)
+
+    def test_largest_finite_rms_returned(self):
+        """Squares that stay in range give their RMS: 1e150 apart, sqrt(1e300)."""
+        assert cost([0.0, 0.0], [1e150, -1e150]) == math.sqrt((1e300 + 1e300) / 2)
 
 
 class TestGain:
@@ -352,6 +372,32 @@ class TestRunGame:
         assert outcome.rounds >= 5
         assert kept / outcome.rounds < 3.0 * unit, kept / outcome.rounds / unit
 
+    def test_all_accept_round_keeps_under_80_bytes_per_node(self):
+        """A finished 1000-node game in which every node accepts every round
+        keeps under 80 traced bytes per node per round: the held values and
+        the utilities, each a tuple of floats behind a view that shares the
+        network's ids, and the record itself. About 64 bytes on CPython
+        3.10-3.13; an id-keyed utilities dict per round made it about 93."""
+        net, initial, params = unit_budget_game(1000, 10, 0)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            outcome = run_game(net, initial, params)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert outcome.rounds >= 5
+        for record in outcome.history:
+            assert len(record.utilities) == net.n
+            assert all(u > 0.0 for u in record.utilities.values())
+        per_node = kept / outcome.rounds / net.n
+        assert per_node < 80.0, per_node
+
     def test_outcome_reads_its_round_count_off_the_history(self):
         """A finished game stores no round count; `rounds` is read off the
         history, and `final` is the last round's state."""
@@ -383,6 +429,87 @@ class TestRunGame:
         before = [nid for nid, _ in rank_nodes(outcome.final, net.n)]
         after = [nid for nid, _ in rank_nodes(extra, net.n)]
         assert before == after
+
+
+def scattered_game(thresholds: list[float], screen_threshold: float | None):
+    """A budget-1 game on a 40-node generated network relabeled to ids
+    3, 10, 17, ... (ascending, with gaps, so ids are not positions),
+    node k holding threshold `thresholds[k]`, started from a spread."""
+    base = generate_network(40, 0.1, 4)
+    nodes = [ConceptNode(7 * nd.id + 3, nd.label, thresholds[nd.id]) for nd in base.nodes]
+    edges = [WeightedEdge(7 * e.a + 3, 7 * e.b + 3, e.weight) for e in base.edges]
+    net = build_network(nodes, edges)
+    initial = rescale_to_budget(run_spread(net, {3: 1.0}, SpreadParams(budget=1.0)), 1.0)
+    return net, initial, GameParams(budget=1.0, epsilon=1e-9, screen_threshold=screen_threshold)
+
+
+class TestUtilitiesView:
+    """`RoundRecord.utilities` is a read-only view over the participants'
+    ids and a tuple of their realized utilities, on every round."""
+
+    CASES = {
+        "all-participants": ([0.0] * 40, None),
+        "global-screen": ([0.0] * 40, 0.025),
+        "per-node-thresholds": ([0.0, 0.03] * 20, None),
+        "no-participants": ([0.0] * 40, 2.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_round_is_a_view_equal_to_the_oracle(self, case):
+        """Ids ascend; the view equals its dict copy and round_oracle's
+        realized utilities bit for bit; a screened-out id reads as absent;
+        it takes no assignment, pickles, and gives the same strategies,
+        and the final round replays (verify_nash)."""
+        thresholds, screen_threshold = self.CASES[case]
+        net, initial, params = scattered_game(thresholds, screen_threshold)
+        ids, positions = net.node_ids(), net._positions
+        edges = [(positions[e.a], positions[e.b], e.weight) for e in net.edges]
+        outcome = run_game(net, initial, params)
+        screened_rounds = accepts = 0
+        pre = initial
+        for record in outcome.history:
+            utilities = record.utilities
+            assert type(utilities) is _Held
+            want = round_oracle(net.n, edges, dict(enumerate(pre.held.values())), thresholds,
+                                screen_threshold, params.delta)
+            participants = [ids[k] for k in want]
+            assert list(utilities) == sorted(utilities) == participants
+            copy = dict(utilities)
+            assert type(copy) is dict and utilities == copy and copy == utilities
+            assert [u.hex() for u in utilities.values()] == [(u if u > 0.0 else 0.0).hex() for u in want.values()]
+            assert [copy[nid].hex() for nid in participants] == [utilities[nid].hex() for nid in participants]
+            if len(participants) == net.n:
+                assert utilities._ids is ids and utilities._positions is positions
+            screened_out = [nid for nid in ids if nid not in copy]
+            screened_rounds += bool(screened_out)
+            for nid in screened_out + [0, ids[-1] + 1, "x", 3.5]:
+                assert nid not in utilities
+                assert utilities.get(nid, "") == ""
+                with pytest.raises(KeyError):
+                    utilities[nid]
+            for nid in ids[:2]:
+                with pytest.raises(TypeError):
+                    utilities[nid] = 1.0
+                with pytest.raises(TypeError):
+                    del utilities[nid]
+            # Protocols 0 and 1 cannot pickle a slotted object; the held view
+            # shares that.
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(utilities, protocol))
+                assert type(back) is _Held and list(back) == participants
+                assert [u.hex() for u in back.values()] == [u.hex() for u in utilities.values()]
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert record.strategies == {nid: Strategy.ACCEPT if u > 0.0 else Strategy.REJECT
+                                         for nid, u in copy.items()}
+            accepts += sum(u > 0.0 for u in copy.values())
+            pre = record.state
+        assert verify_nash(net, outcome, params)
+        # Each case plays the rounds it names.
+        if case == "no-participants":
+            assert outcome.rounds == 1 and len(outcome.history[0].utilities) == 0
+        else:
+            assert outcome.rounds >= 2 and accepts > 0
+            assert (screened_rounds > 0) is (case != "all-participants")
 
 
 class TestVerifyNash:
@@ -531,6 +658,13 @@ class TestGameParams:
         for epsilon in (0.0, math.nan, math.inf):
             with pytest.raises(ValidationError):
                 GameParams(epsilon=epsilon)
+
+    def test_real_valued_fields_reject_bools(self):
+        """True and False would pass every range check as 1 and 0."""
+        for field in ("epsilon", "screen_threshold", "delta"):
+            for flag in (True, False):
+                with pytest.raises(ValidationError, match=f"^{field} {flag} is not a number$"):
+                    GameParams(**{field: flag})
 
     def test_non_finite_budget_and_screen_threshold_rejected(self):
         for bad in (math.nan, math.inf, -math.inf, -0.1):

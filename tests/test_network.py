@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -284,10 +285,23 @@ class TestSlottedRecords:
             object.__setattr__(record, "extra", 1)
         assert not hasattr(record, "extra")
 
+    # A bool passes every range check as 1 or 0, so it is refused by name.
+    BOOL_CHANGES = {
+        ConceptNode: [("threshold", "node 3: threshold {!r} is not a number"),
+                      ("history", "node 3: history entry {!r} is not a number")],
+        WeightedEdge: [("weight", "edge (0, 1): weight {!r} is not a number")],
+        PairJudgment: [("human_score", "pair (cat, dog): score {!r} is not a number")],
+    }
+
     @pytest.mark.parametrize("record", RECORDS, ids=type)
     def test_replace_still_validates(self, record):
         with pytest.raises(ValidationError):
             dataclasses.replace(record, **self.BAD_CHANGES[type(record)])
+        for field, message in self.BOOL_CHANGES[type(record)]:
+            for flag in (True, False):
+                value = (0.0, flag) if field == "history" else flag
+                with pytest.raises(ValidationError, match=f"^{re.escape(message.format(flag))}$"):
+                    dataclasses.replace(record, **{field: value})
         assert dataclasses.replace(record) == record
 
     @pytest.mark.parametrize("record", RECORDS, ids=type)
@@ -302,6 +316,9 @@ class TestNodeInvariants:
         for threshold in (-1.0, math.nan, math.inf):
             with pytest.raises(ValidationError, match="threshold"):
                 ConceptNode(id=0, label="a", threshold=threshold)
+        for threshold in (True, False):
+            with pytest.raises(ValidationError, match=f"^node 0: threshold {threshold} is not a number$"):
+                ConceptNode(id=0, label="a", threshold=threshold)
 
     def test_unsorted_history(self):
         with pytest.raises(ValidationError, match="sorted"):
@@ -311,6 +328,9 @@ class TestNodeInvariants:
         for stamp in (-1.0, math.nan, math.inf):
             with pytest.raises(ValidationError, match="non-finite history"):
                 ConceptNode(id=0, label="a", history=(stamp,))
+        for stamp in (True, False):
+            with pytest.raises(ValidationError, match=f"^node 0: history entry {stamp} is not a number$"):
+                ConceptNode(id=0, label="a", history=(0.0, stamp))
 
     def test_empty_label(self):
         with pytest.raises(ValidationError, match="label"):

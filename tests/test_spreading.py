@@ -288,7 +288,12 @@ class TestRunSpread:
         ({"max_steps": math.inf}, "^max_steps inf must be an int >= 1$"),
         ({"max_steps": math.nan}, "^max_steps nan must be an int >= 1$"),
         ({"max_steps": True}, "^max_steps True must be an int >= 1$"),
-    ], ids=["delta-1.5", "max-steps-0", "max-steps-2.5", "max-steps-inf", "max-steps-nan", "max-steps-True"])
+        ({"delta": True}, "^delta True is not a number$"),
+        ({"delta": False}, "^delta False is not a number$"),
+        ({"fire_threshold": True}, "^fire_threshold True is not a number$"),
+        ({"fire_threshold": False}, "^fire_threshold False is not a number$"),
+    ], ids=["delta-1.5", "max-steps-0", "max-steps-2.5", "max-steps-inf", "max-steps-nan", "max-steps-True",
+            "delta-True", "delta-False", "fire-threshold-True", "fire-threshold-False"])
     def test_out_of_range_params_rejected(self, kwargs, message):
         with pytest.raises(ValidationError, match=message):
             SpreadParams(**kwargs)
@@ -419,7 +424,7 @@ class TestHeldView:
         ):
             values = [0.2] * 5
             values[position] = bad
-            cases.append((_Held(net, tuple(values)), message))
+            cases.append((_Held(net.node_ids(), net._positions, tuple(values)), message))
         for other, message in ((4, r"^state holds no value for 1 node\(s\): 4$"),
                                (6, "^state holds unknown node id 5$")):
             cases.append((seed_state(quick_net(other, [(0, 1, 0.5)]), {0: 0.2}).held, message))
