@@ -53,6 +53,8 @@ class CobwebParams:
 
 @dataclass(frozen=True)
 class CobwebTraceRow:
+    """One node's step in one cycle of `run_cobweb`."""
+
     iteration: int
     node: int
     o: float
@@ -62,6 +64,8 @@ class CobwebTraceRow:
 
 @dataclass(frozen=True)
 class CobwebRun:
+    """What `run_cobweb` returns: grants, cycles run, convergence, values and trace."""
+
     allocations: dict[int, float]
     iters: int
     converged: bool
@@ -94,6 +98,9 @@ def run_cobweb(
     if not nodes:
         raise ValidationError("cobweb needs at least one node")
     _check_budget(budget)
+    for initial, target in nodes:
+        _check_number("cobweb initial value", initial)
+        _check_number("cobweb target", target)
     if not all(math.isfinite(v) for node in nodes for v in node):
         raise ValidationError("cobweb initial values and targets must be finite")
     r, ds, ss = params.r, params.demand_slope, params.supply_slope

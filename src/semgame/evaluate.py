@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .game import GameOutcome, GameParams, rescale_to_budget, run_game
 from .generate import complete_network, generate_network
 from .network import PairJudgment, SemanticNetwork
-from .spreading import ActivationState, SpreadParams, _check_budget, _check_limit, _left_sum, run_spread
+from .spreading import ActivationState, SpreadParams, _check_budget, _check_limit, _check_number, _left_sum, run_spread
 
 __all__ = [
     "EvalReport",
@@ -218,10 +218,13 @@ def utilization(
     allocations: Mapping[int, float], demands: Mapping[int, float], budget: float
 ) -> float:
     """Fraction of the budget that lands within demand: sum(min(a_i, d_i)) / budget.
-    A NaN, negative or infinite allocation or demand raises."""
+    A bool, NaN, negative or infinite allocation or demand raises."""
     _check_budget(budget)
     if set(allocations) != set(demands):
         raise ValidationError("allocations and demands keyed over different nodes")
+    for name, given in (("allocation", allocations), ("demand", demands)):
+        for v in given.values():
+            _check_number(f"utilization: {name}", v)
     values = [*allocations.values(), *demands.values()]
     if any(map(math.isnan, values)):
         raise ValidationError("utilization: NaN allocation or demand")

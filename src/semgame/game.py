@@ -237,6 +237,9 @@ class _Ranks(Mapping):
     def __len__(self) -> int:
         return len(self._ids)
 
+    def __reduce__(self) -> tuple:
+        return _Ranks, (self._ids,)
+
 
 def _offer(
     net: SemanticNetwork, values: Sequence[float], params: GameParams

@@ -18,7 +18,6 @@ copy the JSON parser made, so the edge records add no ints of their own.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -278,6 +277,8 @@ def load_network(path: str | Path) -> SemanticNetwork:
     Any invariant violation raises ValidationError with element context;
     no partially constructed network is ever returned.
     """
+    import json  # here and in save_network, so `import semgame` does not load the codec
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -294,6 +295,8 @@ def load_network(path: str | Path) -> SemanticNetwork:
 
 def save_network(net: SemanticNetwork, path: str | Path) -> None:
     """Write the network as the JSON file that `load_network` reads back exactly."""
+    import json
+
     data = {
         "nodes": [
             {

@@ -89,6 +89,10 @@ class _Held(Mapping):
     def __repr__(self) -> str:
         return repr(dict(zip(self._ids, self._values)))
 
+    def __reduce__(self) -> tuple:
+        # Protocols 0 and 1 cannot rebuild a slotted object on their own.
+        return _Held, (self._ids, self._positions, self._values)
+
 
 @dataclass(frozen=True)
 class SpreadParams:
@@ -173,6 +177,7 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
     for nid, energy in sources.items():
         if not net.has_node(nid):
             raise ValidationError(f"source id {nid} not in network")
+        _check_number(f"source {nid}: energy", energy)
         if not math.isfinite(energy) or energy < 0:
             raise ValidationError(f"source {nid}: negative or non-finite energy {energy}")
     ids = net.node_ids()
@@ -322,8 +327,11 @@ def initial_activation(history: tuple[float, ...] | list[float], now: float) -> 
     energy is the log of the summed contributions, clamped at zero so
     stale or empty histories start cold. Same-moment uses are ignored.
     """
+    _check_number("now", now)
     if not math.isfinite(now):
         raise ValidationError(f"now {now} must be finite")
+    for t in history:
+        _check_number("history timestamp", t)
     if any(t > now for t in history):
         raise ValidationError("history timestamp in the future")
     for t in history:

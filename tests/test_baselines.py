@@ -128,6 +128,13 @@ class TestRunCobweb:
         with pytest.raises(ValidationError, match="must be finite"):
             run_cobweb([(1.0, 1.0), node], linear_params(r=0.1), budget=10.0)
 
+    def test_bool_initial_value_or_target_rejected(self):
+        """True once ran as the number 1."""
+        with pytest.raises(ValidationError, match="^cobweb initial value True is not a number$"):
+            run_cobweb([(1.0, 1.0), (True, 1.0)], linear_params(r=0.1), budget=10.0)
+        with pytest.raises(ValidationError, match="^cobweb target False is not a number$"):
+            run_cobweb([(1.0, False)], linear_params(r=0.1), budget=10.0)
+
     def test_needs_a_node(self):
         with pytest.raises(ValidationError, match="at least one node"):
             run_cobweb([], linear_params(r=0.1), budget=10.0)

@@ -332,6 +332,13 @@ class TestUtilization:
                                match="^utilization: negative or infinite allocation or demand$"):
                 utilization(allocations, demands, 2.0)
 
+    def test_bool_allocation_or_demand_raises(self):
+        """True once counted as 1.0: utilization({0: True}, {0: 1.0}, 2.0) gave 0.5."""
+        with pytest.raises(ValidationError, match="^utilization: allocation True is not a number$"):
+            utilization({0: True}, {0: 1.0}, 2.0)
+        with pytest.raises(ValidationError, match="^utilization: demand False is not a number$"):
+            utilization({0: 1.0}, {0: False}, 2.0)
+
     def test_budget_must_be_finite_and_positive(self):
         """A NaN or infinite budget raises instead of giving a quiet 0.0 (or,
         in a rescale, NaN values), with the message every budget check

@@ -458,7 +458,7 @@ class TestUtilitiesView:
     def test_every_round_is_a_view_equal_to_the_oracle(self, case):
         """Ids ascend; the view equals its dict copy and round_oracle's
         realized utilities bit for bit; a screened-out id reads as absent;
-        it takes no assignment, pickles, and gives the same strategies,
+        it takes no assignment, pickles under every protocol, and gives the same strategies,
         and the final round replays (verify_nash)."""
         thresholds, screen_threshold = self.CASES[case]
         net, initial, params = scattered_game(thresholds, screen_threshold)
@@ -492,13 +492,12 @@ class TestUtilitiesView:
                     utilities[nid] = 1.0
                 with pytest.raises(TypeError):
                     del utilities[nid]
-            # Protocols 0 and 1 cannot pickle a slotted object; the held view
-            # shares that.
-            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 back = pickle.loads(pickle.dumps(utilities, protocol))
                 assert type(back) is _Held and list(back) == participants
+                assert type(back._positions) is type(utilities._positions)
                 assert [u.hex() for u in back.values()] == [u.hex() for u in utilities.values()]
-            assert pickle.loads(pickle.dumps(record)) == record
+                assert pickle.loads(pickle.dumps(record, protocol)) == record
             assert record.strategies == {nid: Strategy.ACCEPT if u > 0.0 else Strategy.REJECT
                                          for nid, u in copy.items()}
             accepts += sum(u > 0.0 for u in copy.values())

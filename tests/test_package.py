@@ -1,6 +1,7 @@
 """The package surface: the README quick tour runs against exactly the
-root's names, every submodule name in `__all__` has a caller, and every
-module-level private name has a reader."""
+root's names, every submodule name in `__all__` has a caller, every
+module-level private name has a reader, and the import loads only the
+standard library, without the JSON codec."""
 
 import ast
 import json
@@ -116,14 +117,47 @@ def test_package_imports_only_the_standard_library():
         "import semgame, semgame.cli, semgame.evaluate, semgame.baselines\n"
         "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
     )
+    loaded = set(json.loads(fresh_python(script)))
+    assert "semgame" in loaded
+    assert not {m for m in loaded if m != "semgame" and m not in sys.stdlib_module_names}
+
+
+def fresh_python(script: str, *args: str, flags: tuple[str, ...] = ()) -> str:
+    """What `script` prints when run with `args` in a fresh interpreter
+    that finds the package under src/."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    loaded = set(json.loads(done.stdout))
-    assert "semgame" in loaded
-    assert not {m for m in loaded if m != "semgame" and m not in sys.stdlib_module_names}
+    return done.stdout
+
+
+def test_the_json_codec_loads_with_the_first_network_file(tmp_path):
+    """`import semgame` leaves `json` unloaded; `load_network` loads it;
+    and a save that runs first in its process writes a file that loads
+    back equal. `-S` keeps site's start-up imports out of the check."""
+    path = tmp_path / "net.json"
+    save_first = (
+        "import sys\n"
+        "import semgame\n"
+        "from semgame.network import save_network\n"
+        "imported = 'json' in sys.modules\n"
+        "net = semgame.generate_network(12, 0.3, 5)\n"
+        "save_network(net, sys.argv[1])\n"
+        "saved = 'json' in sys.modules\n"
+        "back = semgame.load_network(sys.argv[1])\n"
+        "print(imported, saved, back == net and back._dense == net._dense)\n"
+    )
+    assert fresh_python(save_first, str(path), flags=("-S",)).split() == ["False", "True", "True"]
+    load_first = (
+        "import sys\n"
+        "import semgame\n"
+        "imported = 'json' in sys.modules\n"
+        "semgame.load_network(sys.argv[1])\n"
+        "print(imported, 'json' in sys.modules)\n"
+    )
+    assert fresh_python(load_first, str(path), flags=("-S",)).split() == ["False", "True"]

@@ -274,6 +274,11 @@ class TestRunSpread:
             with pytest.raises(ValidationError, match="non-finite"):
                 seed_state(quick_net(2, []), {0: energy})
 
+    def test_bool_source_energy_rejected(self):
+        """True once seeded the source with 1.0."""
+        with pytest.raises(ValidationError, match="^source 0: energy True is not a number$"):
+            seed_state(quick_net(2, []), {0: True})
+
     def test_non_finite_params_rejected(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError, match="budget"):
@@ -376,8 +381,8 @@ class TestHeldView:
         """Iteration is ascending by id; len, in, reversed(items()), ==,
         repr and dict() agree with the dict over the same values; an unknown
         id raises KeyError; item assignment raises TypeError; values() is
-        an immutable tuple; pickle round-trips to an equal state that steps
-        to the same state."""
+        an immutable tuple; pickle round-trips under every protocol to an
+        equal state that steps to the same state."""
         net, states = self.package_states()
         ids = net.node_ids()
         for state in states:
@@ -402,10 +407,11 @@ class TestHeldView:
             assert type(held.values()) is tuple
             with pytest.raises(TypeError):
                 held.values()[0] = 1.0
-            copy = pickle.loads(pickle.dumps(state))
-            assert copy == state and type(copy.held) is _Held
             params = SpreadParams(budget=1.0)
-            assert step(net, copy, params) == step(net, state, params)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copy = pickle.loads(pickle.dumps(state, protocol))
+                assert copy == state and type(copy.held) is _Held
+                assert step(net, copy, params) == step(net, state, params)
 
     def test_checks_fire_on_views(self):
         """A view holding a negative, NaN or inf value, or a view over
@@ -530,3 +536,10 @@ class TestInitialActivation:
     def test_non_finite_timestamp_rejected(self, t, message):
         with pytest.raises(ValidationError, match=f"^history timestamp {message}$"):
             initial_activation((0.0, t), now=1.0)
+
+    def test_bool_now_or_timestamp_rejected(self):
+        """True once ran as the number 1."""
+        with pytest.raises(ValidationError, match="^now True is not a number$"):
+            initial_activation((1.0,), True)
+        with pytest.raises(ValidationError, match="^history timestamp False is not a number$"):
+            initial_activation((0.5, False), now=1.0)
