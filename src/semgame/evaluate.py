@@ -18,7 +18,8 @@ from .errors import ValidationError
 from .game import GameOutcome, GameParams, rescale_to_budget, run_game
 from .generate import complete_network, generate_network
 from .network import PairJudgment, SemanticNetwork
-from .spreading import ActivationState, SpreadParams, _check_budget, _check_limit, _check_number, _left_sum, run_spread
+from .spreading import (ActivationState, SpreadParams, _check_budget, _check_limit, _check_number, _left_sum,
+                        run_spread)
 
 __all__ = [
     "EvalReport",
@@ -222,9 +223,9 @@ def utilization(
     _check_budget(budget)
     if set(allocations) != set(demands):
         raise ValidationError("allocations and demands keyed over different nodes")
-    for name, given in (("allocation", allocations), ("demand", demands)):
+    for name, given in (("utilization: allocation", allocations), ("utilization: demand", demands)):
         for v in given.values():
-            _check_number(f"utilization: {name}", v)
+            _check_number(name, v)
     values = [*allocations.values(), *demands.values()]
     if any(map(math.isnan, values)):
         raise ValidationError("utilization: NaN allocation or demand")

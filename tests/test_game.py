@@ -458,8 +458,8 @@ class TestUtilitiesView:
     def test_every_round_is_a_view_equal_to_the_oracle(self, case):
         """Ids ascend; the view equals its dict copy and round_oracle's
         realized utilities bit for bit; a screened-out id reads as absent;
-        it takes no assignment, pickles under every protocol, and gives the same strategies,
-        and the final round replays (verify_nash)."""
+        it takes no assignment, pickles under every protocol, and gives the
+        same strategies, and the final round replays (verify_nash)."""
         thresholds, screen_threshold = self.CASES[case]
         net, initial, params = scattered_game(thresholds, screen_threshold)
         ids, positions = net.node_ids(), net._positions
