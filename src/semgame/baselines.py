@@ -13,9 +13,9 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_budget, _check_limit, _check_real
 from .network import SemanticNetwork
-from .spreading import ActivationState, SpreadParams, _check_budget, _check_limit, _check_number, run_spread
+from .spreading import ActivationState, SpreadParams, run_spread
 
 __all__ = [
     "CobwebParams",
@@ -42,12 +42,9 @@ class CobwebParams:
     max_iters: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("r", "demand_slope", "supply_slope"):
-            _check_number(name, getattr(self, name))
-        if not all(map(math.isfinite, (self.r, self.demand_slope, self.supply_slope))):
-            raise ValidationError("cobweb rate and slopes must be finite")
-        if self.demand_slope < 0 or self.supply_slope < 0:
-            raise ValidationError("demand/supply slopes must be >= 0")
+        _check_real("r", self.r, -math.inf, math.inf)
+        _check_real("demand_slope", self.demand_slope, 0, math.inf)
+        _check_real("supply_slope", self.supply_slope, 0, math.inf)
         _check_limit("max_iters", self.max_iters)
 
 
@@ -99,10 +96,8 @@ def run_cobweb(
         raise ValidationError("cobweb needs at least one node")
     _check_budget(budget)
     for initial, target in nodes:
-        _check_number("cobweb initial value", initial)
-        _check_number("cobweb target", target)
-    if not all(math.isfinite(v) for node in nodes for v in node):
-        raise ValidationError("cobweb initial values and targets must be finite")
+        _check_real("cobweb initial value", initial, -math.inf, math.inf)
+        _check_real("cobweb target", target, -math.inf, math.inf)
     r, ds, ss = params.r, params.demand_slope, params.supply_slope
     values = [float(initial) for initial, _ in nodes]
     expected = list(values)

@@ -14,12 +14,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .baselines import CobwebParams, run_cobweb, run_traditional
-from .errors import ValidationError
+from .errors import ValidationError, _check_budget, _check_limit, _check_real
 from .game import GameOutcome, GameParams, rescale_to_budget, run_game
 from .generate import complete_network, generate_network
 from .network import PairJudgment, SemanticNetwork
-from .spreading import (ActivationState, SpreadParams, _check_budget, _check_limit, _check_number, _left_sum,
-                        run_spread)
+from .spreading import ActivationState, SpreadParams, _left_sum, run_spread
 
 __all__ = [
     "EvalReport",
@@ -43,8 +42,7 @@ class EvalReport:
     tie_warning: bool
 
     def __post_init__(self) -> None:
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValidationError(f"rho {self.rho} outside [-1, 1]")
+        _check_real("rho", self.rho, -1, 1)
         if len(self.pairs) < 2:
             raise ValidationError("report needs at least 2 pairs")
 
@@ -219,18 +217,13 @@ def utilization(
     allocations: Mapping[int, float], demands: Mapping[int, float], budget: float
 ) -> float:
     """Fraction of the budget that lands within demand: sum(min(a_i, d_i)) / budget.
-    A bool, NaN, negative or infinite allocation or demand raises."""
+    A non-number (a bool too), NaN, negative or infinite allocation or demand raises."""
     _check_budget(budget)
     if set(allocations) != set(demands):
         raise ValidationError("allocations and demands keyed over different nodes")
     for name, given in (("utilization: allocation", allocations), ("utilization: demand", demands)):
         for v in given.values():
-            _check_number(name, v)
-    values = [*allocations.values(), *demands.values()]
-    if any(map(math.isnan, values)):
-        raise ValidationError("utilization: NaN allocation or demand")
-    if min(values, default=0.0) < 0.0 or not all(map(math.isfinite, values)):
-        raise ValidationError("utilization: negative or infinite allocation or demand")
+            _check_real(name, v, 0, math.inf)
     useful = _left_sum(min(allocations[k], demands[k]) for k in sorted(allocations))
     return min(1.0, useful / budget)
 

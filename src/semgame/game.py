@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import count, repeat
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_budget, _check_limit, _check_real
 from .network import SemanticNetwork
-from .spreading import (ActivationState, _check_budget, _check_limit, _check_number, _check_within_budget,
-                        _Held, _held_list, _left_sum, _spread_once)
+from .spreading import ActivationState, _check_within_budget, _Held, _held_list, _left_sum, _spread_once
 
 __all__ = [
     "Strategy",
@@ -81,18 +80,11 @@ class GameParams:
         _check_budget(self.budget)
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", 1e-3 * self.budget)
-        _check_number("epsilon", self.epsilon)
-        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise ValidationError(f"epsilon {self.epsilon} must be finite and positive")
+        _check_real("epsilon", self.epsilon, 0, math.inf, above=True)
         _check_limit("max_rounds", self.max_rounds)
-        _check_number("screen_threshold", self.screen_threshold)
-        if self.screen_threshold is not None and not (
-            math.isfinite(self.screen_threshold) and self.screen_threshold >= 0
-        ):
-            raise ValidationError(f"screen_threshold {self.screen_threshold} must be finite and >= 0")
-        _check_number("delta", self.delta)
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValidationError(f"delta {self.delta} outside [0, 1]")
+        if self.screen_threshold is not None:
+            _check_real("screen_threshold", self.screen_threshold, 0, math.inf)
+        _check_real("delta", self.delta, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,7 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
     scaled = _rescale(values, budget)
     if scaled is values:
         return state
-    rescaled = held._with(tuple(scaled)) if view else dict(zip(ids, scaled))
+    rescaled = _Held(held._ids, held._positions, tuple(scaled)) if view else dict(zip(ids, scaled))
     return ActivationState(state.t, rescaled, state.activated)
 
 

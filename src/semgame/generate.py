@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import random
 
-from .errors import ValidationError
+from .errors import _check_limit, _check_real
 from .network import ConceptNode, SemanticNetwork, WeightedEdge, build_network
-from .spreading import _check_limit, _check_number
 
 __all__ = ["generate_network", "complete_network"]
 
@@ -19,9 +18,7 @@ def generate_network(n: int, edge_prob: float, seed: int) -> SemanticNetwork:
     edge_prob, seed) triple always yields the identical network.
     """
     _check_limit("n", n, 2)
-    _check_number("edge_prob", edge_prob)
-    if not 0.0 < edge_prob <= 1.0:
-        raise ValidationError(f"edge_prob {edge_prob} outside (0, 1]")
+    _check_real("edge_prob", edge_prob, 0, 1, above=True)
     rng = random.Random(seed)
     nodes = [ConceptNode(id=i, label=f"c{i}") for i in range(n)]
 

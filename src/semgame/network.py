@@ -19,10 +19,10 @@ copy the JSON parser made, so the edge records add no ints of their own.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_number, _check_real
 
 __all__ = [
     "ConceptNode",
@@ -53,17 +53,14 @@ class ConceptNode:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValidationError(f"node {self.id}: empty label")
-        # True and False would pass every range check below as 1 and 0.
-        if type(self.threshold) is bool:
-            raise ValidationError(f"node {self.id}: threshold {self.threshold!r} is not a number")
-        if not math.isfinite(self.threshold) or self.threshold < 0:
-            raise ValidationError(f"node {self.id}: threshold {self.threshold} must be finite and >= 0")
+        # A plain float in range is taken inline, as a load builds thousands
+        # of nodes; anything else goes to the shared check to name the fault.
+        if type(self.threshold) is not float or not 0.0 <= self.threshold < math.inf:
+            _check_real(f"node {self.id}: threshold", self.threshold, 0, math.inf)
         if self.history:
             for t in self.history:
-                if type(t) is bool:
-                    raise ValidationError(f"node {self.id}: history entry {t!r} is not a number")
-            if any(not math.isfinite(t) or t < 0 for t in self.history):
-                raise ValidationError(f"node {self.id}: negative or non-finite history timestamp")
+                if type(t) is not float or not 0.0 <= t < math.inf:
+                    _check_real(f"node {self.id}: history entry", t, 0, math.inf)
             if any(a > b for a, b in zip(self.history, self.history[1:])):
                 raise ValidationError(f"node {self.id}: history timestamps not sorted ascending")
 
@@ -79,12 +76,9 @@ class WeightedEdge:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValidationError(f"edge ({self.a}, {self.b}): self-loop")
-        if type(self.weight) is bool:
-            raise ValidationError(f"edge ({self.a}, {self.b}): weight {self.weight!r} is not a number")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValidationError(
-                f"edge ({self.a}, {self.b}): weight {self.weight} outside [0, 1]"
-            )
+        # Inline for a plain float in range, as in ConceptNode.
+        if type(self.weight) is not float or not 0.0 <= self.weight <= 1.0:
+            _check_real(f"edge ({self.a}, {self.b}): weight", self.weight, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -216,9 +210,9 @@ def _as_id(value, what: str) -> int:
 
 def _as_number(value, what: str) -> float:
     """A threshold, timestamp or weight read from JSON: an int or a float (not a bool or string)."""
-    if type(value) is float or (isinstance(value, (int, float)) and not isinstance(value, bool)):
-        return float(value)
-    raise ValidationError(f"{what} {value!r} is not a number")
+    if type(value) is not float:
+        _check_number(what, value)
+    return float(value)
 
 
 _BAD_ENTRY = (ValidationError, KeyError, TypeError, ValueError, OverflowError)
@@ -271,7 +265,7 @@ def _records(data) -> tuple[list[ConceptNode], list[WeightedEdge]]:
     return nodes, edges
 
 
-def load_network(path: str | Path) -> SemanticNetwork:
+def load_network(path: str | os.PathLike[str]) -> SemanticNetwork:
     """Load and validate a network from a JSON file.
 
     Any invariant violation raises ValidationError with element context;
@@ -280,7 +274,8 @@ def load_network(path: str | Path) -> SemanticNetwork:
     import json  # here and in save_network, so `import semgame` does not load the codec
 
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     try:
@@ -293,7 +288,7 @@ def load_network(path: str | Path) -> SemanticNetwork:
     return build_network(nodes, edges)
 
 
-def save_network(net: SemanticNetwork, path: str | Path) -> None:
+def save_network(net: SemanticNetwork, path: str | os.PathLike[str]) -> None:
     """Write the network as the JSON file that `load_network` reads back exactly."""
     import json
 
@@ -309,7 +304,8 @@ def save_network(net: SemanticNetwork, path: str | Path) -> None:
         ],
         "edges": [{"a": e.a, "b": e.b, "w": e.weight} for e in net.edges],
     }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(data, indent=2) + "\n")
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,20 +317,13 @@ class PairJudgment:
     human_score: float
 
     def __post_init__(self) -> None:
-        if type(self.human_score) is bool:
-            raise ValidationError(
-                f"pair ({self.label_a}, {self.label_b}): score {self.human_score!r} is not a number"
-            )
-        if not 0.0 <= self.human_score <= 1.0:
-            raise ValidationError(
-                f"pair ({self.label_a}, {self.label_b}): score {self.human_score} outside [0, 1]"
-            )
+        _check_real(f"pair ({self.label_a}, {self.label_b}): score", self.human_score, 0, 1)
 
 
 _SCALES = ("unit", "five-point")
 
 
-def load_pairs(path: str | Path, scale: str = "unit") -> list[PairJudgment]:
+def load_pairs(path: str | os.PathLike[str], scale: str = "unit") -> list[PairJudgment]:
     """Load tab-separated (label_a, label_b, score) rows, normalizing scores.
 
     `scale` is "unit" for scores already in [0, 1] or "five-point" for a
@@ -345,7 +334,8 @@ def load_pairs(path: str | Path, scale: str = "unit") -> list[PairJudgment]:
     if scale not in _SCALES:
         raise ValidationError(f"unknown scale {scale!r}; expected one of {_SCALES}")
     try:
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+        with open(path, encoding="utf-8-sig") as f:
+            lines = f.read().splitlines()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 

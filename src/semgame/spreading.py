@@ -23,7 +23,7 @@ import math
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_budget, _check_limit, _check_number, _check_real
 from .network import SemanticNetwork
 
 __all__ = [
@@ -61,12 +61,6 @@ class _Held(Mapping):
 
     def __init__(self, ids: tuple[int, ...], positions: Mapping[int, int], values: tuple[float, ...]) -> None:
         self._ids, self._positions, self._values = ids, positions, values
-
-    def _with(self, values: tuple[float, ...]) -> _Held:
-        """A view over the same ids holding `values`."""
-        held = object.__new__(_Held)
-        held._ids, held._positions, held._values = self._ids, self._positions, values
-        return held
 
     def __getitem__(self, nid: int) -> float:
         return self._values[self._positions[nid]]
@@ -116,33 +110,9 @@ class SpreadParams:
         _check_budget(self.budget)
         if self.fire_threshold is None:
             object.__setattr__(self, "fire_threshold", 1e-6 * self.budget)
-        _check_number("delta", self.delta)
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValidationError(f"delta {self.delta} outside [0, 1]")
-        _check_number("fire_threshold", self.fire_threshold)
-        if not math.isfinite(self.fire_threshold) or self.fire_threshold < 0:
-            raise ValidationError(f"fire_threshold {self.fire_threshold} must be finite and >= 0")
+        _check_real("delta", self.delta, 0, 1)
+        _check_real("fire_threshold", self.fire_threshold, 0, math.inf)
         _check_limit("max_steps", self.max_steps)
-
-
-def _check_number(name: str, value: float) -> None:
-    """Raise if a real-valued field holds a bool: every range check would
-    take True and False as 1 and 0."""
-    if type(value) is bool:
-        raise ValidationError(f"{name} {value!r} is not a number")
-
-
-def _check_budget(budget: float) -> None:
-    """Raise unless the budget is a finite, positive number (not a bool)."""
-    _check_number("budget", budget)
-    if not math.isfinite(budget) or budget <= 0:
-        raise ValidationError(f"budget {budget} must be finite and positive")
-
-
-def _check_limit(name: str, value: int, least: int = 1) -> None:
-    """Raise unless a count (limit, size, seeds, k) is a non-bool int >= least."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValidationError(f"{name} {value!r} must be an int >= {least}")
 
 
 def check_state(net: SemanticNetwork, state: ActivationState) -> None:
@@ -177,9 +147,7 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
     for nid, energy in sources.items():
         if not net.has_node(nid):
             raise ValidationError(f"source id {nid} not in network")
-        _check_number(f"source {nid}: energy", energy)
-        if not math.isfinite(energy) or energy < 0:
-            raise ValidationError(f"source {nid}: negative or non-finite energy {energy}")
+        _check_real(f"source {nid}: energy", energy, 0, math.inf)
     ids = net.node_ids()
     held = _Held(ids, net._positions, tuple([float(sources.get(nid, 0.0)) for nid in ids]))
     return ActivationState(0, held, frozenset(sources))
@@ -327,16 +295,13 @@ def initial_activation(history: tuple[float, ...] | list[float], now: float) -> 
     energy is the log of the summed contributions, clamped at zero so
     stale or empty histories start cold. Same-moment uses are ignored.
     """
-    _check_number("now", now)
-    if not math.isfinite(now):
-        raise ValidationError(f"now {now} must be finite")
+    _check_real("now", now, -math.inf, math.inf)
     for t in history:
         _check_number("history timestamp", t)
     if any(t > now for t in history):
         raise ValidationError("history timestamp in the future")
     for t in history:
-        if not math.isfinite(t):
-            raise ValidationError(f"history timestamp {t} must be finite")
+        _check_real("history timestamp", t, -math.inf, math.inf)
     terms = [(now - t) ** (-_HISTORY_DECAY) for t in history if now - t > 0]
     if not terms:
         return 0.0

@@ -316,20 +316,23 @@ class TestUtilization:
     def test_nan_allocation_or_demand_raises(self):
         """min() passes a NaN allocation through and drops a NaN demand, so
         either used to give a quiet figure (0.0 here); now each raises."""
-        for allocations, demands in (({0: math.nan, 1: 1.0}, {0: 1.0, 1: 1.0}),
-                                     ({0: 1.0, 1: 1.0}, {0: 1.0, 1: math.nan})):
-            with pytest.raises(ValidationError, match="^utilization: NaN allocation or demand$"):
+        for allocations, demands, message in (
+            ({0: math.nan, 1: 1.0}, {0: 1.0, 1: 1.0}, "allocation nan"),
+            ({0: 1.0, 1: 1.0}, {0: 1.0, 1: math.nan}, "demand nan"),
+        ):
+            with pytest.raises(ValidationError, match=f"^utilization: {message} must be finite and >= 0$"):
                 utilization(allocations, demands, 2.0)
 
     def test_negative_or_infinite_allocation_or_demand_raises(self):
         """A negative value dragged the useful sum down to a clamped 0.0, and
         an infinite allocation against an infinite demand gave 1.0."""
-        for allocations, demands in (({0: -5.0, 1: 1.0}, {0: 1.0, 1: 1.0}),
-                                     ({0: 1.0, 1: 1.0}, {0: -3.0, 1: 1.0}),
-                                     ({0: math.inf, 1: 1.0}, {0: math.inf, 1: 1.0}),
-                                     ({0: 1.0, 1: 1.0}, {0: 1.0, 1: -math.inf})):
-            with pytest.raises(ValidationError,
-                               match="^utilization: negative or infinite allocation or demand$"):
+        for allocations, demands, message in (
+            ({0: -5.0, 1: 1.0}, {0: 1.0, 1: 1.0}, r"allocation -5\.0"),
+            ({0: 1.0, 1: 1.0}, {0: -3.0, 1: 1.0}, r"demand -3\.0"),
+            ({0: math.inf, 1: 1.0}, {0: math.inf, 1: 1.0}, "allocation inf"),
+            ({0: 1.0, 1: 1.0}, {0: 1.0, 1: -math.inf}, "demand -inf"),
+        ):
+            with pytest.raises(ValidationError, match=f"^utilization: {message} must be finite and >= 0$"):
                 utilization(allocations, demands, 2.0)
 
     def test_bool_allocation_or_demand_raises(self):

@@ -326,7 +326,8 @@ class TestNodeInvariants:
 
     def test_negative_or_non_finite_history(self):
         for stamp in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValidationError, match="non-finite history"):
+            message = f"node 0: history entry {stamp} must be finite and >= 0"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 ConceptNode(id=0, label="a", history=(stamp,))
         for stamp in (True, False):
             with pytest.raises(ValidationError, match=f"^node 0: history entry {stamp} is not a number$"):

@@ -1,7 +1,8 @@
 """The package surface: the README quick tour runs against exactly the
 root's names, every submodule name in `__all__` has a caller, every
-module-level private name has a reader, and the import loads only the
-standard library, without the JSON codec."""
+module-level private name has a reader, the import loads only the
+standard library, without the JSON codec or pathlib, and every
+real-valued input follows the one number rule of `errors.py`."""
 
 import ast
 import json
@@ -11,7 +12,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import semgame
+from semgame.baselines import CobwebParams, run_cobweb
+from semgame.errors import ValidationError
+from semgame.evaluate import EvalReport, utilization
+from semgame.game import GameParams
+from semgame.generate import generate_network
+from semgame.network import ConceptNode, PairJudgment, WeightedEdge
+from semgame.spreading import SpreadParams, initial_activation, seed_state
 
 REPO = Path(__file__).resolve().parents[1]
 README = REPO / "README.md"
@@ -137,9 +147,10 @@ def fresh_python(script: str, *args: str, flags: tuple[str, ...] = ()) -> str:
 
 
 def test_the_json_codec_loads_with_the_first_network_file(tmp_path):
-    """`import semgame` leaves `json` unloaded; `load_network` loads it;
-    and a save that runs first in its process writes a file that loads
-    back equal. `-S` keeps site's start-up imports out of the check."""
+    """`import semgame` leaves `json` and `pathlib` unloaded; `load_network`
+    loads the codec; and a save that runs first in its process writes a
+    file that loads back equal. `-S` keeps site's start-up imports out of
+    the check."""
     path = tmp_path / "net.json"
     save_first = (
         "import sys\n"
@@ -157,7 +168,90 @@ def test_the_json_codec_loads_with_the_first_network_file(tmp_path):
         "import sys\n"
         "import semgame\n"
         "imported = 'json' in sys.modules\n"
+        "paths = 'pathlib' in sys.modules\n"
         "semgame.load_network(sys.argv[1])\n"
-        "print(imported, 'json' in sys.modules)\n"
+        "print(imported, paths, 'json' in sys.modules)\n"
     )
-    assert fresh_python(load_first, str(path), flags=("-S",)).split() == ["False", "True"]
+    assert fresh_python(load_first, str(path), flags=("-S",)).split() == ["False", "False", "True"]
+
+
+def _real_inputs():
+    """(id, message prefix, call) for every real-valued field or function
+    argument of the package; the call passes its one argument there."""
+    net = generate_network(5, 0.5, 1)
+    cobweb = CobwebParams(0.1, 0.1, 0.1)
+    pairs = (("a", "b", 0.5, 0.5), ("c", "d", 0.2, 0.3))
+    return [
+        ("SpreadParams.delta", "delta", lambda v: SpreadParams(delta=v)),
+        ("SpreadParams.fire_threshold", "fire_threshold", lambda v: SpreadParams(fire_threshold=v)),
+        ("SpreadParams.budget", "budget", lambda v: SpreadParams(budget=v)),
+        ("seed_state", "source 0: energy", lambda v: seed_state(net, {0: v})),
+        ("initial_activation.now", "now", lambda v: initial_activation((), v)),
+        ("initial_activation.history", "history timestamp", lambda v: initial_activation((v,), 1.0)),
+        ("GameParams.epsilon", "epsilon", lambda v: GameParams(epsilon=v)),
+        ("GameParams.screen_threshold", "screen_threshold", lambda v: GameParams(screen_threshold=v)),
+        ("GameParams.delta", "delta", lambda v: GameParams(delta=v)),
+        ("GameParams.budget", "budget", lambda v: GameParams(budget=v)),
+        ("ConceptNode.threshold", "node 0: threshold", lambda v: ConceptNode(0, "a", v)),
+        ("ConceptNode.history", "node 0: history entry", lambda v: ConceptNode(0, "a", 0.0, (v,))),
+        ("WeightedEdge.weight", "edge (0, 1): weight", lambda v: WeightedEdge(0, 1, v)),
+        ("PairJudgment.human_score", "pair (a, b): score", lambda v: PairJudgment("a", "b", v)),
+        ("CobwebParams.r", "r", lambda v: CobwebParams(v, 0.1, 0.1)),
+        ("CobwebParams.demand_slope", "demand_slope", lambda v: CobwebParams(0.1, v, 0.1)),
+        ("CobwebParams.supply_slope", "supply_slope", lambda v: CobwebParams(0.1, 0.1, v)),
+        ("run_cobweb.initial", "cobweb initial value", lambda v: run_cobweb([(v, 1.0)], cobweb, 1.0)),
+        ("run_cobweb.target", "cobweb target", lambda v: run_cobweb([(1.0, v)], cobweb, 1.0)),
+        ("run_cobweb.budget", "budget", lambda v: run_cobweb([(1.0, 1.0)], cobweb, v)),
+        ("EvalReport.rho", "rho", lambda v: EvalReport(v, pairs, False)),
+        ("utilization.allocation", "utilization: allocation", lambda v: utilization({0: v}, {0: 1.0}, 1.0)),
+        ("utilization.demand", "utilization: demand", lambda v: utilization({0: 1.0}, {0: v}, 1.0)),
+        ("utilization.budget", "budget", lambda v: utilization({0: 1.0}, {0: 1.0}, v)),
+        ("generate_network.edge_prob", "edge_prob", lambda v: generate_network(5, v, 1)),
+    ]
+
+
+REAL_INPUTS = _real_inputs()
+
+
+@pytest.mark.parametrize("name, prefix, call", REAL_INPUTS, ids=[name for name, _, _ in REAL_INPUTS])
+def test_non_numbers_raise_validation_error(name, prefix, call):
+    """A str, None or complex given for a real number raised a bare
+    TypeError from a comparison or from math.isfinite. None is skipped
+    where it means "derive the value" or "unset"."""
+    optional = {"SpreadParams.fire_threshold", "GameParams.epsilon", "GameParams.screen_threshold"}
+    for value in ("0.5", None, 0.5j):
+        if value is None and name in optional:
+            continue
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{prefix} {value!r}')} is not a number$"):
+            call(value)
+
+
+def test_only_errors_py_tests_for_a_bool():
+    """What counts as a number is said once, in errors.py: no other module
+    tests for a bool with `is bool`, `== bool` or isinstance/issubclass."""
+    def names_bool(node):
+        return isinstance(node, ast.Name) and node.id == "bool"
+
+    found = []
+    for path in sorted((REPO / "src" / "semgame").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(names_bool(n) for n in (node.left, *node.comparators)):
+                found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("isinstance", "issubclass")
+                  and any(names_bool(n) for n in ast.walk(node.args[1]))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_an_int_beyond_the_float_range_is_not_finite():
+    """Such an int raised a bare OverflowError, from math.isfinite or
+    where the package turned it into a float."""
+    with pytest.raises(ValidationError, match="^budget 1(0)+ must be finite and positive$"):
+        SpreadParams(budget=10**400)
+    with pytest.raises(ValidationError, match="^source 0: energy -1(0)+ must be finite and >= 0$"):
+        seed_state(generate_network(3, 0.5, 1), {0: -10**400})
+    with pytest.raises(ValidationError, match="^utilization: allocation 1(0)+ must be finite and >= 0$"):
+        utilization({0: 10**400}, {0: 1.0}, 1.0)

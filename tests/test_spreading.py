@@ -268,10 +268,10 @@ class TestRunSpread:
             run_spread(quick_net(2, []), {0: 2.0, 1: 3.0}, SpreadParams(budget=4.0))
 
     def test_negative_source_rejected(self):
-        with pytest.raises(ValidationError, match="negative"):
+        with pytest.raises(ValidationError, match=r"^source 0: energy -1\.0 must be finite and >= 0$"):
             run_spread(quick_net(2, []), {0: -1.0}, SpreadParams())
         for energy in (math.nan, math.inf):
-            with pytest.raises(ValidationError, match="non-finite"):
+            with pytest.raises(ValidationError, match=f"^source 0: energy {energy} must be finite and >= 0$"):
                 seed_state(quick_net(2, []), {0: energy})
 
     def test_bool_source_energy_rejected(self):
