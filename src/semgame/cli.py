@@ -146,12 +146,14 @@ def _cmd_game(args) -> tuple[dict, dict]:
     if args.trace:
         rows = []
         for index, rec in enumerate(outcome.history, 1):
-            # Read once per record: each read builds the dict anew.
-            strategies = rec.strategies
+            # Read once per record: each read builds the dict anew. The
+            # utilities are copied through items(), which zips the view's
+            # tuples, so no node's lookup bisects the view's ids.
+            strategies, utilities = rec.strategies, dict(rec.utilities.items())
             rows.extend(
                 [index, nid, v,
                  strategies[nid].value if nid in strategies else "",
-                 rec.utilities.get(nid, ""), rec.cost]
+                 utilities.get(nid, ""), rec.cost]
                 for nid, v in rec.state.held.items()
             )
         tables["trace.csv"] = (["round", "node", "held", "strategy", "utility", "round_cost"], rows)

@@ -16,10 +16,10 @@ distribution from round to round as a tuple by dense position (entry k
 is node `net.node_ids()[k]`); each round's record holds that tuple
 behind a read-only view. A record keeps only what cannot be derived:
 the state, the realized utilities and the cost. The utilities are a
-tuple in participant order behind the same kind of read-only view,
-which shares the network's ids when every node takes part;
-`dict(rec.utilities)` copies it. Strategies
-are read off the utilities, and a round that accepts the set the state
+tuple in participant order behind a `_Held` view too, over the
+participants' ids, which are the network's own when every node takes
+part; `dict(rec.utilities)` copies it. Strategies are read off the
+utilities, and a round that accepts the set the state
 before it activated shares that state's frozenset. The outcome reads
 its round count off the history; see `GameOutcome` for why its final
 state is still stored. `verify_nash` is a replay check: it plays a
@@ -29,8 +29,7 @@ final round's offer again through `_offer` and compares.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, repeat
@@ -199,38 +198,8 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
     scaled = _rescale(values, budget)
     if scaled is values:
         return state
-    rescaled = _Held(held._ids, held._positions, tuple(scaled)) if view else dict(zip(ids, scaled))
+    rescaled = _Held(held._ids, tuple(scaled)) if view else dict(zip(ids, scaled))
     return ActivationState(state.t, rescaled, state.activated)
-
-
-class _Ranks(Mapping):
-    """Read-only id -> position map over ascending ids, found by bisection,
-    so it adds nothing to the ids it indexes: the index of a screened
-    round's utilities, which cover only the participants' ids."""
-
-    __slots__ = ("_ids",)
-
-    def __init__(self, ids: tuple[int, ...]) -> None:
-        self._ids = ids
-
-    def __getitem__(self, nid: int) -> int:
-        ids = self._ids
-        try:
-            k = bisect_left(ids, nid)
-        except TypeError:  # not comparable with the int ids, so not one of them
-            raise KeyError(nid) from None
-        if k < len(ids) and ids[k] == nid:
-            return k
-        raise KeyError(nid)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __reduce__(self) -> tuple:
-        return _Ranks, (self._ids,)
 
 
 def _offer(
@@ -250,14 +219,14 @@ def _offer(
     it; a rejector realizes 0.0.
     The accepted positions come ascending. The utilities are a read-only
     view over the participants' ids, ascending, and a tuple in that
-    order; when every node takes part, the view shares the network's ids
-    and positions. With no participants the offer is `values` itself
+    order; when every node takes part, the view shares the network's
+    ids. With no participants the offer is `values` itself
     and both are empty.
     """
     limits = net._thresholds if params.screen_threshold is None else repeat(params.screen_threshold)
     participants = [k for k, v, t in zip(count(), values, limits) if v >= t]
     if not participants:
-        return values, [], _Held((), _Ranks(()), ())
+        return values, [], _Held((), ())
     offered = _spread_once(net, values, participants, params.delta)
     c = cost(values, offered)
     # Each participant pulls its neighbors' differences in ascending
@@ -280,10 +249,9 @@ def _offer(
             u = 0.0
         utilities.append(u)
     ids = net.node_ids()
-    if len(participants) == len(ids):
-        return offered, accepted, _Held(ids, net._positions, tuple(utilities))
-    screened = tuple([ids[k] for k in participants])
-    return offered, accepted, _Held(screened, _Ranks(screened), tuple(utilities))
+    if len(participants) < len(ids):
+        ids = tuple([ids[k] for k in participants])
+    return offered, accepted, _Held(ids, tuple(utilities))
 
 
 def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams) -> GameOutcome:
@@ -321,7 +289,7 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
             # ascending, so equal lists are equal sets, and a steady game
             # keeps one activated frozenset instead of one per round.
             shared = state.activated if accepted == activated else frozenset([ids[k] for k in accepted])
-            state = ActivationState(state.t + 1, _Held(ids, net._positions, new_values), shared)
+            state = ActivationState(state.t + 1, _Held(ids, new_values), shared)
             activated = accepted
         round_cost = cost(values, new_values)
         history.append(RoundRecord(state, utilities, round_cost))

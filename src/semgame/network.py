@@ -269,19 +269,22 @@ def load_network(path: str | os.PathLike[str]) -> SemanticNetwork:
     """Load and validate a network from a JSON file.
 
     Any invariant violation raises ValidationError with element context;
-    no partially constructed network is ever returned.
+    a file that cannot be read or decoded raises one naming the path. No
+    partially constructed network is ever returned.
     """
     import json  # here and in save_network, so `import semgame` does not load the codec
 
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:  # nesting too deep, an int literal too long
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     del text
     nodes, edges = _records(data)
     del data  # not needed while the network is built, when memory peaks
@@ -336,7 +339,7 @@ def load_pairs(path: str | os.PathLike[str], scale: str = "unit") -> list[PairJu
     try:
         with open(path, encoding="utf-8-sig") as f:
             lines = f.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
     pairs: list[PairJudgment] = []

@@ -14,12 +14,15 @@ the next step reads it as every position without sorting it.
 
 Every state the package builds holds a read-only `_Held` view, which
 the next step reads without a copy; `dict(state.held)` gives a mutable
-or JSON-ready copy.
+or JSON-ready copy. One view type serves every state and every game
+round's utilities: it holds ascending ids and their values, and finds
+an id by bisecting its own ids.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -51,28 +54,32 @@ class ActivationState:
 
 
 class _Held(Mapping):
-    """Read-only id -> value mapping over ascending ids, an index that
-    maps each of them to its position among them, and a tuple of values
-    by that position. A state's view holds its network's `node_ids()`
-    and `_positions`. `values()` is the tuple; `items()` is a dict built
-    from it."""
+    """Read-only id -> value mapping over ascending ids and a tuple of
+    values by their position. It finds an id by bisecting its own ids,
+    so it adds no index to them: a state's view holds its network's
+    `node_ids()`, and a screened round's utilities only the participants'
+    ids. `values()` is the tuple; `items()` is a dict built from it."""
 
-    __slots__ = ("_ids", "_positions", "_values")
+    __slots__ = ("_ids", "_values")
 
-    def __init__(self, ids: tuple[int, ...], positions: Mapping[int, int], values: tuple[float, ...]) -> None:
-        self._ids, self._positions, self._values = ids, positions, values
+    def __init__(self, ids: tuple[int, ...], values: tuple[float, ...]) -> None:
+        self._ids, self._values = ids, values
 
     def __getitem__(self, nid: int) -> float:
-        return self._values[self._positions[nid]]
+        ids = self._ids
+        try:
+            k = bisect_left(ids, nid)
+        except TypeError:  # not comparable with the int ids, so not one of them
+            raise KeyError(nid) from None
+        if k < len(ids) and ids[k] == nid:
+            return self._values[k]
+        raise KeyError(nid)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._ids)
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    def __contains__(self, nid: object) -> bool:
-        return nid in self._positions
 
     def values(self) -> tuple[float, ...]:
         return self._values
@@ -85,7 +92,7 @@ class _Held(Mapping):
 
     def __reduce__(self) -> tuple:
         # Protocols 0 and 1 cannot rebuild a slotted object on their own.
-        return _Held, (self._ids, self._positions, self._values)
+        return _Held, (self._ids, self._values)
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
             raise ValidationError(f"source id {nid} not in network")
         _check_real(f"source {nid}: energy", energy, 0, math.inf)
     ids = net.node_ids()
-    held = _Held(ids, net._positions, tuple([float(sources.get(nid, 0.0)) for nid in ids]))
+    held = _Held(ids, tuple([float(sources.get(nid, 0.0)) for nid in ids]))
     return ActivationState(0, held, frozenset(sources))
 
 
@@ -257,7 +264,7 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
         raise ValidationError(f"spreading overflowed to a non-finite total at step {state.t + 1}")
     fired = [nid for nid, v, old in zip(ids, new, values) if v >= threshold and v != old]
     activated = net._id_set if len(fired) == len(ids) else frozenset(fired)
-    return ActivationState(state.t + 1, _Held(ids, net._positions, tuple(new)), activated)
+    return ActivationState(state.t + 1, _Held(ids, tuple(new)), activated)
 
 
 def iter_spread(

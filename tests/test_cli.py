@@ -26,6 +26,8 @@ from semgame.network import (
 )
 from semgame.spreading import SpreadParams
 
+from conftest import MALFORMED_NETWORK_FILES
+
 
 def write_chain(tmp_path, weights=(1.0, 1.0)):
     nodes = [ConceptNode(id=i, label=f"n{i}") for i in range(len(weights) + 1)]
@@ -357,6 +359,16 @@ class TestExitCodes:
         ):
             bad.write_text(text)
             assert main(["spread", "--network", str(bad), "--out", str(tmp_path / "o")]) == 2, text
+
+    @pytest.mark.parametrize("case", MALFORMED_NETWORK_FILES)
+    def test_undecodable_network_file_exits_2(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(MALFORMED_NETWORK_FILES[case][0])
+        out = tmp_path / "o"
+        assert main(["spread", "--network", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("semgame: error: ") and str(bad) in err
+        assert not (out / "summary.json").exists()
 
     def test_runtime_error_exits_3(self, tmp_path):
         _, net_path = write_chain(tmp_path)

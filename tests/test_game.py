@@ -29,7 +29,7 @@ from semgame.generate import generate_network
 from semgame.network import ConceptNode, WeightedEdge, build_network
 from semgame.spreading import ActivationState, SpreadParams, _Held, run_spread, seed_state
 
-from conftest import first_round, quick_net, two_cluster_net
+from conftest import assert_dict_lookups, first_round, quick_net, two_cluster_net
 from oracles import round_oracle
 
 
@@ -479,10 +479,11 @@ class TestUtilitiesView:
             assert [u.hex() for u in utilities.values()] == [(u if u > 0.0 else 0.0).hex() for u in want.values()]
             assert [copy[nid].hex() for nid in participants] == [utilities[nid].hex() for nid in participants]
             if len(participants) == net.n:
-                assert utilities._ids is ids and utilities._positions is positions
+                assert utilities._ids is ids
+            assert_dict_lookups(utilities)
             screened_out = [nid for nid in ids if nid not in copy]
             screened_rounds += bool(screened_out)
-            for nid in screened_out + [0, ids[-1] + 1, "x", 3.5]:
+            for nid in screened_out + [float(nid) for nid in screened_out] + [0, ids[-1] + 1, "x", 3.5]:
                 assert nid not in utilities
                 assert utilities.get(nid, "") == ""
                 with pytest.raises(KeyError):
@@ -495,7 +496,6 @@ class TestUtilitiesView:
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 back = pickle.loads(pickle.dumps(utilities, protocol))
                 assert type(back) is _Held and list(back) == participants
-                assert type(back._positions) is type(utilities._positions)
                 assert [u.hex() for u in back.values()] == [u.hex() for u in utilities.values()]
                 assert pickle.loads(pickle.dumps(record, protocol)) == record
             assert record.strategies == {nid: Strategy.ACCEPT if u > 0.0 else Strategy.REJECT

@@ -24,7 +24,7 @@ from semgame.network import (
     save_network,
 )
 
-from conftest import quick_net
+from conftest import MALFORMED_NETWORK_FILES, quick_net
 
 
 def write_net(tmp_path, payload):
@@ -169,6 +169,17 @@ class TestLoadNetwork:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_network(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("case", MALFORMED_NETWORK_FILES)
+    def test_undecodable_file_raises_validation_error_naming_it(self, tmp_path, case):
+        """A non-UTF-8 byte, nesting past the recursion limit and an int
+        literal past the digit limit are malformed files, not runtime faults."""
+        data, start, fragment = MALFORMED_NETWORK_FILES[case]
+        path = tmp_path / "net.json"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError) as exc:
+            load_network(path)
+        assert str(exc.value).startswith(start.format(path=path)) and fragment in str(exc.value)
 
     def test_round_trip_identity(self, tmp_path):
         original = load_network(write_net(tmp_path, {
@@ -406,6 +417,13 @@ class TestLoadPairs:
         path = tmp_path / "pairs.tsv"
         path.write_text("\na\tb\t0.5\n  \n\t\nc\td\t0.25\n\n")
         assert load_pairs(path) == [PairJudgment("a", "b", 0.5), PairJudgment("c", "d", 0.25)]
+
+    def test_non_utf8_file_raises_validation_error_naming_it(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"a\tb\t0.5\n\xff\tc\t0.2\n")
+        message = f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_pairs(path)
 
     def test_unknown_scale(self, tmp_path):
         path = tmp_path / "pairs.tsv"

@@ -23,7 +23,7 @@ from semgame.spreading import (
     step,
 )
 
-from conftest import chain_net, quick_net
+from conftest import assert_dict_lookups, chain_net, quick_net
 from oracles import step_oracle
 
 
@@ -398,6 +398,7 @@ class TestHeldView:
             assert dict(held) == as_dict and held == as_dict and as_dict == held
             assert repr(held) == repr(as_dict)
             assert held.get(8) is None and held.get(9) == as_dict[9]
+            assert_dict_lookups(held)
             with pytest.raises(KeyError):
                 held[8]
             with pytest.raises(TypeError):
@@ -412,6 +413,18 @@ class TestHeldView:
                 copy = pickle.loads(pickle.dumps(state, protocol))
                 assert copy == state and type(copy.held) is _Held
                 assert step(net, copy, params) == step(net, state, params)
+
+    def test_lookups_answer_as_a_dict_on_ids_from_zero(self):
+        """On ids 0..5, where True and False are hash-equal to ids 1 and 0,
+        a state's view and a screened round's utilities find those ids by
+        True, False and their floats, as a dict does, and no absent key."""
+        net = quick_net(6, [(0, 1, 0.5), (1, 2, 0.4), (2, 3, 0.3), (3, 4, 0.6), (4, 5, 0.2)])
+        state = rescale_to_budget(run_spread(net, {1: 1.0}, SpreadParams(budget=1.0)), 1.0)
+        record = run_game(net, state, GameParams(budget=1.0, screen_threshold=0.05, max_rounds=1)).history[0]
+        assert 0 < len(record.utilities) < net.n and 0 in record.utilities and 1 in record.utilities
+        for view in (state.held, record.utilities):
+            assert type(view) is _Held and view[True] is view[1] and view[0.0] is view[0]
+            assert_dict_lookups(view)
 
     def test_checks_fire_on_views(self):
         """A view holding a negative, NaN or inf value, or a view over
@@ -430,7 +443,7 @@ class TestHeldView:
         ):
             values = [0.2] * 5
             values[position] = bad
-            cases.append((_Held(net.node_ids(), net._positions, tuple(values)), message))
+            cases.append((_Held(net.node_ids(), tuple(values)), message))
         for other, message in ((4, r"^state holds no value for 1 node\(s\): 4$"),
                                (6, "^state holds unknown node id 5$")):
             cases.append((seed_state(quick_net(other, [(0, 1, 0.5)]), {0: 0.2}).held, message))

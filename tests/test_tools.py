@@ -61,7 +61,8 @@ def test_a_bytecode_cache_in_one_checkout_only_stops_the_run(tmp_path, monkeypat
     error before any run; with one under both it runs, and the record
     says whether bytecode writing was off."""
     bench_pairs = load_bench_pairs()
-    bench = {"run_seconds": 20, "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}
+    bench = {"run_seconds": 20, "workloads": [{"name": "game-1k"}],
+             "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}
     for side in ("parent", "change"):
         (tmp_path / side / "src" / "pkg").mkdir(parents=True)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench), encoding="utf-8")
@@ -83,6 +84,33 @@ def test_a_bytecode_cache_in_one_checkout_only_stops_the_run(tmp_path, monkeypat
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["machine"]["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
     assert record["workloads"]["game-1k"]["pairs"] == 4
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("game-1k:12", "--run 'game-1k:12': expected WORKLOAD:SEED:PAIRS"),
+    ("game-1k:1:4:2", "--run 'game-1k:1:4:2': expected WORKLOAD:SEED:PAIRS"),
+    ("game-10k:1:4", "--run 'game-10k:1:4': workload 'game-10k' is not one of evaluate-1k, game-1k"),
+    ("game-1k:x:4", "--run 'game-1k:x:4': SEED and PAIRS must be integers"),
+    ("game-1k:1:2.5", "--run 'game-1k:1:2.5': SEED and PAIRS must be integers"),
+    ("game-1k:1:1", "--run 'game-1k:1:1': PAIRS must be at least 2"),
+], ids=["two-fields", "four-fields", "unknown-workload", "seed-not-int", "pairs-not-int", "one-pair"])
+def test_every_run_spec_is_checked_before_the_first_run(tmp_path, monkeypatch, capsys, spec, message):
+    """A bad spec in second place stops the script with a usage error
+    before any benchmark runs, and writes no record."""
+    bench_pairs = load_bench_pairs()
+    bench = {"run_seconds": 20, "workloads": [{"name": "evaluate-1k"}, {"name": "game-1k"}],
+             "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench), encoding="utf-8")
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: pytest.fail("a benchmark ran"))
+    with pytest.raises(SystemExit) as stopped:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                          "--run", "evaluate-1k:1:4", "--run", spec, "--out", str(out)])
+    assert stopped.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f" error: {message}")
+    assert not out.exists()
 
 
 # One metric over 10 pairs (3 in the last case) with bound 0.25; parent

@@ -4,7 +4,9 @@
         --run relatedness-10k:11:10 --run game-1k:12:5 --out BENCH.json
 
 DIR is a source checkout holding `BENCHMARK.json`, `perfbench/` and
-`src/`. Each `--run WORKLOAD:SEED:PAIRS` runs `perfbench/run.py
+`src/`. Every `--run WORKLOAD:SEED:PAIRS` is checked before the first
+run: WORKLOAD must be named in the change's `BENCHMARK.json`, SEED an
+int and PAIRS an int of at least 2. Each runs `perfbench/run.py
 --trace 0` PAIRS times in each checkout on the same seed, alternating
 which side goes first, then `--trace 1` TRACED_RUNS times per side,
 alternating the same way; run.py sets the run length. The record keeps
@@ -135,6 +137,28 @@ def pairs_for(args, bench: dict, workload: str, seed: int, n_pairs: int) -> dict
     return record
 
 
+def parse_run(spec: str, workloads: list[str]) -> tuple[str, int, int]:
+    """A `--run WORKLOAD:SEED:PAIRS` spec as (workload, seed, pairs).
+
+    Raises ValueError, naming the fault, unless WORKLOAD is one of
+    `workloads`, SEED is an int, and PAIRS an int of at least 2 (the
+    fewest runs a side's quartiles can be taken over).
+    """
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"--run {spec!r}: expected WORKLOAD:SEED:PAIRS")
+    workload, seed, pairs = parts
+    if workload not in workloads:
+        raise ValueError(f"--run {spec!r}: workload {workload!r} is not one of {', '.join(workloads)}")
+    try:
+        seed_n, pairs_n = int(seed), int(pairs)
+    except ValueError:
+        raise ValueError(f"--run {spec!r}: SEED and PAIRS must be integers") from None
+    if pairs_n < 2:
+        raise ValueError(f"--run {spec!r}: PAIRS must be at least 2")
+    return workload, seed_n, pairs_n
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -148,6 +172,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"only the {cached[0]} checkout's src/ holds a __pycache__ directory; "
                      "delete it, or fill the other side's too")
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    try:
+        runs = [parse_run(spec, [w["name"] for w in bench["workloads"]]) for spec in args.run]
+    except ValueError as exc:
+        parser.error(str(exc))
     record = {
         "machine": {
             "python": platform.python_version(),
@@ -160,9 +188,8 @@ def main(argv: list[str] | None = None) -> int:
         "command": f"perfbench/run.py --trace 0 per pair, --trace 1 {TRACED_RUNS} times per side",
         "workloads": {},
     }
-    for spec in args.run:
-        workload, seed, n_pairs = spec.split(":")
-        record["workloads"][workload] = pairs_for(args, bench, workload, int(seed), int(n_pairs))
+    for workload, seed, n_pairs in runs:
+        record["workloads"][workload] = pairs_for(args, bench, workload, seed, n_pairs)
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
