@@ -26,7 +26,7 @@ from .evaluate import (
 )
 from .game import GameParams, rank_nodes
 from .network import SemanticNetwork, load_network, load_pairs
-from .spreading import SpreadParams, _left_sum, initial_activation, iter_spread
+from .spreading import SpreadParams, _left_sum, iter_spread
 
 __all__ = ["main"]
 
@@ -59,13 +59,11 @@ def _node_ref(net: SemanticNetwork, ref: str) -> int:
 
 
 def _resolve_sources(net: SemanticNetwork, specs: list[str] | None, budget: float) -> dict[int, float]:
-    """Source energies from --source specs, node histories, or the lowest id.
+    """Source energies from --source specs, or the whole budget on the lowest id.
 
     Specs look like "NODE" or "NODE=ENERGY" (NODE is an id or label,
     and each node may be named once); bare specs split whatever budget
-    the explicit ones leave. Without specs, nodes with activation
-    histories are seeded from them and scaled to the budget; a
-    history-free network seeds its lowest id.
+    the explicit ones leave.
     """
     if specs:
         explicit: dict[int, float] = {}
@@ -87,16 +85,7 @@ def _resolve_sources(net: SemanticNetwork, specs: list[str] | None, budget: floa
         for nid in bare:
             explicit[nid] = explicit.get(nid, 0.0) + remaining / len(bare)
         return explicit
-
-    stamps = [t for nd in net.nodes for t in nd.history]
-    if stamps:
-        now = max(stamps) + 1.0
-        acts = {nd.id: initial_activation(nd.history, now) for nd in net.nodes}
-        total = _left_sum(acts.values())
-        if total > 0:
-            return {nid: v * budget / total for nid, v in sorted(acts.items()) if v > 0}
-    lowest = min(net.node_ids())
-    return {lowest: budget}
+    return {net.node_ids()[0]: budget}
 
 
 def _write_summary(out_dir: Path, payload: dict) -> None:
@@ -273,11 +262,13 @@ _FLAGS = {
     "--fire-threshold": dict(type=float, default=None, help="minimum held energy to fire (default 1e-6*budget)"),
     "--max-steps": dict(type=int, default=20, help="spreading step limit"),
     "--epsilon": dict(type=float, default=None, help="convergence threshold (default 1e-3*budget)"),
-    "--screen-threshold": dict(type=float, default=None, help="global screening threshold (overrides per-node)"),
+    "--screen-threshold": dict(type=float, default=0.0,
+                               help="held energy a node needs to take part in a game round (default 0: every node)"),
     "--max-rounds": dict(type=int, default=100, help="game round limit (cobweb: iteration limit)"),
     "--trace": dict(action="store_true", help="write trace.csv"),
     "--network": dict(required=True, help="network JSON file"),
-    "--source": dict(action="append", help="source NODE or NODE=ENERGY (repeatable); default: node histories"),
+    "--source": dict(action="append",
+                     help="source NODE or NODE=ENERGY (repeatable); default: the whole budget on the lowest id"),
     "--pair": dict(required=True, help="two nodes, comma separated (ids or labels)"),
     "--no-game": dict(action="store_true", help="score from spreading alone"),
     "--pairs": dict(required=True, help="TSV file of scored pairs"),

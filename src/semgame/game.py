@@ -18,9 +18,9 @@ behind a read-only view. A record keeps only what cannot be derived:
 the state, the realized utilities and the cost. The utilities are a
 tuple in participant order behind a `_Held` view too, over the
 participants' ids, which are the network's own when every node takes
-part; `dict(rec.utilities)` copies it. Strategies are read off the
-utilities, and a round that accepts the set the state
-before it activated shares that state's frozenset. The outcome reads
+part; `dict(rec.utilities.items())` copies it. Strategies are read off
+the utilities, and a round that accepts the set the state before it
+activated shares that state's frozenset. The outcome reads
 its round count off the history; see `GameOutcome` for why its final
 state is still stored. `verify_nash` is a replay check: it plays a
 final round's offer again through `_offer` and compares.
@@ -32,7 +32,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, repeat
 
 from .errors import ValidationError, _check_budget, _check_limit, _check_real
 from .network import SemanticNetwork
@@ -61,16 +60,17 @@ class Strategy(Enum):
 class GameParams:
     """Knobs for the attention game.
 
-    `screen_threshold`, when set, replaces every node's own activation
-    threshold for screening. `epsilon` bounds the per-round distribution
-    change (RMS) below which the game counts as converged; left as None,
-    it is derived as 1e-3·budget, the CLI's default. The derived value
-    is stored, so `dataclasses.replace(p, budget=...)` keeps it.
+    `screen_threshold` is the held energy a node needs to take part in a
+    round; the default 0.0 admits every node. `epsilon` bounds the
+    per-round distribution change (RMS) below which the game counts as
+    converged; left as None, it is derived as 1e-3·budget, the CLI's
+    default. The derived value is stored, so
+    `dataclasses.replace(p, budget=...)` keeps it.
     """
 
     epsilon: float | None = None
     max_rounds: int = 100
-    screen_threshold: float | None = None
+    screen_threshold: float = 0.0
     delta: float = 0.2
     budget: float = 100.0
 
@@ -81,8 +81,7 @@ class GameParams:
             object.__setattr__(self, "epsilon", 1e-3 * self.budget)
         _check_real("epsilon", self.epsilon, 0, math.inf, above=True)
         _check_limit("max_rounds", self.max_rounds)
-        if self.screen_threshold is not None:
-            _check_real("screen_threshold", self.screen_threshold, 0, math.inf)
+        _check_real("screen_threshold", self.screen_threshold, 0, math.inf)
         _check_real("delta", self.delta, 0, 1)
 
 
@@ -92,7 +91,7 @@ class RoundRecord:
     realized utility, keyed by id in ascending order, and the round cost.
 
     `utilities` is a read-only view over the participants' ids and a
-    tuple of their utilities; `dict(rec.utilities)` copies it.
+    tuple of their utilities; `dict(rec.utilities.items())` copies it.
 
     An acceptor realizes its accept-utility, which is positive; a
     rejector realizes 0.0. So the choices are not stored but read off
@@ -186,7 +185,7 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
 
     The sum runs in ascending id order, and the result holds its values
     in that order: a read-only view for a package-built state, else a
-    dict. `dict(state.held)` copies a view.
+    dict. `dict(state.held.items())` copies a view.
     """
     _check_budget(budget)
     held = state.held
@@ -210,21 +209,20 @@ def _offer(
 
     `values` and the offer are lists by dense position (entry k is node
     `net.node_ids()[k]`). The offer is one spreading step over the
-    participants: the positions, ascending, whose value reaches the
-    global `screen_threshold`, if one is set, or else their node's own
-    threshold (boundary inclusive). Each participant's accept-utility
-    is its gain minus the global cost; an isolated node has no
-    neighborhood to gain from, so accepting is worth 0.0 to it. A
-    participant accepts iff its accept-utility is > 0.0 and realizes
-    it; a rejector realizes 0.0.
+    participants: the positions, ascending, whose value reaches
+    `screen_threshold` (boundary inclusive), so at 0.0 every node takes
+    part. Each participant's accept-utility is its gain minus the
+    global cost; an isolated node has no neighborhood to gain from, so
+    accepting is worth 0.0 to it. A participant accepts iff its
+    accept-utility is > 0.0 and realizes it; a rejector realizes 0.0.
     The accepted positions come ascending. The utilities are a read-only
     view over the participants' ids, ascending, and a tuple in that
     order; when every node takes part, the view shares the network's
     ids. With no participants the offer is `values` itself
     and both are empty.
     """
-    limits = net._thresholds if params.screen_threshold is None else repeat(params.screen_threshold)
-    participants = [k for k, v, t in zip(count(), values, limits) if v >= t]
+    t = params.screen_threshold
+    participants = [k for k, v in enumerate(values) if v >= t]
     if not participants:
         return values, [], _Held((), ())
     offered = _spread_once(net, values, participants, params.delta)

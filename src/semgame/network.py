@@ -18,7 +18,6 @@ copy the JSON parser made, so the edge records add no ints of their own.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -38,31 +37,14 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class ConceptNode:
-    """A concept with an activation-energy threshold and a past-use history.
-
-    `history` holds timestamps of past activations, sorted ascending.
-    `threshold` is the minimum held energy this node needs to take part
-    in a game round (unless a global screening threshold overrides it).
-    """
+    """A concept: an id and a non-empty label."""
 
     id: int
     label: str
-    threshold: float = 0.0
-    history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.label:
             raise ValidationError(f"node {self.id}: empty label")
-        # A plain float in range is taken inline, as a load builds thousands
-        # of nodes; anything else goes to the shared check to name the fault.
-        if type(self.threshold) is not float or not 0.0 <= self.threshold < math.inf:
-            _check_real(f"node {self.id}: threshold", self.threshold, 0, math.inf)
-        if self.history:
-            for t in self.history:
-                if type(t) is not float or not 0.0 <= t < math.inf:
-                    _check_real(f"node {self.id}: history entry", t, 0, math.inf)
-            if any(a > b for a, b in zip(self.history, self.history[1:])):
-                raise ValidationError(f"node {self.id}: history timestamps not sorted ascending")
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +58,8 @@ class WeightedEdge:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValidationError(f"edge ({self.a}, {self.b}): self-loop")
-        # Inline for a plain float in range, as in ConceptNode.
+        # A plain float in range is taken inline, as a load builds thousands
+        # of edges; anything else goes to the shared check to name the fault.
         if type(self.weight) is not float or not 0.0 <= self.weight <= 1.0:
             _check_real(f"edge ({self.a}, {self.b}): weight", self.weight, 0, 1)
 
@@ -99,8 +82,7 @@ class SemanticNetwork:
     `_id_set` is the frozenset of every id, built once after `_dense`.
     A spreading step in which every node fires returns it as the new
     state's `activated`, and the next step knows it for the full set
-    without looking at its members. `_thresholds[k]` is node k's
-    screening threshold.
+    without looking at its members.
     """
 
     nodes: tuple[ConceptNode, ...]
@@ -109,7 +91,6 @@ class SemanticNetwork:
     _positions: dict[int, int] = field(repr=False, compare=False)
     _dense: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False, compare=False)
     _id_set: frozenset[int] = field(repr=False, compare=False)
-    _thresholds: tuple[float, ...] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -146,15 +127,15 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
     Of the edges, the first faulty one in edge order is reported, whether
     an endpoint references no node or its pair repeats an earlier edge's.
     """
-    by_id: dict[int, ConceptNode] = {}
+    seen: set[int] = set()
     for i, nd in enumerate(nodes):
-        if nd.id in by_id:
+        if nd.id in seen:
             raise ValidationError(f"nodes[{i}]: duplicate node id {nd.id}")
-        by_id[nd.id] = nd
-    if not by_id:
+        seen.add(nd.id)
+    if not seen:
         raise ValidationError("network has no nodes")
 
-    ids = tuple(sorted(by_id))
+    ids = tuple(sorted(seen))
     positions = {nid: k for k, nid in enumerate(ids)}
     # Per position, the neighbours' positions and the weights, in edge order.
     targets: list[list[int]] = [[] for _ in ids]
@@ -183,10 +164,9 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
         tuple([(y + 0, w * 1.0) for y, w in sorted(zip(ts, ws))])
         for ts, ws in zip(targets, weights)
     )
-    # The id set holds the ids' own ints and the thresholds the nodes' own
-    # floats, so, built last, they leave the adjacency's layout as it is.
-    return SemanticNetwork(tuple(nodes), tuple(edges), ids, positions, dense, frozenset(ids),
-                           tuple([by_id[nid].threshold for nid in ids]))
+    # The id set holds the ids' own ints, so, built last, it leaves the
+    # adjacency's layout as it is.
+    return SemanticNetwork(tuple(nodes), tuple(edges), ids, positions, dense, frozenset(ids))
 
 
 def _reject_duplicate_pair(edges: list[WeightedEdge]) -> None:
@@ -209,7 +189,7 @@ def _as_id(value, what: str) -> int:
 
 
 def _as_number(value, what: str) -> float:
-    """A threshold, timestamp or weight read from JSON: an int or a float (not a bool or string)."""
+    """A weight read from JSON: an int or a float (not a bool or string)."""
     if type(value) is not float:
         _check_number(what, value)
     return float(value)
@@ -219,7 +199,11 @@ _BAD_ENTRY = (ValidationError, KeyError, TypeError, ValueError, OverflowError)
 
 
 def _records(data) -> tuple[list[ConceptNode], list[WeightedEdge]]:
-    """The node and edge records of a JSON-format network, each one validated."""
+    """The node and edge records of a JSON-format network, each one validated.
+
+    Keys other than a node's `id` and `label` and an edge's `a`, `b` and
+    `w` are not read, so files that carry the retired `threshold` and
+    `history` keys still load."""
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ValidationError("network file must be an object with 'nodes' and 'edges'")
     if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
@@ -230,14 +214,7 @@ def _records(data) -> tuple[list[ConceptNode], list[WeightedEdge]]:
         try:
             if not isinstance(raw["label"], str):
                 raise ValidationError(f"label {raw['label']!r} is not a string")
-            nodes.append(
-                ConceptNode(
-                    id=_as_id(raw["id"], "id"),
-                    label=raw["label"],
-                    threshold=_as_number(raw.get("threshold", 0.0), "threshold"),
-                    history=tuple(_as_number(t, "history entry") for t in raw.get("history", ())),
-                )
-            )
+            nodes.append(ConceptNode(id=_as_id(raw["id"], "id"), label=raw["label"]))
         except _BAD_ENTRY as exc:
             raise ValidationError(f"nodes[{i}]: {exc}") from None
 
@@ -296,15 +273,7 @@ def save_network(net: SemanticNetwork, path: str | os.PathLike[str]) -> None:
     import json
 
     data = {
-        "nodes": [
-            {
-                "id": nd.id,
-                "label": nd.label,
-                "threshold": nd.threshold,
-                "history": list(nd.history),
-            }
-            for nd in net.nodes
-        ],
+        "nodes": [{"id": nd.id, "label": nd.label} for nd in net.nodes],
         "edges": [{"a": e.a, "b": e.b, "w": e.weight} for e in net.edges],
     }
     with open(path, "w", encoding="utf-8") as f:

@@ -13,10 +13,10 @@ whose whole network keeps firing holds one set for all those steps, and
 the next step reads it as every position without sorting it.
 
 Every state the package builds holds a read-only `_Held` view, which
-the next step reads without a copy; `dict(state.held)` gives a mutable
-or JSON-ready copy. One view type serves every state and every game
-round's utilities: it holds ascending ids and their values, and finds
-an id by bisecting its own ids.
+the next step reads without a copy; `dict(state.held.items())` gives a
+mutable or JSON-ready copy. One view type serves every state and every
+game round's utilities: it holds ascending ids and their values, and
+finds an id by bisecting its own ids.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from bisect import bisect_left
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import ValidationError, _check_budget, _check_limit, _check_number, _check_real
+from .errors import ValidationError, _check_budget, _check_limit, _check_real
 from .network import SemanticNetwork
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "step",
     "iter_spread",
     "run_spread",
-    "initial_activation",
 ]
 
 @dataclass(frozen=True)
@@ -45,7 +44,8 @@ class ActivationState:
 
     `held` is what each node currently holds; `activated` is the set of
     nodes that fired (or, after a game round, accepted) at this step.
-    Package-built states hold a read-only view; `dict(state.held)` copies it.
+    Package-built states hold a read-only view; `dict(state.held.items())`
+    copies it.
     """
 
     t: int
@@ -69,10 +69,11 @@ class _Held(Mapping):
         ids = self._ids
         try:
             k = bisect_left(ids, nid)
-        except TypeError:  # not comparable with the int ids, so not one of them
-            raise KeyError(nid) from None
+        except TypeError:  # not orderable against the ids: answer as the dict copy does
+            return dict(zip(ids, self._values))[nid]
         if k < len(ids) and ids[k] == nid:
             return self._values[k]
+        hash(nid)  # an unhashable key raises TypeError, as from a dict, even with no ids to compare
         raise KeyError(nid)
 
     def __iter__(self) -> Iterator[int]:
@@ -255,7 +256,7 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
     no other id, and fire only nodes it holds. A step whose total
     overflows to a non-finite value raises. When every node fires, the
     new state's `activated` is the network's `_id_set`, not a new set,
-    and its `held` a read-only view; `dict(state.held)` copies it.
+    and its `held` a read-only view; `dict(state.held.items())` copies it.
     """
     ids, threshold = net.node_ids(), params.fire_threshold
     values, firing = _held_list(net, state)
@@ -290,26 +291,3 @@ def run_spread(
         pass
     assert state is not None
     return state
-
-
-_HISTORY_DECAY = 0.5
-
-
-def initial_activation(history: tuple[float, ...] | list[float], now: float) -> float:
-    """History-based starting energy with power-law forgetting.
-
-    Each past use at age a contributes a**-0.5 (`_HISTORY_DECAY`); the
-    energy is the log of the summed contributions, clamped at zero so
-    stale or empty histories start cold. Same-moment uses are ignored.
-    """
-    _check_real("now", now, -math.inf, math.inf)
-    for t in history:
-        _check_number("history timestamp", t)
-    if any(t > now for t in history):
-        raise ValidationError("history timestamp in the future")
-    for t in history:
-        _check_real("history timestamp", t, -math.inf, math.inf)
-    terms = [(now - t) ** (-_HISTORY_DECAY) for t in history if now - t > 0]
-    if not terms:
-        return 0.0
-    return max(0.0, math.log(_left_sum(terms)))

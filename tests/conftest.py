@@ -23,9 +23,9 @@ MALFORMED_NETWORK_FILES = {
 }
 
 
-def quick_net(n: int, edges: list[tuple[int, int, float]], **node_kwargs) -> SemanticNetwork:
+def quick_net(n: int, edges: list[tuple[int, int, float]]) -> SemanticNetwork:
     """Network with nodes 0..n-1 labeled n0..n{n-1} and the given edges."""
-    nodes = [ConceptNode(id=i, label=f"n{i}", **node_kwargs) for i in range(n)]
+    nodes = [ConceptNode(id=i, label=f"n{i}") for i in range(n)]
     return build_network(nodes, [WeightedEdge(a, b, w) for a, b, w in edges])
 
 
@@ -58,18 +58,25 @@ def first_round(net: SemanticNetwork, state: ActivationState, params: GameParams
 def assert_dict_lookups(view: Mapping) -> None:
     """`in`, `.get` and `[]` on a read-only view answer as on its dict copy.
 
-    Each id and each key hash-equal to one (its float, and True or False
-    where 1 or 0 is an id) finds that id's value; None, nan, "x", -1 and
-    one past the last id are absent, and `[]` raises KeyError for them.
+    Each id and each key hash-equal to one (its float, its complex, and
+    True or False where 1 or 0 is an id) finds that id's value; None,
+    nan, "x", -1 and one past the last id, as an int and as a complex,
+    are absent, and `[]` raises KeyError for them. An unhashable key
+    raises TypeError from the view as from the copy.
     """
-    copy = dict(view)
+    copy = dict(view.items())
     ids = list(copy)
-    absent = [None, math.nan, "x", -1, (ids[-1] if ids else 0) + 1]
+    past = (ids[-1] if ids else 0) + 1
+    absent = [None, math.nan, "x", -1, past, complex(past)]
     assert not any(key in copy for key in absent)
-    for key in [*ids, *map(float, ids), True, False, *absent]:
+    for key in [*ids, *map(float, ids), *map(complex, ids), True, False, *absent]:
         if key in copy:
             assert key in view and view.get(key) is copy[key] and view[key] is copy[key]
         else:
             assert key not in view and view.get(key, "") == ""
             with pytest.raises(KeyError):
                 view[key]
+    for lookup in (copy.__contains__, copy.get, copy.__getitem__,
+                   view.__contains__, view.get, view.__getitem__):
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            lookup([])

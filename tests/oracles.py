@@ -69,24 +69,20 @@ def round_oracle(
     n: int,
     edges: list[tuple[int, int, float]],
     held: dict[int, float],
-    thresholds: list[float],
-    screen_threshold: float | None,
+    screen_threshold: float,
     delta: float,
 ) -> dict[int, float]:
     """Accept-utility of every participant of one round, summed in a fixed order.
 
-    Participants are the nodes holding at least `screen_threshold`, or
-    their own threshold when it is None. The offer is step_oracle's
-    step with the participants firing. The cost is the RMS of
+    Participants are the nodes holding at least `screen_threshold`. The
+    offer is step_oracle's step with the participants firing. The cost is the RMS of
     offered - held summed over nodes 0..n-1, and each participant's
     neighborhood change sums offered - held over its neighbors (every
     node it shares an edge with, whatever the weight) in ascending
     order; both sums start from 0.0 and run left to right. Keyed by
     participant in ascending order; an isolated participant gets 0.0.
     """
-    participants = [
-        k for k in range(n) if held[k] >= (thresholds[k] if screen_threshold is None else screen_threshold)
-    ]
+    participants = [k for k in range(n) if held[k] >= screen_threshold]
     offered, _ = step_oracle(n, edges, held, set(participants), delta, 0.0)
     total = 0.0
     for z in range(n):
@@ -239,8 +235,7 @@ def game_oracle(
     edges: list[tuple[int, int, float]],
     held: dict[int, float],
     activated: set[int],
-    thresholds: list[float],
-    screen_threshold: float | None,
+    screen_threshold: float,
     delta: float,
     budget: float,
     epsilon: float,
@@ -264,7 +259,7 @@ def game_oracle(
     held, activated = dict(held), set(activated)
     rounds = []
     for _ in range(max_rounds):
-        utilities = round_oracle(n, edges, held, thresholds, screen_threshold, delta)
+        utilities = round_oracle(n, edges, held, screen_threshold, delta)
         accepts = {k: u > 0.0 for k, u in utilities.items()}
         new = dict(held)
         if utilities:

@@ -217,7 +217,7 @@ def test_c04_nash_verification():
                 converged_count += 1
                 assert verify_nash(net, outcome, params)
                 pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-                utils = round_oracle(n, edges, dict(pre.held), [0.0] * n, None, params.delta)
+                utils = round_oracle(n, edges, dict(pre.held), params.screen_threshold, params.delta)
                 last = outcome.history[-1]
                 chosen = {nid: s is Strategy.ACCEPT for nid, s in last.strategies.items()}
                 assert chosen == {nid: u > 0.0 for nid, u in utils.items()}

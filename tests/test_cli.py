@@ -84,21 +84,20 @@ class TestSpreadCommand:
         main(["spread", "--network", str(net_path), "--source", "0=1", "--out", str(tmp_path / "o")])
         assert net_path.read_bytes() == before
 
-    def test_history_based_default_seeding(self, tmp_path):
-        """Without --source, node histories set the initial energies."""
-        nodes = [
-            ConceptNode(id=0, label="fresh", history=(8.0, 9.0, 9.5)),
-            ConceptNode(id=1, label="stale", history=(1.0,)),
-        ]
-        net = build_network(nodes, [WeightedEdge(0, 1, 0.5)])
+    def test_default_seeding_ignores_node_histories(self, tmp_path):
+        """Without --source the lowest id holds the whole budget, whatever
+        histories the file's nodes carry (the key is not read)."""
         path = tmp_path / "hist.json"
-        save_network(net, path)
+        path.write_text(json.dumps({
+            "nodes": [{"id": 5, "label": "fresh", "history": [8.0, 9.0, 9.5]},
+                      {"id": 2, "label": "stale", "history": [1.0]},
+                      {"id": 9, "label": "none"}],
+            "edges": [{"a": 5, "b": 2, "w": 0.5}, {"a": 2, "b": 9, "w": 0.25}],
+        }))
         out = tmp_path / "out"
         code = main(["spread", "--network", str(path), "--budget", "10", "--max-steps", "1", "--out", str(out)])
         assert code == 0
-        sources = read_summary(out)["sources"]
-        assert sources["0"] > sources.get("1", 0.0)
-        assert sum(sources.values()) == pytest.approx(10.0)
+        assert read_summary(out)["sources"] == {"2": 10.0}
 
     def test_sources_that_sum_to_the_budget_by_rounding(self, tmp_path):
         """The three energies sum to 1000000.0000000001 in floats; that is

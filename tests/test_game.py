@@ -203,7 +203,7 @@ class TestBestResponseRound:
         net = quick_net(2, edges)
         held = {0: 0.8, 1: 0.2}
         params = GameParams(budget=1.0, delta=0.2)
-        utilities = round_oracle(2, edges, held, [0.0, 0.0], None, 0.2)
+        utilities = round_oracle(2, edges, held, 0.0, 0.2)
         expected = {nid: utilities[nid] > 0.0 for nid in (0, 1)}
 
         record = first_round(net, state_of(held), params)
@@ -250,12 +250,9 @@ class TestBestResponseRound:
             params = GameParams(budget=sum(held.values()), screen_threshold=1.0)
             strategies = first_round(net, state_of(held), params).strategies
             assert set(strategies) == expected
-
-    def test_per_node_thresholds_used_without_override(self):
-        net = quick_net(2, [(0, 1, 0.5)], threshold=3.0)
-        st = state_of({0: 5.0, 1: 1.0})
-        strategies = first_round(net, st, GameParams(budget=6.0)).strategies
-        assert set(strategies) == {0}
+        # The default threshold, 0.0, admits every node, those holding 0.0 too.
+        strategies = first_round(net, state_of({0: 0.0, 1: 1.0, 2: 0.0}), GameParams(budget=1.0)).strategies
+        assert set(strategies) == {0, 1, 2}
 
 
 class TestRunGame:
@@ -303,7 +300,7 @@ class TestRunGame:
         round 1, whatever the screening, with a message naming them."""
         net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9), (0, 4, 0.6)])
         initial = ActivationState(0, {0: 0.6, 2: 0.3, 4: 0.1}, frozenset({0, 2}))
-        for screen_threshold in (0.2, None, 0.7):
+        for screen_threshold in (0.2, 0.0, 0.7):
             params = GameParams(budget=1.0, epsilon=1e-3, screen_threshold=screen_threshold)
             with pytest.raises(ValidationError, match=r"no value for 2 node\(s\): 1, 3$"):
                 run_game(net, initial, params)
@@ -415,7 +412,7 @@ class TestRunGame:
         outcome = run_game(net, st, params)
         last = outcome.history[-1]
         pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-        participants = {nd.id for nd in net.nodes if pre.held[nd.id] >= nd.threshold}
+        participants = {nid for nid in net.node_ids() if pre.held[nid] >= params.screen_threshold}
         assert set(last.strategies) == set(last.utilities) == participants
 
     def test_rank_stable_after_convergence(self):
@@ -431,12 +428,12 @@ class TestRunGame:
         assert before == after
 
 
-def scattered_game(thresholds: list[float], screen_threshold: float | None):
+def scattered_game(screen_threshold: float):
     """A budget-1 game on a 40-node generated network relabeled to ids
     3, 10, 17, ... (ascending, with gaps, so ids are not positions),
-    node k holding threshold `thresholds[k]`, started from a spread."""
+    started from a spread."""
     base = generate_network(40, 0.1, 4)
-    nodes = [ConceptNode(7 * nd.id + 3, nd.label, thresholds[nd.id]) for nd in base.nodes]
+    nodes = [ConceptNode(7 * nd.id + 3, nd.label) for nd in base.nodes]
     edges = [WeightedEdge(7 * e.a + 3, 7 * e.b + 3, e.weight) for e in base.edges]
     net = build_network(nodes, edges)
     initial = rescale_to_budget(run_spread(net, {3: 1.0}, SpreadParams(budget=1.0)), 1.0)
@@ -448,10 +445,10 @@ class TestUtilitiesView:
     ids and a tuple of their realized utilities, on every round."""
 
     CASES = {
-        "all-participants": ([0.0] * 40, None),
-        "global-screen": ([0.0] * 40, 0.025),
-        "per-node-thresholds": ([0.0, 0.03] * 20, None),
-        "no-participants": ([0.0] * 40, 2.0),
+        "all-participants": 0.0,
+        "global-screen": 0.025,
+        "low-global-screen": 0.01,
+        "no-participants": 2.0,
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -460,18 +457,17 @@ class TestUtilitiesView:
         realized utilities bit for bit; a screened-out id reads as absent;
         it takes no assignment, pickles under every protocol, and gives the
         same strategies, and the final round replays (verify_nash)."""
-        thresholds, screen_threshold = self.CASES[case]
-        net, initial, params = scattered_game(thresholds, screen_threshold)
+        net, initial, params = scattered_game(self.CASES[case])
         ids, positions = net.node_ids(), net._positions
         edges = [(positions[e.a], positions[e.b], e.weight) for e in net.edges]
         outcome = run_game(net, initial, params)
-        screened_rounds = accepts = 0
+        mixed_rounds = accepts = 0
         pre = initial
         for record in outcome.history:
             utilities = record.utilities
             assert type(utilities) is _Held
-            want = round_oracle(net.n, edges, dict(enumerate(pre.held.values())), thresholds,
-                                screen_threshold, params.delta)
+            want = round_oracle(net.n, edges, dict(enumerate(pre.held.values())), params.screen_threshold,
+                                params.delta)
             participants = [ids[k] for k in want]
             assert list(utilities) == sorted(utilities) == participants
             copy = dict(utilities)
@@ -482,7 +478,8 @@ class TestUtilitiesView:
                 assert utilities._ids is ids
             assert_dict_lookups(utilities)
             screened_out = [nid for nid in ids if nid not in copy]
-            screened_rounds += bool(screened_out)
+            # A mixed round leaves some nodes out while others accept.
+            mixed_rounds += bool(screened_out) and any(u > 0.0 for u in copy.values())
             for nid in screened_out + [float(nid) for nid in screened_out] + [0, ids[-1] + 1, "x", 3.5]:
                 assert nid not in utilities
                 assert utilities.get(nid, "") == ""
@@ -508,7 +505,7 @@ class TestUtilitiesView:
             assert outcome.rounds == 1 and len(outcome.history[0].utilities) == 0
         else:
             assert outcome.rounds >= 2 and accepts > 0
-            assert (screened_rounds > 0) is (case != "all-participants")
+            assert (mixed_rounds > 0) is (case != "all-participants")
 
 
 class TestVerifyNash:
@@ -536,7 +533,7 @@ class TestVerifyNash:
         outcome = run_game(net, st, params)
         assert verify_nash(net, outcome, params)
         utilities = round_oracle(2, [(0, 1, 0.6)], dict(outcome.history[-1].state.held)
-                                 if outcome.rounds > 1 else dict(st.held), [0.0, 0.0], None, 0.2)
+                                 if outcome.rounds > 1 else dict(st.held), 0.0, 0.2)
         victim = min(utilities, key=utilities.get)
         assert utilities[victim] < 0.0
         assert outcome.history[-1].strategies[victim] is Strategy.REJECT
@@ -617,7 +614,7 @@ class TestVerifyNash:
             assert verify_nash(net, outcome, params)
 
             pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
-            utilities = round_oracle(3, edges, dict(pre.held), [0.0] * 3, None, params.delta)
+            utilities = round_oracle(3, edges, dict(pre.held), params.screen_threshold, params.delta)
             chosen = {nid: s is Strategy.ACCEPT for nid, s in outcome.history[-1].strategies.items()}
             assert chosen == {nid: u > 0.0 for nid, u in utilities.items()}
 
@@ -671,6 +668,13 @@ class TestGameParams:
                 GameParams(budget=bad)
             with pytest.raises(ValidationError, match="screen_threshold"):
                 GameParams(screen_threshold=bad)
+
+    def test_screen_threshold_is_one_number_defaulting_to_zero(self):
+        """One number screens every node: 0.0 by default, and None is
+        refused like any other non-number."""
+        assert GameParams().screen_threshold == 0.0
+        with pytest.raises(ValidationError, match="^screen_threshold None is not a number$"):
+            GameParams(screen_threshold=None)
 
     def test_bad_budget_reported_before_the_epsilon_derived_from_it(self):
         for bad in (math.nan, math.inf, -1.0):

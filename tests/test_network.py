@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import json
-import math
 import pickle
 import random
 import re
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semgame.cli import main
 from semgame.errors import ValidationError
 from semgame.network import (
     ConceptNode,
@@ -46,10 +46,39 @@ class TestLoadNetwork:
         assert net.neighbors(0) == ((1, 0.5),)
         assert net.neighbors(1) == ((0, 0.5),)
 
-    def test_defaults_for_threshold_and_history(self, tmp_path):
+    def test_nodes_hold_only_id_and_label(self, tmp_path):
         net = load_network(write_net(tmp_path, MINIMAL))
-        assert net.nodes[0].threshold == 0.0
-        assert net.nodes[0].history == ()
+        assert [f.name for f in dataclasses.fields(ConceptNode)] == ["id", "label"]
+        assert net.nodes == (ConceptNode(0, "cat"), ConceptNode(1, "dog"))
+
+    def test_retired_node_keys_still_load(self, tmp_path):
+        """A file whose nodes carry `threshold` and `history` (as
+        perfbench/gen.py writes them, or with other values) loads to the
+        network the same file without them gives, and the CLI without
+        --source writes the same artefacts for all three."""
+        rng = random.Random(3)
+        edges = [{"a": a, "b": b, "w": rng.random()} for a in range(12) for b in range(a + 1, 12)
+                 if rng.random() < 0.4]
+        extras = {"generated": {"threshold": 0.0, "history": []},
+                  "set": {"threshold": 5.0, "history": [1.0, 2.0]},
+                  "absent": {}}
+        nets, artefacts = [], []
+        for name, extra in extras.items():
+            nodes = [{"id": k, "label": f"c{k}", **extra} for k in range(12)]
+            path = write_net(tmp_path, {"nodes": nodes, "edges": edges})
+            nets.append(load_network(path))
+            out = tmp_path / name
+            assert main(["game", "--network", str(path), "--budget", "1", "--trace", "--out", str(out)]) == 0
+            artefacts.append([(out / f).read_bytes() for f in ("summary.json", "trace.csv")])
+        assert nets[0] == nets[1] == nets[2]
+        assert [net._dense for net in nets[1:]] == [nets[0]._dense] * 2
+        assert artefacts[1:] == [artefacts[0]] * 2
+        assert json.loads(artefacts[0][0])["sources"] == {"0": 1.0}
+        saved = tmp_path / "saved.json"
+        save_network(nets[1], saved)
+        data = json.loads(saved.read_text(encoding="utf-8"))
+        assert [sorted(node) for node in data["nodes"]] == [["id", "label"]] * 12
+        assert load_network(saved) == nets[0]
 
     def test_weight_out_of_range(self, tmp_path):
         bad = {"nodes": MINIMAL["nodes"], "edges": [{"a": 0, "b": 1, "w": 1.5}]}
@@ -86,10 +115,6 @@ class TestLoadNetwork:
         # The other node fields are not coerced either.
         for field, value, message in (
             ("label", 5, "label 5 is not a string"),
-            ("threshold", "0.5", "threshold '0.5' is not a number"),
-            ("threshold", True, "threshold True is not a number"),
-            ("history", "12", "history entry '1' is not a number"),
-            ("history", [1.0, False], "history entry False is not a number"),
         ):
             node = {"id": 1, "label": "b", field: value}
             bad = {"nodes": [{"id": 0, "label": "a"}, node], "edges": []}
@@ -184,7 +209,7 @@ class TestLoadNetwork:
     def test_round_trip_identity(self, tmp_path):
         original = load_network(write_net(tmp_path, {
             "nodes": [
-                {"id": 3, "label": "x", "threshold": 0.25, "history": [1.0, 2.5]},
+                {"id": 3, "label": "x"},
                 {"id": 7, "label": "y"},
             ],
             "edges": [{"a": 3, "b": 7, "w": 0.125}],
@@ -271,12 +296,12 @@ def test_load_peak_stays_near_the_json_parse_or_the_kept_network(tmp_path):
 
 class TestSlottedRecords:
     RECORDS = [
-        ConceptNode(id=3, label="c3", threshold=0.5, history=(1.0, 2.0)),
+        ConceptNode(id=3, label="c3"),
         WeightedEdge(0, 1, 0.25),
         PairJudgment("cat", "dog", 0.75),
     ]
     BAD_CHANGES = {
-        ConceptNode: {"threshold": -1.0},
+        ConceptNode: {"label": ""},
         WeightedEdge: {"weight": 1.5},
         PairJudgment: {"human_score": 2.0},
     }
@@ -298,8 +323,7 @@ class TestSlottedRecords:
 
     # A bool passes every range check as 1 or 0, so it is refused by name.
     BOOL_CHANGES = {
-        ConceptNode: [("threshold", "node 3: threshold {!r} is not a number"),
-                      ("history", "node 3: history entry {!r} is not a number")],
+        ConceptNode: [],
         WeightedEdge: [("weight", "edge (0, 1): weight {!r} is not a number")],
         PairJudgment: [("human_score", "pair (cat, dog): score {!r} is not a number")],
     }
@@ -310,9 +334,8 @@ class TestSlottedRecords:
             dataclasses.replace(record, **self.BAD_CHANGES[type(record)])
         for field, message in self.BOOL_CHANGES[type(record)]:
             for flag in (True, False):
-                value = (0.0, flag) if field == "history" else flag
                 with pytest.raises(ValidationError, match=f"^{re.escape(message.format(flag))}$"):
-                    dataclasses.replace(record, **{field: value})
+                    dataclasses.replace(record, **{field: flag})
         assert dataclasses.replace(record) == record
 
     @pytest.mark.parametrize("record", RECORDS, ids=type)
@@ -323,37 +346,9 @@ class TestSlottedRecords:
 
 
 class TestNodeInvariants:
-    def test_negative_threshold(self):
-        for threshold in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValidationError, match="threshold"):
-                ConceptNode(id=0, label="a", threshold=threshold)
-        for threshold in (True, False):
-            with pytest.raises(ValidationError, match=f"^node 0: threshold {threshold} is not a number$"):
-                ConceptNode(id=0, label="a", threshold=threshold)
-
-    def test_unsorted_history(self):
-        with pytest.raises(ValidationError, match="sorted"):
-            ConceptNode(id=0, label="a", history=(2.0, 1.0))
-
-    def test_negative_or_non_finite_history(self):
-        for stamp in (-1.0, math.nan, math.inf):
-            message = f"node 0: history entry {stamp} must be finite and >= 0"
-            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                ConceptNode(id=0, label="a", history=(stamp,))
-        for stamp in (True, False):
-            with pytest.raises(ValidationError, match=f"^node 0: history entry {stamp} is not a number$"):
-                ConceptNode(id=0, label="a", history=(0.0, stamp))
-
     def test_empty_label(self):
         with pytest.raises(ValidationError, match="label"):
             ConceptNode(id=0, label="")
-
-    def test_history_from_dict(self, tmp_path):
-        net = load_network(write_net(tmp_path, {
-            "nodes": [{"id": 0, "label": "a", "history": [0.5, 1.5]}],
-            "edges": [],
-        }))
-        assert net.nodes[0].history == (0.5, 1.5)
 
 
 class TestLoadPairs:
@@ -468,7 +463,7 @@ def shuffled_payload(seed: int) -> dict:
     weights = [-0.0, 1.0] + [rng.random() for _ in pairs[2:]]
     edges = [{"a": a, "b": b, "w": w} for (a, b), w in zip(pairs, weights)]
     rng.shuffle(edges)
-    nodes = [{"id": nid, "label": f"c{nid}", "threshold": 0.0, "history": []} for nid in ids]
+    nodes = [{"id": nid, "label": f"c{nid}"} for nid in ids]
     rng.shuffle(nodes)
     return {"nodes": nodes, "edges": edges}
 

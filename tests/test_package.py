@@ -20,8 +20,8 @@ from semgame.errors import ValidationError
 from semgame.evaluate import EvalReport, utilization
 from semgame.game import GameParams
 from semgame.generate import generate_network
-from semgame.network import ConceptNode, PairJudgment, WeightedEdge
-from semgame.spreading import SpreadParams, initial_activation, seed_state
+from semgame.network import PairJudgment, WeightedEdge
+from semgame.spreading import SpreadParams, seed_state
 
 REPO = Path(__file__).resolve().parents[1]
 README = REPO / "README.md"
@@ -186,14 +186,10 @@ def _real_inputs():
         ("SpreadParams.fire_threshold", "fire_threshold", lambda v: SpreadParams(fire_threshold=v)),
         ("SpreadParams.budget", "budget", lambda v: SpreadParams(budget=v)),
         ("seed_state", "source 0: energy", lambda v: seed_state(net, {0: v})),
-        ("initial_activation.now", "now", lambda v: initial_activation((), v)),
-        ("initial_activation.history", "history timestamp", lambda v: initial_activation((v,), 1.0)),
         ("GameParams.epsilon", "epsilon", lambda v: GameParams(epsilon=v)),
         ("GameParams.screen_threshold", "screen_threshold", lambda v: GameParams(screen_threshold=v)),
         ("GameParams.delta", "delta", lambda v: GameParams(delta=v)),
         ("GameParams.budget", "budget", lambda v: GameParams(budget=v)),
-        ("ConceptNode.threshold", "node 0: threshold", lambda v: ConceptNode(0, "a", v)),
-        ("ConceptNode.history", "node 0: history entry", lambda v: ConceptNode(0, "a", 0.0, (v,))),
         ("WeightedEdge.weight", "edge (0, 1): weight", lambda v: WeightedEdge(0, 1, v)),
         ("PairJudgment.human_score", "pair (a, b): score", lambda v: PairJudgment("a", "b", v)),
         ("CobwebParams.r", "r", lambda v: CobwebParams(v, 0.1, 0.1)),
@@ -217,8 +213,8 @@ REAL_INPUTS = _real_inputs()
 def test_non_numbers_raise_validation_error(name, prefix, call):
     """A str, None or complex given for a real number raised a bare
     TypeError from a comparison or from math.isfinite. None is skipped
-    where it means "derive the value" or "unset"."""
-    optional = {"SpreadParams.fire_threshold", "GameParams.epsilon", "GameParams.screen_threshold"}
+    where it means "derive the value"."""
+    optional = {"SpreadParams.fire_threshold", "GameParams.epsilon"}
     for value in ("0.5", None, 0.5j):
         if value is None and name in optional:
             continue

@@ -67,7 +67,7 @@ def test_relabelling_leaves_final_energies_unchanged(case, data):
     net, sp, gp, source = case
     perm = data.draw(st.permutations(range(net.n)))
     relabelled = build_network(
-        [ConceptNode(perm[nd.id], nd.label, nd.threshold, nd.history) for nd in net.nodes],
+        [ConceptNode(perm[nd.id], nd.label) for nd in net.nodes],
         [WeightedEdge(perm[e.a], perm[e.b], e.weight) for e in net.edges],
     )
     held = run_pipeline(net, {source: sp.budget}, sp, gp).final.held
@@ -187,39 +187,34 @@ def test_step_from_the_full_activated_set_equals_the_oracle_bit_for_bit(case, da
 @settings(max_examples=200, deadline=None)
 @given(scattered_networks(), st.data())
 def test_round_equals_the_oracle_bit_for_bit(case, data):
-    """One round's strategies and utilities, screened by the nodes' own
-    thresholds or by a global one, on networks with isolated nodes.
+    """One round's strategies and utilities, screened by a global
+    threshold (0.0 admits every node), on networks with isolated nodes.
     Neither depends on the budget, which here only has to cover the
     drawn held values (at most 8 x 100)."""
     net, ids, edges = case
     n = len(ids)
-    thresholds = data.draw(st.lists(st.sampled_from([0.0, 0.5, 5.0]), min_size=n, max_size=n))
-    own = dict(zip(ids, thresholds))
-    net = build_network([dataclasses.replace(nd, threshold=own[nd.id]) for nd in net.nodes], list(net.edges))
     held = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=n, max_size=n))
     delta = data.draw(st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0)))
-    screen_threshold = data.draw(st.one_of(st.none(), st.sampled_from([0.0, 1.0, 10.0])))
+    screen_threshold = data.draw(st.sampled_from([0.0, 0.5, 1.0, 5.0, 10.0]))
     params = GameParams(delta=delta, screen_threshold=screen_threshold, budget=800.0)
     state = ActivationState(0, dict(zip(ids, held)), frozenset())
     record = first_round(net, state, params)
     strategies, utilities = record.strategies, record.utilities
-    want = round_oracle(n, edges, dict(enumerate(held)), thresholds, screen_threshold, delta)
+    want = round_oracle(n, edges, dict(enumerate(held)), screen_threshold, delta)
     assert list(strategies) == list(utilities) == [ids[k] for k in want]
     assert strategies == {ids[k]: Strategy.ACCEPT if u > 0.0 else Strategy.REJECT for k, u in want.items()}
     assert [u.hex() for u in utilities.values()] == [(u if u > 0.0 else 0.0).hex() for u in want.values()]
 
 
-def _assert_game_equals_the_oracle(net, ids, edges, thresholds, held, activated, params):
+def _assert_game_equals_the_oracle(net, ids, edges, held, activated, params):
     """run_game from `held` and `activated` (by position) against
     tests/oracles.game_oracle, record by record, by float.hex; returns
     the oracle's rounds."""
     n = len(ids)
-    own = dict(zip(ids, thresholds))
-    net = build_network([dataclasses.replace(nd, threshold=own[nd.id]) for nd in net.nodes], list(net.edges))
     initial = ActivationState(0, dict(zip(ids, held)), frozenset(ids[k] for k in activated))
     outcome = run_game(net, initial, params)
     rounds, converged = game_oracle(
-        n, edges, dict(enumerate(held)), set(activated), thresholds, params.screen_threshold,
+        n, edges, dict(enumerate(held)), set(activated), params.screen_threshold,
         params.delta, params.budget, params.epsilon, params.max_rounds,
     )
     assert len(outcome.history) == len(rounds)
@@ -240,21 +235,20 @@ def _assert_game_equals_the_oracle(net, ids, edges, thresholds, held, activated,
 def test_game_equals_the_oracle_bit_for_bit(case, data):
     """Every round of a game (held values in id order, activated set,
     strategies, realized utilities, cost) and its convergence, at budgets
-    1 and 100, screened by the nodes' own thresholds or by a global one."""
+    1 and 100, screened by a global threshold (0.0 admits every node)."""
     net, ids, edges = case
     n = len(ids)
     budget = data.draw(st.sampled_from([1.0, 100.0]))
-    thresholds = data.draw(st.lists(st.sampled_from([0.0, 0.05 * budget, 0.5 * budget]), min_size=n, max_size=n))
     held = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, budget / n)), min_size=n, max_size=n))
     activated = data.draw(st.sets(st.integers(0, n - 1)))
     params = GameParams(
         epsilon=budget * data.draw(st.sampled_from([1e-9, 1e-3, 0.1])),
         max_rounds=data.draw(st.integers(1, 6)),
-        screen_threshold=data.draw(st.one_of(st.none(), st.sampled_from([0.0, 0.01 * budget, 0.2 * budget]))),
+        screen_threshold=data.draw(st.sampled_from([0.0, 0.01 * budget, 0.05 * budget, 0.2 * budget, 0.5 * budget])),
         delta=data.draw(st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0))),
         budget=budget,
     )
-    _assert_game_equals_the_oracle(net, ids, edges, thresholds, held, activated, params)
+    _assert_game_equals_the_oracle(net, ids, edges, held, activated, params)
 
 
 def test_game_equals_the_oracle_without_participants_and_on_mixed_rounds():
@@ -269,10 +263,10 @@ def test_game_equals_the_oracle_without_participants_and_on_mixed_rounds():
     )
     held = [0.0, 0.0, 5.0]
     params = GameParams(budget=100.0, screen_threshold=10.0)
-    rounds = _assert_game_equals_the_oracle(net, ids, edges, [0.0] * 3, held, {2}, params)
+    rounds = _assert_game_equals_the_oracle(net, ids, edges, held, {2}, params)
     assert len(rounds) == 1 and rounds[0][2] == {}
-    params = dataclasses.replace(params, screen_threshold=None)
-    rounds = _assert_game_equals_the_oracle(net, ids, edges, [0.0] * 3, held, {2}, params)
+    params = dataclasses.replace(params, screen_threshold=0.0)
+    rounds = _assert_game_equals_the_oracle(net, ids, edges, held, {2}, params)
     assert set(rounds[0][2].values()) == {True, False}
 
 
@@ -304,7 +298,7 @@ def test_view_backed_states_run_as_their_dict_copies_bit_for_bit(case, data):
     sp = SpreadParams(delta=delta, fire_threshold=data.draw(st.sampled_from([0.0, 1e-6 * budget])), budget=budget)
     gp = GameParams(
         max_rounds=data.draw(st.integers(1, 4)),
-        screen_threshold=data.draw(st.one_of(st.none(), st.sampled_from([0.0, 0.01 * budget]))),
+        screen_threshold=data.draw(st.sampled_from([0.0, 0.01 * budget])),
         delta=delta,
         budget=budget,
     )

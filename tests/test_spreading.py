@@ -1,4 +1,4 @@
-"""Spreading activation: per-edge transfer, stepping, full runs, history seeding."""
+"""Spreading activation: per-edge transfer, stepping, full runs, the held view."""
 
 import dataclasses
 import itertools
@@ -16,7 +16,6 @@ from semgame.spreading import (
     ActivationState,
     SpreadParams,
     _Held,
-    initial_activation,
     iter_spread,
     run_spread,
     seed_state,
@@ -117,7 +116,7 @@ class TestStep:
         with pytest.raises(ValidationError, match=missing):
             step(net, partial, sp)
         outcome = GameOutcome(partial, True, (RoundRecord(partial, {}, 0.0),), partial)
-        for screen_threshold in (None, 0.7, 0.0):
+        for screen_threshold in (0.0, 0.2, 0.7):
             gp = GameParams(budget=1.0, screen_threshold=screen_threshold)
             with pytest.raises(ValidationError, match=missing):
                 run_game(net, partial, gp)
@@ -136,7 +135,7 @@ class TestStep:
         with pytest.raises(ValidationError, match=non_finite):
             step(net, nan, sp)
         outcome = GameOutcome(nan, True, (RoundRecord(nan, {}, 0.0),), nan)
-        for screen_threshold in (None, 0.7, 0.0):
+        for screen_threshold in (0.0, 0.2, 0.7):
             gp = GameParams(budget=1.0, screen_threshold=screen_threshold)
             with pytest.raises(ValidationError, match=non_finite):
                 run_game(net, nan, gp)
@@ -510,49 +509,3 @@ class TestSpreadingProperties:
             from semgame.spreading import check_state
 
             check_state(net, bad)
-
-
-class TestInitialActivation:
-    def test_empty_history(self):
-        assert initial_activation((), now=10.0) == 0.0
-
-    def test_single_event_age_one(self):
-        assert initial_activation((9.0,), now=10.0) == 0.0
-
-    def test_matches_scalar_oracle(self):
-        ages = (1.0, 2.0, 4.0)
-        history = tuple(10.0 - a for a in ages)
-        expected = math.log(1.0 + 2.0 ** -0.5 + 4.0 ** -0.5)
-        assert initial_activation(history, now=10.0) == pytest.approx(expected, rel=1e-15)
-
-    def test_clamped_at_zero_for_stale_history(self):
-        assert initial_activation((0.0,), now=100.0) == 0.0
-
-    def test_same_moment_events_ignored(self):
-        assert initial_activation((10.0,), now=10.0) == 0.0
-
-    def test_future_timestamp_rejected(self):
-        with pytest.raises(ValidationError, match="future"):
-            initial_activation((11.0,), now=10.0)
-
-    # nan once returned 0.0 silently, and inf raised a bare math domain error.
-    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
-    def test_non_finite_now_rejected(self, now):
-        with pytest.raises(ValidationError, match=f"^now {now} must be finite$"):
-            initial_activation((1.0,), now)
-
-    # nan once returned 0.0 silently, and -inf raised a bare math domain error.
-    @pytest.mark.parametrize(
-        "t, message",
-        [(math.nan, "nan must be finite"), (-math.inf, "-inf must be finite"), (math.inf, "in the future")],
-    )
-    def test_non_finite_timestamp_rejected(self, t, message):
-        with pytest.raises(ValidationError, match=f"^history timestamp {message}$"):
-            initial_activation((0.0, t), now=1.0)
-
-    def test_bool_now_or_timestamp_rejected(self):
-        """True once ran as the number 1."""
-        with pytest.raises(ValidationError, match="^now True is not a number$"):
-            initial_activation((1.0,), True)
-        with pytest.raises(ValidationError, match="^history timestamp False is not a number$"):
-            initial_activation((0.5, False), now=1.0)

@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py with its benchmark runs stubbed out."""
+"""tools/bench_pairs.py and tools/compare_artefacts.py with their runs stubbed out."""
 
 import argparse
 import importlib.util
@@ -142,3 +142,70 @@ def test_each_end_to_end_metric_gets_a_verdict(monkeypatch, better, parent, chan
     record = bench_pairs.pairs_for(args, bench, "game-1k", 11, len(parent))
     assert record["end_to_end"]["m"]["verdict"] == expected
 
+
+
+def load_compare_artefacts():
+    spec = importlib.util.spec_from_file_location("compare_artefacts", TOOLS / "compare_artefacts.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_each_pinned_default_restates_its_twin_with_the_cli_default():
+    """A `SAME_AS_DEFAULT` invocation is its twin's arguments plus one flag
+    given the value the CLI uses when the flag is left out."""
+    from semgame.cli import build_parser
+
+    compare_artefacts = load_compare_artefacts()
+    runs = compare_artefacts.invocations(compare_artefacts.INPUTS)
+    assert sorted(compare_artefacts.SAME_AS_DEFAULT) == ["n300-game-b1-screen0", "n60-game-b1-screen0"]
+    for pinned, default in compare_artefacts.SAME_AS_DEFAULT.items():
+        extra = list(runs[pinned])
+        for arg in runs[default]:
+            extra.remove(arg)
+        assert extra == ["--screen-threshold", "0"]
+        parse = build_parser().parse_args
+        assert vars(parse([*runs[pinned], "--out", "o"])) == vars(parse([*runs[default], "--out", "o"]))
+
+
+def test_a_pinned_default_that_drifts_from_its_twin_is_listed_and_not_written(tmp_path, monkeypatch, capsys):
+    """With stubbed inputs and invocations: a pinned invocation whose trace
+    differs from its default twin's is listed in check mode, even against
+    a manifest it matches, and under --write the manifest is left as it is."""
+    compare_artefacts = load_compare_artefacts()
+    drift = {"on": False}
+
+    def write_inputs(checkout, work):
+        for name in ("network.json", "pairs.tsv"):
+            path = work / compare_artefacts.INPUTS / "n5" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(name)
+
+    def run_invocation(checkout, args, out, work):
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "summary.json").write_text("summary")
+        (out / "trace.csv").write_text("drifted" if drift["on"] and args == ["pinned"] else "rows")
+        return None
+
+    monkeypatch.setattr(compare_artefacts, "SIZES", (5,))
+    monkeypatch.setattr(compare_artefacts, "SAME_AS_DEFAULT", {"pinned": "default"})
+    monkeypatch.setattr(compare_artefacts, "invocations", lambda inputs: {
+        "default": ["default"], "pinned": ["pinned"], "other": ["other"]})
+    monkeypatch.setattr(compare_artefacts, "write_inputs", write_inputs)
+    monkeypatch.setattr(compare_artefacts, "run_invocation", run_invocation)
+    golden = tmp_path / "golden.sha256"
+
+    def run(*flags):
+        code = compare_artefacts.main(["--golden", str(golden), "--work", str(tmp_path / "work"), *flags])
+        return code, capsys.readouterr().out.splitlines()
+
+    assert run("--write") == (0, ["3 invocations, 0 difference(s)"])
+    written = golden.read_text(encoding="utf-8")
+    assert len(written.splitlines()) == 2 + 3 * 2
+    assert run() == (0, ["3 invocations, 0 difference(s)"])
+
+    drift["on"] = True
+    drifted = "out/pinned/trace.csv differs from out/default/trace.csv"
+    assert run() == (1, [drifted, "out/pinned/trace.csv differs", "3 invocations, 2 difference(s)"])
+    assert run("--write") == (1, [drifted, "3 invocations, 1 difference(s)"])
+    assert golden.read_text(encoding="utf-8") == written

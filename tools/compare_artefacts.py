@@ -16,11 +16,15 @@ not depend on where that directory is.
 The sha256 of every input and of each `summary.json`, `trace.csv`,
 `pairs.csv` and `compare.csv` is checked against FILE, or written to it
 with `--write`; the file has `sha256sum` format, with paths relative to
-the work directory. Every artefact that differs, is missing or is not
-in FILE is listed, and so is every invocation that fails; the exit
-status is 1 if anything is listed. To compare two checkouts, write the
-manifest from one and check it from the other. Outputs stay under
-`--work` (default: a temporary directory that is removed).
+the work directory. An invocation that passes a default explicitly (see
+`SAME_AS_DEFAULT`) must write the same artefacts, byte for byte, as the
+one that leaves it out. Every artefact that differs, is missing or is
+not in FILE is listed, and so is every pinned artefact that differs
+from its default twin and every invocation that fails; the exit status
+is 1 if anything is listed, and `--write` then writes nothing. To
+compare two checkouts, write the manifest from one and check it from
+the other. Outputs stay under `--work` (default: a temporary directory
+that is removed).
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from pathlib import Path
 ARTEFACTS = ("summary.json", "trace.csv", "pairs.csv", "compare.csv")
 SIZES = (60, 300)
 INPUTS = Path("inputs")  # under the work directory
+# Invocation that passes a default explicitly -> the one that leaves it
+# out; `--screen-threshold 0` restates the CLI's default threshold.
+SAME_AS_DEFAULT = {f"n{size}-game-b1-screen0": f"n{size}-game-b1" for size in SIZES}
 
 
 def invocations(inputs: Path) -> dict[str, list[str]]:
@@ -95,9 +102,23 @@ def digests(checkout: Path, work: Path) -> tuple[dict[str, str], list[str]]:
     return hashes, problems
 
 
+def default_differences(hashes: dict[str, str]) -> list[str]:
+    """One line per artefact of a `SAME_AS_DEFAULT` pair whose bytes differ,
+    or which only one of the two invocations wrote."""
+    lines = []
+    for pinned, default in SAME_AS_DEFAULT.items():
+        for name in ARTEFACTS:
+            a, b = f"out/{pinned}/{name}", f"out/{default}/{name}"
+            if hashes.get(a) != hashes.get(b):
+                lines.append(f"{a} differs from {b}")
+    return lines
+
+
 def check_golden(checkout: Path, golden: Path, write: bool, work: Path) -> list[str]:
-    """Write the manifest, or every way the artefacts differ from it."""
+    """Write the manifest, or every way the artefacts differ from it; either
+    way, every way a pinned default's artefacts differ from its twin's."""
     got, problems = digests(checkout, work)
+    problems += default_differences(got)
     if write:
         if not problems:
             text = "".join(f"{digest}  {name}\n" for name, digest in sorted(got.items()))
