@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .errors import _check_limit, _check_real
-from .network import ConceptNode, SemanticNetwork, WeightedEdge, build_network
+from .network import ConceptNode, SemanticNetwork, build_network
 
 __all__ = ["generate_network", "complete_network"]
 
@@ -37,13 +37,14 @@ def generate_network(n: int, edge_prob: float, seed: int) -> SemanticNetwork:
         above = tree_above[a]
         for b in range(a + 1, n):
             if b in above or draw() < edge_prob:
-                edges.append(WeightedEdge(a, b, 1.0 - draw()))
+                edges.append((a, b, 1.0 - draw()))
     return build_network(nodes, edges)
 
 
 def complete_network(n: int, weight: float = 1.0) -> SemanticNetwork:
     """Complete graph with one uniform edge weight (symmetric scenario)."""
     _check_limit("n", n, 2)
+    # Every edge has this weight, so it is checked once, named by the first edge.
+    _check_real("edge (0, 1): weight", weight, 0, 1)
     nodes = [ConceptNode(id=i, label=f"c{i}") for i in range(n)]
-    edges = [WeightedEdge(a, b, weight) for a in range(n) for b in range(a + 1, n)]
-    return build_network(nodes, edges)
+    return build_network(nodes, ((a, b, weight) for a in range(n) for b in range(a + 1, n)))

@@ -7,18 +7,25 @@ ascending id order, each id's dense position in it, and one
 node-ordered adjacency (see `SemanticNetwork`); nothing is cached
 later.
 
-`load_network` turns the parsed JSON into node and edge records and
-drops it before `build_network` runs, and the build finds duplicate
-edges within each node's row rather than in a set of every pair. So at
-the load's memory peak only the records, the per-node rows and the
-adjacency being built are alive, besides the network's own indexes.
-An edge endpoint that names a node is that node's own `id` int, not a
-copy the JSON parser made, so the edge records add no ints of their own.
+The network keeps each edge once, as machine values in two `array`
+columns besides the adjacency, and makes no per-edge object: `edges`
+builds its `WeightedEdge` records on each read. `load_network` turns
+the parsed JSON into node records and two edge columns, the endpoint
+ids in one flat list and the weights in an `array`, and drops it
+before `build_network` runs; the build reads one edge at a time and
+finds duplicate edges within each node's row rather than in a set of
+every pair. So at the load's memory peak only the node records, the
+two columns, the per-node rows and the adjacency being built are
+alive, besides the network's own indexes. An endpoint that names a
+node is that node's own `id` int, not a copy the JSON parser made, so
+the endpoint list adds no ints of its own.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import ValidationError, _check_number, _check_real
@@ -58,10 +65,15 @@ class WeightedEdge:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValidationError(f"edge ({self.a}, {self.b}): self-loop")
-        # A plain float in range is taken inline, as a load builds thousands
-        # of edges; anything else goes to the shared check to name the fault.
+        # A plain float in range is taken inline, as each read of a network's
+        # `edges` builds one record per edge; anything else goes to the
+        # shared check to name the fault.
         if type(self.weight) is not float or not 0.0 <= self.weight <= 1.0:
             _check_real(f"edge ({self.a}, {self.b}): weight", self.weight, 0, 1)
+
+    def __iter__(self):
+        """(a, b, weight), so a record unpacks as the triple `build_network` reads."""
+        return iter((self.a, self.b, self.weight))
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,16 @@ class SemanticNetwork:
 
     Adjacency is symmetric by construction: every edge is indexed under
     both endpoints with the same weight.
+
+    Two networks are equal, and hash equal, when they hold the same
+    nodes in the same order and the same weighted edges: `==` and
+    `hash()` read `nodes` and `_dense`, so the same edges listed in
+    another order or orientation compare equal.
+
+    The edges are stored once, in input order and orientation: `_ends`
+    holds each edge's two endpoint positions in turn and `_weights` its
+    weight. `edges` builds the `WeightedEdge` records from them on each
+    read, with the same order, orientation and weight bits.
 
     Node `node_ids()[k]` sits at dense position k, and `_positions` maps
     each id to its position. `_dense[k]` holds node k's `(position,
@@ -86,15 +108,23 @@ class SemanticNetwork:
     """
 
     nodes: tuple[ConceptNode, ...]
-    edges: tuple[WeightedEdge, ...]
+    _dense: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False)
+    _ends: array = field(repr=False, compare=False)
+    _weights: array = field(repr=False, compare=False)
     _sorted_ids: tuple[int, ...] = field(repr=False, compare=False)
     _positions: dict[int, int] = field(repr=False, compare=False)
-    _dense: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False, compare=False)
     _id_set: frozenset[int] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    @property
+    def edges(self) -> tuple[WeightedEdge, ...]:
+        """The edges as records, in input order and orientation, built on each read."""
+        ids = self._sorted_ids
+        ends = iter(self._ends)
+        return tuple([WeightedEdge(ids[x], ids[y], w) for x, y, w in zip(ends, ends, self._weights)])
 
     def node_ids(self) -> tuple[int, ...]:
         """All node ids in ascending order."""
@@ -121,11 +151,18 @@ class SemanticNetwork:
         return matches[0]
 
 
-def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> SemanticNetwork:
-    """Assemble and validate a network from node and edge records.
+def build_network(
+    nodes: list[ConceptNode], edges: Iterable[tuple[int, int, float]]
+) -> SemanticNetwork:
+    """Assemble and validate a network from node records and edges.
 
-    Of the edges, the first faulty one in edge order is reported, whether
-    an endpoint references no node or its pair repeats an earlier edge's.
+    `edges` is read once, one `(a, b, weight)` triple at a time, so any
+    iterable of triples will do, `WeightedEdge` records included. An
+    edge is faulty when an endpoint references no node, when it is a
+    self-loop, when its weight is not a number in [0, 1], or when its
+    pair repeats an earlier edge's, in either orientation. The first
+    faulty edge in edge order is reported, and an edge with several
+    faults is reported for the first of them in that order.
     """
     seen: set[int] = set()
     for i, nd in enumerate(nodes):
@@ -140,20 +177,23 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
     # Per position, the neighbours' positions and the weights, in edge order.
     targets: list[list[int]] = [[] for _ in ids]
     weights: list[list[float]] = [[] for _ in ids]
-    for i, e in enumerate(edges):
-        a, b = positions.get(e.a), positions.get(e.b)
-        if a is None or b is None:
-            _reject_duplicate_pair(edges[:i])
-            missing = e.a if a is None else e.b
-            raise ValidationError(f"edges[{i}]: endpoint {missing} references no node")
-        w = e.weight
-        targets[a].append(b)
-        weights[a].append(w)
-        targets[b].append(a)
-        weights[b].append(w)
+    ends, column = array("q"), array("d")
+    for i, (a, b, w) in enumerate(edges):
+        x, y = positions.get(a), positions.get(b)
+        # A plain float in range between two nodes is taken inline, as a
+        # load reads thousands of edges; anything else is looked at closely.
+        if x is None or y is None or x == y or type(w) is not float or not 0.0 <= w <= 1.0:
+            _check_edge(i, a, b, w, positions, ends)
+        targets[x].append(y)
+        weights[x].append(w)
+        targets[y].append(x)
+        weights[y].append(w)
+        ends.append(x)
+        ends.append(y)
+        column.append(w)
     # A pair given twice, in either orientation, repeats a target in a row.
     if any(len(set(ts)) < len(ts) for ts in targets):
-        _reject_duplicate_pair(edges)
+        _reject_duplicate_pair(positions, ends)
 
     # Every entry is built anew once its row is sorted, so a row's tuples,
     # ints and floats sit side by side and rows follow node order; reusing
@@ -166,16 +206,36 @@ def build_network(nodes: list[ConceptNode], edges: list[WeightedEdge]) -> Semant
     )
     # The id set holds the ids' own ints, so, built last, it leaves the
     # adjacency's layout as it is.
-    return SemanticNetwork(tuple(nodes), tuple(edges), ids, positions, dense, frozenset(ids))
+    return SemanticNetwork(tuple(nodes), dense, ends, column, ids, positions, frozenset(ids))
 
 
-def _reject_duplicate_pair(edges: list[WeightedEdge]) -> None:
-    """Raise for the first edge whose pair repeats an earlier edge's, if any."""
+def _check_edge(i: int, a, b, w, positions: dict[int, int], ends: array) -> None:
+    """Raise for edge i's first fault, or for an earlier edge that repeats a
+    pair; return if edge i is sound (an int weight in range, say). `ends`
+    holds the endpoint positions of the edges before i."""
+    if a not in positions or b not in positions:
+        fault = f"endpoint {b if a in positions else a} references no node"
+    elif positions[a] == positions[b]:
+        fault = f"edge ({a}, {b}): self-loop"
+    else:
+        try:
+            _check_real(f"edge ({a}, {b}): weight", w, 0, 1)
+            return
+        except ValidationError as exc:
+            fault = str(exc)
+    _reject_duplicate_pair(positions, ends)
+    raise ValidationError(f"edges[{i}]: {fault}")
+
+
+def _reject_duplicate_pair(positions: dict[int, int], ends: array) -> None:
+    """Raise for the first stored edge whose pair repeats an earlier edge's, if any."""
+    ids = tuple(positions)  # ascending, as positions are
     seen: set[tuple[int, int]] = set()
-    for i, e in enumerate(edges):
-        pair = (e.a, e.b) if e.a < e.b else (e.b, e.a)
+    it = iter(ends)
+    for i, (x, y) in enumerate(zip(it, it)):
+        pair = (x, y) if x < y else (y, x)
         if pair in seen:
-            raise ValidationError(f"edges[{i}]: duplicate edge for pair {pair}")
+            raise ValidationError(f"edges[{i}]: duplicate edge for pair {(ids[pair[0]], ids[pair[1]])}")
         seen.add(pair)
 
 
@@ -198,12 +258,16 @@ def _as_number(value, what: str) -> float:
 _BAD_ENTRY = (ValidationError, KeyError, TypeError, ValueError, OverflowError)
 
 
-def _records(data) -> tuple[list[ConceptNode], list[WeightedEdge]]:
-    """The node and edge records of a JSON-format network, each one validated.
+def _records(data) -> tuple[list[ConceptNode], list[int], array]:
+    """The node records of a JSON-format network, each one validated, and
+    its edges as two columns: both endpoint ids of every edge in turn in
+    one flat list, and the weights.
 
-    Keys other than a node's `id` and `label` and an edge's `a`, `b` and
-    `w` are not read, so files that carry the retired `threshold` and
-    `history` keys still load."""
+    Each edge entry is checked here only for its keys and types (the
+    endpoints integral, the weight a number); `build_network` checks
+    the rest. Keys other than a node's `id` and `label` and an edge's
+    `a`, `b` and `w` are not read, so files that carry the retired
+    `threshold` and `history` keys still load."""
     if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
         raise ValidationError("network file must be an object with 'nodes' and 'edges'")
     if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
@@ -219,27 +283,26 @@ def _records(data) -> tuple[list[ConceptNode], list[WeightedEdge]]:
             raise ValidationError(f"nodes[{i}]: {exc}") from None
 
     ids = {nd.id: nd.id for nd in nodes}
-    edges = []
+    ends: list[int] = []
+    weights = array("d")
     for i, raw in enumerate(data["edges"]):
         try:
-            # Plain int endpoints skip _as_id and the record is built
-            # positionally: a call and keyword matching per edge would slow
-            # the load of a file with thousands of edges. Each endpoint that
-            # names a node becomes that node's own id int (ints above 256 are
-            # not cached, so the parser made a copy of each).
+            # Plain int endpoints and float weights skip the conversions: a
+            # call per edge would slow the load of a file with thousands of
+            # edges. Each endpoint that names a node becomes that node's own
+            # id int (ints above 256 are not cached, so the parser made a
+            # copy of each), and the weights are kept as machine doubles, so
+            # none of the parsed JSON outlives it.
             a, b = raw["a"], raw["b"]
             if type(a) is not int or type(b) is not int:
                 a, b = _as_id(a, "endpoint"), _as_id(b, "endpoint")
-            # The weight is copied (`* 1.0` is exact and keeps -0.0): the
-            # parsed weights share allocator pools with the parsed endpoint
-            # ints, and kept between the ints' holes they would make
-            # build_network fill those holes with the adjacency's ints and
-            # floats out of row order, slowing spreading about 5% on a
-            # loaded 10k-node network.
-            edges.append(WeightedEdge(ids.get(a, a), ids.get(b, b), _as_number(raw["w"], "weight") * 1.0))
+            w = raw["w"]
+            weights.append(w if type(w) is float else _as_number(w, "weight"))
+            ends.append(ids.get(a, a))
+            ends.append(ids.get(b, b))
         except _BAD_ENTRY as exc:
             raise ValidationError(f"edges[{i}]: {exc}") from None
-    return nodes, edges
+    return nodes, ends, weights
 
 
 def load_network(path: str | os.PathLike[str]) -> SemanticNetwork:
@@ -248,6 +311,11 @@ def load_network(path: str | os.PathLike[str]) -> SemanticNetwork:
     Any invariant violation raises ValidationError with element context;
     a file that cannot be read or decoded raises one naming the path. No
     partially constructed network is ever returned.
+
+    Of two faulty edge entries, a malformed one (a missing key, an
+    endpoint that is not an integer, a weight that is not a number) is
+    reported first, at the first such entry; otherwise the first faulty
+    edge in edge order is, by `build_network`'s rule.
     """
     import json  # here and in save_network, so `import semgame` does not load the codec
 
@@ -263,8 +331,11 @@ def load_network(path: str | os.PathLike[str]) -> SemanticNetwork:
     except (RecursionError, ValueError) as exc:  # nesting too deep, an int literal too long
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     del text
-    nodes, edges = _records(data)
+    nodes, ends, weights = _records(data)
     del data  # not needed while the network is built, when memory peaks
+    it = iter(ends)
+    edges = zip(it, it, weights)
+    del ends  # so the build's last read frees the list before the adjacency is built
     return build_network(nodes, edges)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 import pickle
 import random
 import re
@@ -14,15 +15,20 @@ from hypothesis import strategies as st
 
 from semgame.cli import main
 from semgame.errors import ValidationError
+from semgame.evaluate import evaluate_pairs, relatedness
+from semgame.game import GameParams
+from semgame.generate import generate_network
 from semgame.network import (
     ConceptNode,
     PairJudgment,
+    SemanticNetwork,
     WeightedEdge,
     build_network,
     load_network,
     load_pairs,
     save_network,
 )
+from semgame.spreading import SpreadParams
 
 from conftest import MALFORMED_NETWORK_FILES, quick_net
 
@@ -162,12 +168,25 @@ class TestLoadNetwork:
         with pytest.raises(ValidationError, match=r"^edges\[2\]: duplicate edge for pair \(1, 2\)$"):
             load_network(write_net(tmp_path, {"nodes": nodes, "edges": edges}))
 
-    @pytest.mark.parametrize("pairs, message", [
+    @pytest.mark.parametrize("entries, message", [
         ([(0, 1), (1, 0), (0, 9)], r"^edges\[1\]: duplicate edge for pair \(0, 1\)$"),
         ([(0, 1), (0, 9), (1, 0)], r"^edges\[1\]: endpoint 9 references no node$"),
-    ], ids=["duplicate-first", "unknown-endpoint-first"])
-    def test_first_faulty_edge_in_edge_order_is_reported(self, tmp_path, pairs, message):
-        edges = [{"a": a, "b": b, "w": 0.5} for a, b in pairs]
+        ([(0, 1), (1, 1), (1, 0)], r"^edges\[1\]: edge \(1, 1\): self-loop$"),
+        ([(0, 1), (1, 0), (0, 0)], r"^edges\[1\]: duplicate edge for pair \(0, 1\)$"),
+        ([(0, 1), (1, 0), (0, 1, 2.0)], r"^edges\[1\]: duplicate edge for pair \(0, 1\)$"),
+        ([(0, 1), (1, 0, 2.0)], r"^edges\[1\]: edge \(1, 0\): weight 2\.0 outside \[0, 1\]$"),
+        ([(0, 1), (9, 9)], r"^edges\[1\]: endpoint 9 references no node$"),
+        ([(0, 1), (1, 0), (0, 1, "0.5")], r"^edges\[2\]: weight '0\.5' is not a number$"),
+    ], ids=["duplicate-first", "unknown-endpoint-first", "self-loop-first", "duplicate-before-self-loop",
+            "duplicate-before-bad-weight", "own-weight-before-own-duplicate",
+            "own-unknown-endpoint-before-own-self-loop", "malformed-entry-before-any-build-fault"])
+    def test_first_faulty_edge_in_edge_order_is_reported(self, tmp_path, entries, message):
+        """Of the build's faults, the first faulty edge in edge order is
+        reported, and within one edge an unknown endpoint, a self-loop, a
+        bad weight and a repeated pair in that order. A malformed entry
+        (here a weight that is not a number) is found while the file is
+        read, before any of those."""
+        edges = [{"a": a, "b": b, "w": w[0] if w else 0.5} for a, b, *w in entries]
         with pytest.raises(ValidationError, match=message):
             load_network(write_net(tmp_path, {"nodes": MINIMAL["nodes"], "edges": edges}))
 
@@ -497,6 +516,73 @@ class TestDenseAdjacency:
             got = json.loads(out.read_text(encoding="utf-8"))
             assert json.dumps(got) == json.dumps(payload)
             assert [e["w"].hex() for e in got["edges"]] == [e["w"].hex() for e in payload["edges"]]
+
+
+class TestEdgeColumns:
+    def test_loads_generators_and_evaluation_make_no_edge_records(self, tmp_path, monkeypatch):
+        """A network keeps its edges as columns: loading a file and
+        generating a network construct no `WeightedEdge`, and `relatedness`
+        and `evaluate_pairs` never read `net.edges`, which builds one record
+        per edge on each read."""
+        path = tmp_path / "net.json"
+        save_network(generate_network(30, 0.2, 7), path)
+        counts = {"made": 0, "read": 0}
+        post_init, edges = WeightedEdge.__post_init__, SemanticNetwork.edges
+
+        def counted_post_init(record):
+            counts["made"] += 1
+            post_init(record)
+
+        def counted_edges(net):
+            counts["read"] += 1
+            return edges.fget(net)
+
+        monkeypatch.setattr(WeightedEdge, "__post_init__", counted_post_init)
+        monkeypatch.setattr(SemanticNetwork, "edges", property(counted_edges))
+        net = load_network(path)
+        generated = generate_network(30, 0.2, 7)
+        sp, gp = SpreadParams(), GameParams()
+        relatedness(net, 0, 1, sp, gp)
+        pairs = [PairJudgment("c0", "c1", 0.2), PairJudgment("c2", "c3", 0.9), PairJudgment("c0", "c3", 0.5)]
+        evaluate_pairs(generated, pairs, sp, None)
+        assert counts == {"made": 0, "read": 0}
+        # The counters see what they count.
+        records = net.edges
+        assert counts == {"made": len(records), "read": 1} and records
+
+    def test_equal_and_hash_equal_on_nodes_and_weighted_edges(self, tmp_path):
+        """Two loads of one file are equal and hash equal; one weight moved
+        by one ulp makes them unequal; the same edges in another order and
+        orientation compare equal, although `edges` keeps each input's."""
+        payload = shuffled_payload(0)
+        first, second = (load_network(write_net(tmp_path, payload)) for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+
+        moved = json.loads(json.dumps(payload))
+        edge = next(e for e in moved["edges"] if 0.0 < e["w"] < 1.0)
+        edge["w"] = math.nextafter(edge["w"], 0.0)
+        assert load_network(write_net(tmp_path, moved)) != first
+
+        shuffled = json.loads(json.dumps(payload))
+        shuffled["edges"] = [{"a": e["b"], "b": e["a"], "w": e["w"]} for e in reversed(shuffled["edges"])]
+        other = load_network(write_net(tmp_path, shuffled))
+        assert other == first and hash(other) == hash(first)
+        assert other.edges != first.edges
+        assert [(e.b, e.a, e.weight) for e in reversed(other.edges)] == [tuple(e) for e in first.edges]
+
+    def test_build_reads_any_one_pass_iterable_of_triples(self):
+        """Plain tuples from a generator build the network that the same
+        edges as records give, and its faults carry the edge index."""
+        nodes = [ConceptNode(id=k, label=f"c{k}") for k in range(4)]
+        triples = [(0, 1, 0.5), (2, 1, 1), (3, 0, 0.25)]
+        built = build_network(nodes, (t for t in triples))
+        assert built == build_network(nodes, [WeightedEdge(*t) for t in triples])
+        assert [tuple(e) for e in built.edges] == triples
+        assert all(type(e.weight) is float for e in built.edges)
+        with pytest.raises(ValidationError, match=r"^edges\[1\]: edge \(2, 2\): self-loop$"):
+            build_network(nodes, iter([(0, 1, 0.5), (2, 2, 0.5)]))
+        with pytest.raises(ValidationError, match=r"^edges\[0\]: edge \(0, 1\): weight True is not a number$"):
+            build_network(nodes, iter([(0, 1, True)]))
 
 
 class TestLabelLookup:
