@@ -144,7 +144,7 @@ def relatedness(
     for nid in (a, b):
         if not net.has_node(nid):
             raise ValidationError(f"unknown node id {nid}")
-    if not any(w > 0.0 for w in net._weights):
+    if not any(w > 0.0 for row in net._dense for _, w in row):
         raise ValidationError("relatedness undefined on an edgeless network")
     finals = {} if _finals is None else _finals
 

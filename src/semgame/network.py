@@ -7,18 +7,17 @@ ascending id order, each id's dense position in it, and one
 node-ordered adjacency (see `SemanticNetwork`); nothing is cached
 later.
 
-The network keeps each edge once, as machine values in two `array`
-columns besides the adjacency, and makes no per-edge object: `edges`
-builds its `WeightedEdge` records on each read. `load_network` turns
-the parsed JSON into node records and two edge columns, the endpoint
-ids in one flat list and the weights in an `array`, and drops it
-before `build_network` runs; the build reads one edge at a time and
-finds duplicate edges within each node's row rather than in a set of
-every pair. So at the load's memory peak only the node records, the
-two columns, the per-node rows and the adjacency being built are
-alive, besides the network's own indexes. An endpoint that names a
-node is that node's own `id` int, not a copy the JSON parser made, so
-the endpoint list adds no ints of its own.
+The network keeps each edge once, in the adjacency, and makes no
+per-edge object: `edges` builds its `WeightedEdge` records on each
+read. `load_network` turns the parsed JSON into node records and two
+edge columns, the endpoint ids in one flat list and the weights in an
+`array`, and drops it before `build_network` runs; the build reads one
+edge at a time and finds duplicate edges within each node's row rather
+than in a set of every pair. So at the load's memory peak only the node
+records, the two columns, the per-node rows and the adjacency being
+built are alive, besides the network's own indexes. An endpoint that
+names a node is that node's own `id` int, not a copy the JSON parser
+made, so the endpoint list adds no ints of its own.
 """
 
 from __future__ import annotations
@@ -85,13 +84,8 @@ class SemanticNetwork:
 
     Two networks are equal, and hash equal, when they hold the same
     nodes in the same order and the same weighted edges: `==` and
-    `hash()` read `nodes` and `_dense`, so the same edges listed in
-    another order or orientation compare equal.
-
-    The edges are stored once, in input order and orientation: `_ends`
-    holds each edge's two endpoint positions in turn and `_weights` its
-    weight. `edges` builds the `WeightedEdge` records from them on each
-    read, with the same order, orientation and weight bits.
+    `hash()` read `nodes` and `_dense`, which holds every edge but not
+    the input's edge order or orientation.
 
     Node `node_ids()[k]` sits at dense position k, and `_positions` maps
     each id to its position. `_dense[k]` holds node k's `(position,
@@ -109,8 +103,6 @@ class SemanticNetwork:
 
     nodes: tuple[ConceptNode, ...]
     _dense: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False)
-    _ends: array = field(repr=False, compare=False)
-    _weights: array = field(repr=False, compare=False)
     _sorted_ids: tuple[int, ...] = field(repr=False, compare=False)
     _positions: dict[int, int] = field(repr=False, compare=False)
     _id_set: frozenset[int] = field(repr=False, compare=False)
@@ -121,10 +113,10 @@ class SemanticNetwork:
 
     @property
     def edges(self) -> tuple[WeightedEdge, ...]:
-        """The edges as records, in input order and orientation, built on each read."""
+        """Each edge once, from its lower id, in ascending `(a, b)` order, built on each read."""
         ids = self._sorted_ids
-        ends = iter(self._ends)
-        return tuple([WeightedEdge(ids[x], ids[y], w) for x, y, w in zip(ends, ends, self._weights)])
+        return tuple([WeightedEdge(ids[x], ids[y], w)
+                      for x, row in enumerate(self._dense) for y, w in row if x < y])
 
     def node_ids(self) -> tuple[int, ...]:
         """All node ids in ascending order."""
@@ -177,7 +169,7 @@ def build_network(
     # Per position, the neighbours' positions and the weights, in edge order.
     targets: list[list[int]] = [[] for _ in ids]
     weights: list[list[float]] = [[] for _ in ids]
-    ends, column = array("q"), array("d")
+    ends = array("q")  # input order, to name a faulty edge by its index
     for i, (a, b, w) in enumerate(edges):
         x, y = positions.get(a), positions.get(b)
         # A plain float in range between two nodes is taken inline, as a
@@ -190,7 +182,6 @@ def build_network(
         weights[y].append(w)
         ends.append(x)
         ends.append(y)
-        column.append(w)
     # A pair given twice, in either orientation, repeats a target in a row.
     if any(len(set(ts)) < len(ts) for ts in targets):
         _reject_duplicate_pair(positions, ends)
@@ -206,7 +197,7 @@ def build_network(
     )
     # The id set holds the ids' own ints, so, built last, it leaves the
     # adjacency's layout as it is.
-    return SemanticNetwork(tuple(nodes), dense, ends, column, ids, positions, frozenset(ids))
+    return SemanticNetwork(tuple(nodes), dense, ids, positions, frozenset(ids))
 
 
 def _check_edge(i: int, a, b, w, positions: dict[int, int], ends: array) -> None:
@@ -228,7 +219,7 @@ def _check_edge(i: int, a, b, w, positions: dict[int, int], ends: array) -> None
 
 
 def _reject_duplicate_pair(positions: dict[int, int], ends: array) -> None:
-    """Raise for the first stored edge whose pair repeats an earlier edge's, if any."""
+    """Raise for the first edge in `ends` whose pair repeats an earlier edge's, if any."""
     ids = tuple(positions)  # ascending, as positions are
     seen: set[tuple[int, int]] = set()
     it = iter(ends)
@@ -340,7 +331,7 @@ def load_network(path: str | os.PathLike[str]) -> SemanticNetwork:
 
 
 def save_network(net: SemanticNetwork, path: str | os.PathLike[str]) -> None:
-    """Write the network as the JSON file that `load_network` reads back exactly."""
+    """Write the JSON file `load_network` reads back equal; equal networks save the same bytes."""
     import json
 
     data = {
@@ -378,7 +369,7 @@ def load_pairs(path: str | os.PathLike[str], scale: str = "unit") -> list[PairJu
         raise ValidationError(f"unknown scale {scale!r}; expected one of {_SCALES}")
     try:
         with open(path, encoding="utf-8-sig") as f:
-            lines = f.read().splitlines()
+            lines = f.read().split("\n")  # not splitlines(), which also breaks at U+2028, \f and the like
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
@@ -387,7 +378,7 @@ def load_pairs(path: str | os.PathLike[str], scale: str = "unit") -> list[PairJu
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        cols = line.rstrip("\n").split("\t")
+        cols = line.split("\t")
         if len(cols) != 3:
             raise ValidationError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(cols)}")
         try:

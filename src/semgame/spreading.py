@@ -67,13 +67,13 @@ class _Held(Mapping):
 
     def __getitem__(self, nid: int) -> float:
         ids = self._ids
+        hash(nid)  # an unhashable key raises TypeError, as from a dict
         try:
             k = bisect_left(ids, nid)
-        except TypeError:  # not orderable against the ids: answer as the dict copy does
-            return dict(zip(ids, self._values))[nid]
+        except TypeError:  # not orderable against the ids: find an equal one, as the dict copy does
+            k = ids.index(nid) if nid in ids else len(ids)
         if k < len(ids) and ids[k] == nid:
             return self._values[k]
-        hash(nid)  # an unhashable key raises TypeError, as from a dict, even with no ids to compare
         raise KeyError(nid)
 
     def __iter__(self) -> Iterator[int]:

@@ -439,6 +439,26 @@ class TestLoadPairs:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_pairs(path)
 
+    def test_rows_split_only_at_newlines(self, tmp_path):
+        """A label holding a character `str.splitlines` breaks at (U+2028,
+        U+0085, form feed, U+001E) stays in its row: the pairs load and are
+        scored, and a malformed row after them reports its own line number."""
+        labels = ["a\u2028b", "c\x85d", "e\x0cf", "g\x1eh"]
+        net = build_network([ConceptNode(k, label) for k, label in enumerate(labels)],
+                            [(0, 1, 0.5), (1, 2, 0.4), (2, 3, 0.3)])
+        rows = ["label_a\tlabel_b\tscore", f"{labels[0]}\t{labels[1]}\t0.9", f"{labels[2]}\t{labels[3]}\t0.1",
+                f"{labels[0]}\t{labels[3]}\t0.2"]
+        path = tmp_path / "pairs.tsv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        pairs = load_pairs(path)
+        assert pairs == [PairJudgment(labels[0], labels[1], 0.9), PairJudgment(labels[2], labels[3], 0.1),
+                         PairJudgment(labels[0], labels[3], 0.2)]
+        report = evaluate_pairs(net, pairs, SpreadParams(budget=1.0), None)
+        assert [row[:2] for row in report.pairs] == [(p.label_a, p.label_b) for p in pairs]
+        path.write_text("\n".join([*rows, "x\ty"]) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r":5: expected 3 tab-separated columns, got 2$"):
+            load_pairs(path)
+
     def test_unknown_scale(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("a\tb\t0.5\n")
@@ -487,21 +507,29 @@ def shuffled_payload(seed: int) -> dict:
     return {"nodes": nodes, "edges": edges}
 
 
+def ascending_edges(payload: dict) -> list[dict]:
+    """A payload's edges in ascending (a, b) order, each from its lower id."""
+    edges = [{"a": min(e["a"], e["b"]), "b": max(e["a"], e["b"]), "w": e["w"]} for e in payload["edges"]]
+    return sorted(edges, key=lambda e: (e["a"], e["b"]))
+
+
 class TestDenseAdjacency:
-    def test_entries_are_the_edges_by_float_hex(self, tmp_path):
+    def test_entries_are_the_edges_by_float_hex(self):
         """Each node's row holds one entry per incident edge, in ascending
         position, with the neighbour's position and the edge's weight bit
         for bit (the sign of -0.0 included); the weights are copies, not
-        the edges' own float objects."""
+        the float objects handed to `build_network`."""
         for seed in range(3):
-            net = load_network(write_net(tmp_path, shuffled_payload(seed)))
+            payload = shuffled_payload(seed)
+            triples = [(e["a"], e["b"], e["w"]) for e in payload["edges"]]
+            net = build_network([ConceptNode(nd["id"], nd["label"]) for nd in payload["nodes"]], triples)
             positions = net._positions
             expected: dict[int, list[tuple[int, str]]] = {k: [] for k in range(net.n)}
-            for e in net.edges:
-                a, b = positions[e.a], positions[e.b]
-                expected[a].append((b, e.weight.hex()))
-                expected[b].append((a, e.weight.hex()))
-            weight_objects = {id(e.weight) for e in net.edges}
+            for a, b, w in triples:
+                x, y = positions[a], positions[b]
+                expected[x].append((y, w.hex()))
+                expected[y].append((x, w.hex()))
+            weight_objects = {id(w) for _, _, w in triples}
             for k, row in enumerate(net._dense):
                 assert [(y, w.hex()) for y, w in row] == sorted(expected[k])
                 assert all(type(y) is int and type(w) is float for y, w in row)
@@ -509,13 +537,69 @@ class TestDenseAdjacency:
             assert "-0x0.0p+0" in {w.hex() for row in net._dense for _, w in row}
 
     def test_load_then_save_round_trips_exactly(self, tmp_path):
+        """The saved file is the loaded one with its edges in ascending
+        (a, b) order, each from its lower id, and every weight bit for bit."""
         for seed in range(3):
             payload = shuffled_payload(seed)
             out = tmp_path / "saved.json"
             save_network(load_network(write_net(tmp_path, payload)), out)
             got = json.loads(out.read_text(encoding="utf-8"))
-            assert json.dumps(got) == json.dumps(payload)
-            assert [e["w"].hex() for e in got["edges"]] == [e["w"].hex() for e in payload["edges"]]
+            expected = {"nodes": payload["nodes"], "edges": ascending_edges(payload)}
+            assert json.dumps(got) == json.dumps(expected)
+            assert [e["w"].hex() for e in got["edges"]] == [e["w"].hex() for e in expected["edges"]]
+
+    def test_edges_ascend_from_the_lower_id_with_every_weight_bit(self, tmp_path):
+        """`edges` lists each edge once, from its lower id, in ascending
+        (a, b) order, whatever order and orientation the file gave, and
+        each weight keeps its `float.hex` (-0.0 included)."""
+        for seed in range(3):
+            payload = shuffled_payload(seed)
+            net = load_network(write_net(tmp_path, payload))
+            expected = ascending_edges(payload)
+            assert [(e.a, e.b) for e in net.edges] == [(e["a"], e["b"]) for e in expected]
+            assert all(e.a < e.b for e in net.edges)
+            assert [e.weight.hex() for e in net.edges] == [e["w"].hex() for e in expected]
+            assert "-0x0.0p+0" in {e.weight.hex() for e in net.edges}
+
+    def test_the_same_edges_in_any_order_save_the_same_bytes(self, tmp_path):
+        """Networks built from the same edges, listed in another order and
+        orientation, have equal `edges` and save byte-identical files."""
+        nodes = [ConceptNode(k, f"c{k}") for k in range(5)]
+        triples = [(0, 1, 0.5), (3, 1, 0.25), (2, 4, -0.0), (0, 4, 1.0)]
+        listed = build_network(nodes, triples)
+        turned = build_network(nodes, [(b, a, w) for a, b, w in reversed(triples)])
+        assert turned.edges == listed.edges
+        assert [tuple(e) for e in listed.edges] == [(0, 1, 0.5), (0, 4, 1.0), (1, 3, 0.25), (2, 4, -0.0)]
+        save_network(listed, tmp_path / "listed.json")
+        save_network(turned, tmp_path / "turned.json")
+        assert (tmp_path / "turned.json").read_bytes() == (tmp_path / "listed.json").read_bytes()
+
+    def test_ascending_files_and_generated_networks_save_back_byte_for_byte(self, tmp_path):
+        """A file in `perfbench/gen.py`'s layout (indented JSON, edges in
+        ascending (a, b) order with a < b), with the node keys the package
+        reads, saves back byte for byte, and so does any reordering of its
+        edges; a `generate_network` network saves the same bytes after a
+        load."""
+        for seed in range(3):
+            rng = random.Random(seed)
+            pairs = sorted({tuple(sorted(rng.sample(range(50), 2))) for _ in range(120)})
+            payload = {
+                "nodes": [{"id": k, "label": f"c{k}"} for k in range(50)],
+                "edges": [{"a": a, "b": b, "w": 1.0 - rng.random()} for a, b in pairs],
+            }
+            text = json.dumps(payload, indent=2) + "\n"
+            shuffled = [{"a": e["b"], "b": e["a"], "w": e["w"]} if rng.random() < 0.5 else e
+                        for e in payload["edges"]]
+            rng.shuffle(shuffled)
+            for edges in (payload["edges"], shuffled):
+                net = load_network(write_net(tmp_path, {"nodes": payload["nodes"], "edges": edges}))
+                save_network(net, tmp_path / "saved.json")
+                assert (tmp_path / "saved.json").read_text(encoding="utf-8") == text
+
+            save_network(generate_network(40, 0.2, seed), tmp_path / "generated.json")
+            first = (tmp_path / "generated.json").read_bytes()
+            save_network(load_network(tmp_path / "generated.json"), tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == first
 
 
 class TestEdgeColumns:
@@ -553,7 +637,7 @@ class TestEdgeColumns:
     def test_equal_and_hash_equal_on_nodes_and_weighted_edges(self, tmp_path):
         """Two loads of one file are equal and hash equal; one weight moved
         by one ulp makes them unequal; the same edges in another order and
-        orientation compare equal, although `edges` keeps each input's."""
+        orientation compare equal and have equal `edges`."""
         payload = shuffled_payload(0)
         first, second = (load_network(write_net(tmp_path, payload)) for _ in range(2))
         assert first == second and hash(first) == hash(second)
@@ -567,8 +651,7 @@ class TestEdgeColumns:
         shuffled["edges"] = [{"a": e["b"], "b": e["a"], "w": e["w"]} for e in reversed(shuffled["edges"])]
         other = load_network(write_net(tmp_path, shuffled))
         assert other == first and hash(other) == hash(first)
-        assert other.edges != first.edges
-        assert [(e.b, e.a, e.weight) for e in reversed(other.edges)] == [tuple(e) for e in first.edges]
+        assert other.edges == first.edges
 
     def test_build_reads_any_one_pass_iterable_of_triples(self):
         """Plain tuples from a generator build the network that the same
@@ -577,7 +660,7 @@ class TestEdgeColumns:
         triples = [(0, 1, 0.5), (2, 1, 1), (3, 0, 0.25)]
         built = build_network(nodes, (t for t in triples))
         assert built == build_network(nodes, [WeightedEdge(*t) for t in triples])
-        assert [tuple(e) for e in built.edges] == triples
+        assert [tuple(e) for e in built.edges] == [(0, 1, 0.5), (0, 3, 0.25), (1, 2, 1.0)]
         assert all(type(e.weight) is float for e in built.edges)
         with pytest.raises(ValidationError, match=r"^edges\[1\]: edge \(2, 2\): self-loop$"):
             build_network(nodes, iter([(0, 1, 0.5), (2, 2, 0.5)]))

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -424,6 +425,25 @@ class TestHeldView:
         for view in (state.held, record.utilities):
             assert type(view) is _Held and view[True] is view[1] and view[0.0] is view[0]
             assert_dict_lookups(view)
+
+    def test_an_unorderable_key_is_found_without_a_copy(self):
+        """A key the ids cannot be ordered against (a str, None, a complex)
+        is looked up by equality over the ids: one lookup on a 10k-node
+        state allocates under 10 KB, where a dict copy of the view takes
+        hundreds."""
+        held = seed_state(quick_net(10_000, [(0, 1, 0.5)]), {0: 1.0}).held
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            for key, found in (("x", False), (None, False), (3 + 0j, True), (complex(10_000), False)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert (key in held) is found
+                assert tracemalloc.get_traced_memory()[1] - base < 10_000, key
+        finally:
+            if started:
+                tracemalloc.stop()
 
     def test_checks_fire_on_views(self):
         """A view holding a negative, NaN or inf value, or a view over

@@ -1,8 +1,10 @@
-"""tools/bench_pairs.py and tools/compare_artefacts.py with their runs stubbed out."""
+"""tools/bench_pairs.py and tools/compare_artefacts.py with their runs stubbed out, and a
+smoke run of tools/heap_layout.py."""
 
 import argparse
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -209,3 +211,21 @@ def test_a_pinned_default_that_drifts_from_its_twin_is_listed_and_not_written(tm
     assert run() == (1, [drifted, "out/pinned/trace.csv differs", "3 invocations, 2 difference(s)"])
     assert run("--write") == (1, [drifted, "3 invocations, 1 difference(s)"])
     assert golden.read_text(encoding="utf-8") == written
+
+
+def test_heap_layout_prints_three_shares_in_the_unit_interval(tmp_path):
+    """On a small generated network, run as its own process, the script
+    prints one JSON line: this Python's version and the int, float and
+    tuple shares, each in [0, 1]."""
+    from semgame.generate import generate_network
+    from semgame.network import save_network
+
+    path = tmp_path / "network.json"
+    save_network(generate_network(300, 0.05, 0), path)
+    done = subprocess.run([sys.executable, str(TOOLS / "heap_layout.py"), "--network", str(path)],
+                          capture_output=True, text=True, check=True)
+    (line,) = done.stdout.splitlines()
+    shares = json.loads(line)
+    assert shares.pop("python") == "{}.{}.{}".format(*sys.version_info[:3])
+    assert sorted(shares) == ["floats", "ints", "tuples"]
+    assert all(0.0 <= share <= 1.0 for share in shares.values()), shares
