@@ -3,7 +3,8 @@
 `ValidationError` is what every bad input raises. The checks below are
 the only place that says what a valid number is: an int or a float
 (subclasses included), never a bool, which every range check would take
-as 1 or 0. `_check_real` adds a range, `_check_budget` is the range every
+as 1 or 0. A node id is an int, never a bool, by `_check_id`.
+`_check_real` adds a range, `_check_budget` is the range every
 energy budget shares, and `_check_limit` is the rule for counts.
 """
 
@@ -26,6 +27,12 @@ def _check_number(name: str, value: float) -> None:
     """Raise unless a real-valued input is an int or a float, not a bool."""
     if type(value) is bool or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} {value!r} is not a number")
+
+
+def _check_id(name: str, value: int) -> None:
+    """Raise unless a node id is an int, not a bool."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ValidationError(f"{name} {value!r} is not an integer")
 
 
 def _check_real(name: str, value: float, low: float, high: float, above: bool = False) -> None:

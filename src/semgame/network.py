@@ -7,17 +7,19 @@ ascending id order, each id's dense position in it, and one
 node-ordered adjacency (see `SemanticNetwork`); nothing is cached
 later.
 
-The network keeps each edge once, in the adjacency, and makes no
-per-edge object: `edges` builds its `WeightedEdge` records on each
-read. `load_network` turns the parsed JSON into node records and two
-edge columns, the endpoint ids in one flat list and the weights in an
-`array`, and drops it before `build_network` runs; the build reads one
-edge at a time and finds duplicate edges within each node's row rather
-than in a set of every pair. So at the load's memory peak only the node
-records, the two columns, the per-node rows and the adjacency being
-built are alive, besides the network's own indexes. An endpoint that
-names a node is that node's own `id` int, not a copy the JSON parser
-made, so the endpoint list adds no ints of its own.
+An edge has one form, an `(a, b, weight)` triple: `build_network`
+reads triples and `edges` returns them. The network keeps each edge
+once, in the adjacency, and makes no per-edge object: `edges` builds
+its triples on each read. `load_network` turns the parsed JSON into
+node records and two edge columns, the endpoint ids in one flat list
+and the weights in an `array`, and drops it before `build_network`
+runs; the build reads one edge at a time and finds duplicate edges
+within each node's row rather than in a set of every pair. So at the
+load's memory peak only the node records, the two columns, the
+per-node rows and the adjacency being built are alive, besides the
+network's own indexes. An endpoint that names a node is that node's
+own `id` int, not a copy the JSON parser made, so the endpoint list
+adds no ints of its own.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .errors import ValidationError, _check_number, _check_real
+from .errors import ValidationError, _check_id, _check_number, _check_real
 
 __all__ = [
     "ConceptNode",
-    "WeightedEdge",
     "SemanticNetwork",
     "PairJudgment",
     "build_network",
@@ -43,36 +44,18 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class ConceptNode:
-    """A concept: an id and a non-empty label."""
+    """A concept: an int id (not a bool) and a non-empty str label, so
+    that a saved network loads back with the same ids."""
 
     id: int
     label: str
 
     def __post_init__(self) -> None:
+        _check_id("node id", self.id)
+        if not isinstance(self.label, str):
+            raise ValidationError(f"label {self.label!r} is not a string")
         if not self.label:
             raise ValidationError(f"node {self.id}: empty label")
-
-
-@dataclass(frozen=True, slots=True)
-class WeightedEdge:
-    """Undirected link between two concepts, weight in [0, 1]."""
-
-    a: int
-    b: int
-    weight: float
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValidationError(f"edge ({self.a}, {self.b}): self-loop")
-        # A plain float in range is taken inline, as each read of a network's
-        # `edges` builds one record per edge; anything else goes to the
-        # shared check to name the fault.
-        if type(self.weight) is not float or not 0.0 <= self.weight <= 1.0:
-            _check_real(f"edge ({self.a}, {self.b}): weight", self.weight, 0, 1)
-
-    def __iter__(self):
-        """(a, b, weight), so a record unpacks as the triple `build_network` reads."""
-        return iter((self.a, self.b, self.weight))
 
 
 @dataclass(frozen=True)
@@ -112,11 +95,11 @@ class SemanticNetwork:
         return len(self.nodes)
 
     @property
-    def edges(self) -> tuple[WeightedEdge, ...]:
-        """Each edge once, from its lower id, in ascending `(a, b)` order, built on each read."""
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Each edge once as an `(a, b, weight)` triple, from its lower id, in
+        ascending `(a, b)` order, built on each read."""
         ids = self._sorted_ids
-        return tuple([WeightedEdge(ids[x], ids[y], w)
-                      for x, row in enumerate(self._dense) for y, w in row if x < y])
+        return tuple([(ids[x], ids[y], w) for x, row in enumerate(self._dense) for y, w in row if x < y])
 
     def node_ids(self) -> tuple[int, ...]:
         """All node ids in ascending order."""
@@ -149,7 +132,7 @@ def build_network(
     """Assemble and validate a network from node records and edges.
 
     `edges` is read once, one `(a, b, weight)` triple at a time, so any
-    iterable of triples will do, `WeightedEdge` records included. An
+    iterable of triples will do, a network's own `edges` included. An
     edge is faulty when an endpoint references no node, when it is a
     self-loop, when its weight is not a number in [0, 1], or when its
     pair repeats an earlier edge's, in either orientation. The first
@@ -267,8 +250,6 @@ def _records(data) -> tuple[list[ConceptNode], list[int], array]:
     nodes = []
     for i, raw in enumerate(data["nodes"]):
         try:
-            if not isinstance(raw["label"], str):
-                raise ValidationError(f"label {raw['label']!r} is not a string")
             nodes.append(ConceptNode(id=_as_id(raw["id"], "id"), label=raw["label"]))
         except _BAD_ENTRY as exc:
             raise ValidationError(f"nodes[{i}]: {exc}") from None
@@ -336,7 +317,7 @@ def save_network(net: SemanticNetwork, path: str | os.PathLike[str]) -> None:
 
     data = {
         "nodes": [{"id": nd.id, "label": nd.label} for nd in net.nodes],
-        "edges": [{"a": e.a, "b": e.b, "w": e.weight} for e in net.edges],
+        "edges": [{"a": a, "b": b, "w": w} for a, b, w in net.edges],
     }
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(data, indent=2) + "\n")

@@ -7,7 +7,7 @@ from collections.abc import Mapping
 import pytest
 
 from semgame.game import GameParams, RoundRecord, run_game
-from semgame.network import ConceptNode, SemanticNetwork, WeightedEdge, build_network
+from semgame.network import ConceptNode, SemanticNetwork, build_network
 from semgame.spreading import ActivationState
 
 # Network files that are malformed below the record level: the bytes
@@ -26,7 +26,7 @@ MALFORMED_NETWORK_FILES = {
 def quick_net(n: int, edges: list[tuple[int, int, float]]) -> SemanticNetwork:
     """Network with nodes 0..n-1 labeled n0..n{n-1} and the given edges."""
     nodes = [ConceptNode(id=i, label=f"n{i}") for i in range(n)]
-    return build_network(nodes, [WeightedEdge(a, b, w) for a, b, w in edges])
+    return build_network(nodes, edges)
 
 
 def chain_net(weights: list[float]) -> SemanticNetwork:

@@ -31,7 +31,7 @@ from semgame.game import (
     verify_nash,
 )
 from semgame.generate import complete_network, generate_network
-from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
+from semgame.network import ConceptNode, PairJudgment, build_network
 from semgame.spreading import ActivationState, SpreadParams, seed_state, step
 
 from conftest import first_round, quick_net, two_cluster_net
@@ -127,7 +127,7 @@ def test_c02_spreading_oracle_equivalence():
     def check(n, edges, delta=0.25):
         nonlocal checked
         nodes = [ConceptNode(id=i, label=f"n{i}") for i in range(n)]
-        net = build_network(nodes, [WeightedEdge(a, b, w) for a, b, w in edges])
+        net = build_network(nodes, edges)
         params = SpreadParams(delta=delta, fire_threshold=1e-6, budget=1.0)
         state = seed_state(net, {0: 1.0})
         held = dict(state.held)
@@ -206,7 +206,7 @@ def test_c04_nash_verification():
         seedings = [{0: 1.0}, {i: 1.0 / n for i in range(n)}]
         for combo in itertools.product(weights, repeat=len(pairs)):
             edges = [(a, b, w) for (a, b), w in zip(pairs, combo) if w > 0.0]
-            net = build_network(nodes, [WeightedEdge(*e) for e in edges])
+            net = build_network(nodes, edges)
             for seeding in seedings:
                 held = {i: seeding.get(i, 0.0) for i in range(n)}
                 initial = ActivationState(0, held, frozenset(seeding))
@@ -336,20 +336,20 @@ def test_c10_relatedness_sanity():
     rng = random.Random(seed)
     net = generate_network(12, 0.25, seed)
     pairs = []
-    for edge in sorted(net.edges, key=lambda e: (e.a, e.b)):
-        noisy = edge.weight + rng.uniform(-0.08, 0.08)
-        pairs.append(PairJudgment(f"c{edge.a}", f"c{edge.b}", min(1.0, max(0.0, noisy))))
-    linked = {(e.a, e.b) for e in net.edges}
+    for a, b, w in net.edges:  # ascending (a, b)
+        noisy = w + rng.uniform(-0.08, 0.08)
+        pairs.append(PairJudgment(f"c{a}", f"c{b}", min(1.0, max(0.0, noisy))))
+    linked = {(a, b) for a, b, _ in net.edges}
     gaps = [(a, b) for a in range(12) for b in range(a + 1, 12) if (a, b) not in linked][:6]
     for a, b in gaps:
         pairs.append(PairJudgment(f"c{a}", f"c{b}", rng.uniform(0.0, 0.12)))
 
     rho = evaluate_pairs(net, pairs, sp, gp).rho
-    shuffled_weights = [e.weight for e in net.edges]
+    shuffled_weights = [w for _, _, w in net.edges]
     random.Random(seed + 1000).shuffle(shuffled_weights)
     shuffled_net = build_network(
         list(net.nodes),
-        [WeightedEdge(e.a, e.b, w) for e, w in zip(net.edges, shuffled_weights)],
+        [(a, b, w) for (a, b, _), w in zip(net.edges, shuffled_weights)],
     )
     rho_shuffled = evaluate_pairs(shuffled_net, pairs, sp, gp).rho
     assert rho > 0.0

@@ -19,7 +19,6 @@ from semgame.game import GameParams, RoundRecord
 from semgame.generate import complete_network, generate_network
 from semgame.network import (
     ConceptNode,
-    WeightedEdge,
     build_network,
     load_network,
     save_network,
@@ -31,7 +30,7 @@ from conftest import MALFORMED_NETWORK_FILES
 
 def write_chain(tmp_path, weights=(1.0, 1.0)):
     nodes = [ConceptNode(id=i, label=f"n{i}") for i in range(len(weights) + 1)]
-    edges = [WeightedEdge(i, i + 1, w) for i, w in enumerate(weights)]
+    edges = [(i, i + 1, w) for i, w in enumerate(weights)]
     net = build_network(nodes, edges)
     path = tmp_path / "net.json"
     save_network(net, path)
@@ -114,7 +113,7 @@ class TestSpreadCommand:
         """--source 7 names node 7 if there is one, else the node labelled "7"."""
         nodes = [ConceptNode(id=0, label="7"), ConceptNode(id=1, label="x")]
         path = tmp_path / "net.json"
-        save_network(build_network(nodes, [WeightedEdge(0, 1, 0.5)]), path)
+        save_network(build_network(nodes, [(0, 1, 0.5)]), path)
         out = tmp_path / "out"
         assert main(["spread", "--network", str(path), "--source", "7", "--out", str(out)]) == 0
         assert read_summary(out)["sources"] == {"0": 100.0}
@@ -222,7 +221,7 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("game", [True, False], ids=["game", "no-game"])
     def test_monotone_pairs_give_rho_one(self, tmp_path, game):
         nodes = [ConceptNode(id=i, label=f"n{i}") for i in range(4)]
-        edges = [WeightedEdge(0, 1, 0.2), WeightedEdge(0, 2, 0.5), WeightedEdge(0, 3, 0.9)]
+        edges = [(0, 1, 0.2), (0, 2, 0.5), (0, 3, 0.9)]
         net = build_network(nodes, edges)
         net_path = tmp_path / "net.json"
         save_network(net, net_path)
@@ -571,7 +570,7 @@ class TestGenerateNetwork:
 
     def test_weights_in_unit_interval(self):
         net = generate_network(20, 0.5, 3)
-        assert all(0.0 < e.weight <= 1.0 for e in net.edges)
+        assert all(0.0 < w <= 1.0 for _, _, w in net.edges)
 
     def test_parameter_validation(self):
         # A float size once raised a bare TypeError from range().

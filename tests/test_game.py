@@ -26,7 +26,7 @@ from semgame.game import (
     verify_nash,
 )
 from semgame.generate import generate_network
-from semgame.network import ConceptNode, WeightedEdge, build_network
+from semgame.network import ConceptNode, build_network
 from semgame.spreading import ActivationState, SpreadParams, _Held, run_spread, seed_state
 
 from conftest import assert_dict_lookups, first_round, quick_net, two_cluster_net
@@ -434,7 +434,7 @@ def scattered_game(screen_threshold: float):
     started from a spread."""
     base = generate_network(40, 0.1, 4)
     nodes = [ConceptNode(7 * nd.id + 3, nd.label) for nd in base.nodes]
-    edges = [WeightedEdge(7 * e.a + 3, 7 * e.b + 3, e.weight) for e in base.edges]
+    edges = [(7 * a + 3, 7 * b + 3, w) for a, b, w in base.edges]
     net = build_network(nodes, edges)
     initial = rescale_to_budget(run_spread(net, {3: 1.0}, SpreadParams(budget=1.0)), 1.0)
     return net, initial, GameParams(budget=1.0, epsilon=1e-9, screen_threshold=screen_threshold)
@@ -459,7 +459,7 @@ class TestUtilitiesView:
         same strategies, and the final round replays (verify_nash)."""
         net, initial, params = scattered_game(self.CASES[case])
         ids, positions = net.node_ids(), net._positions
-        edges = [(positions[e.a], positions[e.b], e.weight) for e in net.edges]
+        edges = [(positions[a], positions[b], w) for a, b, w in net.edges]
         outcome = run_game(net, initial, params)
         mixed_rounds = accepts = 0
         pre = initial

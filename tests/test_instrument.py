@@ -24,7 +24,7 @@ import sys
 import pytest
 
 from semgame.evaluate import evaluate_pairs, spearman
-from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
+from semgame.network import ConceptNode, PairJudgment, build_network
 from semgame.spreading import SpreadParams, run_spread
 
 from oracles import centrality_scores, personalized_pagerank, planted_partition
@@ -40,10 +40,7 @@ TARGETS, CUES, TOP = 40, 3, 5
 def planted(seed: int):
     """One seed's planted partition: (n, edges, network)."""
     n, edges = planted_partition(BLOCKS, SIZE, P_IN, P_OUT, seed)
-    net = build_network(
-        [ConceptNode(id=i, label=f"c{i}") for i in range(n)],
-        [WeightedEdge(a, b, w) for a, b, w in edges],
-    )
+    net = build_network([ConceptNode(id=i, label=f"c{i}") for i in range(n)], edges)
     return n, edges, net
 
 

@@ -22,7 +22,6 @@ from semgame.network import (
     ConceptNode,
     PairJudgment,
     SemanticNetwork,
-    WeightedEdge,
     build_network,
     load_network,
     load_pairs,
@@ -200,9 +199,9 @@ class TestLoadNetwork:
         edges = [{"a": float(a) if as_float else a, "b": float(b) if as_float else b, "w": 0.5}
                  for a, b in zip(ids, ids[1:])]
         net = load_network(write_net(tmp_path, {"nodes": nodes, "edges": edges}))
-        assert [(e.a, e.b) for e in net.edges] == list(zip(ids, ids[1:]))
-        for e, a, b in zip(net.edges, net.nodes, net.nodes[1:]):
-            assert e.a is a.id and e.b is b.id
+        assert [(a, b) for a, b, _ in net.edges] == list(zip(ids, ids[1:]))
+        for (a, b, _), x, y in zip(net.edges, net.nodes, net.nodes[1:]):
+            assert a is x.id and b is y.id
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "net.json"
@@ -251,11 +250,11 @@ def edges_with_one_duplicate(draw):
     n = draw(st.integers(2, 12))
     all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     pairs = draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
-    edges = [WeightedEdge(*draw(st.permutations(pair)), draw(st.floats(0.0, 1.0))) for pair in pairs]
+    edges = [(*draw(st.permutations(pair)), draw(st.floats(0.0, 1.0))) for pair in pairs]
     original = draw(st.integers(0, len(edges) - 1))
     index = draw(st.integers(original + 1, len(edges)))
-    a, b = draw(st.permutations((edges[original].a, edges[original].b)))
-    edges.insert(index, WeightedEdge(a, b, draw(st.floats(0.0, 1.0))))
+    a, b = draw(st.permutations(edges[original][:2]))
+    edges.insert(index, (a, b, draw(st.floats(0.0, 1.0))))
     return n, edges, index
 
 
@@ -263,11 +262,11 @@ def edges_with_one_duplicate(draw):
 @given(edges_with_one_duplicate())
 def test_duplicate_edge_error_names_its_index(case):
     n, edges, index = case
-    e = edges[index]
+    a, b, _ = edges[index]
     nodes = [ConceptNode(id=k, label=f"c{k}") for k in range(n)]
     with pytest.raises(ValidationError) as info:
         build_network(nodes, edges)
-    assert str(info.value) == f"edges[{index}]: duplicate edge for pair {(min(e.a, e.b), max(e.a, e.b))}"
+    assert str(info.value) == f"edges[{index}]: duplicate edge for pair {(min(a, b), max(a, b))}"
 
 
 def test_load_peak_stays_near_the_json_parse_or_the_kept_network(tmp_path):
@@ -316,12 +315,10 @@ def test_load_peak_stays_near_the_json_parse_or_the_kept_network(tmp_path):
 class TestSlottedRecords:
     RECORDS = [
         ConceptNode(id=3, label="c3"),
-        WeightedEdge(0, 1, 0.25),
         PairJudgment("cat", "dog", 0.75),
     ]
     BAD_CHANGES = {
         ConceptNode: {"label": ""},
-        WeightedEdge: {"weight": 1.5},
         PairJudgment: {"human_score": 2.0},
     }
 
@@ -342,8 +339,7 @@ class TestSlottedRecords:
 
     # A bool passes every range check as 1 or 0, so it is refused by name.
     BOOL_CHANGES = {
-        ConceptNode: [],
-        WeightedEdge: [("weight", "edge (0, 1): weight {!r} is not a number")],
+        ConceptNode: [("id", "node id {!r} is not an integer")],
         PairJudgment: [("human_score", "pair (cat, dog): score {!r} is not a number")],
     }
 
@@ -368,6 +364,20 @@ class TestNodeInvariants:
     def test_empty_label(self):
         with pytest.raises(ValidationError, match="label"):
             ConceptNode(id=0, label="")
+
+    @pytest.mark.parametrize("node_id, label, message", [
+        (0, 5, "label 5 is not a string"),
+        (0, None, "label None is not a string"),
+        (True, "b", "node id True is not an integer"),
+        (False, "b", "node id False is not an integer"),
+        ("x", "a", "node id 'x' is not an integer"),
+        (0.0, "a", "node id 0.0 is not an integer"),
+    ], ids=["int-label", "no-label", "true-id", "false-id", "str-id", "float-id"])
+    def test_id_is_an_int_and_label_a_string(self, node_id, label, message):
+        """Such a node was built and saved, and the file then failed to load,
+        or loaded with ids of another type (0.0 for 0)."""
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build_network([ConceptNode(1, "a"), ConceptNode(node_id, label)], [])
 
 
 class TestLoadPairs:
@@ -556,10 +566,10 @@ class TestDenseAdjacency:
             payload = shuffled_payload(seed)
             net = load_network(write_net(tmp_path, payload))
             expected = ascending_edges(payload)
-            assert [(e.a, e.b) for e in net.edges] == [(e["a"], e["b"]) for e in expected]
-            assert all(e.a < e.b for e in net.edges)
-            assert [e.weight.hex() for e in net.edges] == [e["w"].hex() for e in expected]
-            assert "-0x0.0p+0" in {e.weight.hex() for e in net.edges}
+            assert [(a, b) for a, b, _ in net.edges] == [(e["a"], e["b"]) for e in expected]
+            assert all(a < b for a, b, _ in net.edges)
+            assert [w.hex() for _, _, w in net.edges] == [e["w"].hex() for e in expected]
+            assert "-0x0.0p+0" in {w.hex() for _, _, w in net.edges}
 
     def test_the_same_edges_in_any_order_save_the_same_bytes(self, tmp_path):
         """Networks built from the same edges, listed in another order and
@@ -569,7 +579,7 @@ class TestDenseAdjacency:
         listed = build_network(nodes, triples)
         turned = build_network(nodes, [(b, a, w) for a, b, w in reversed(triples)])
         assert turned.edges == listed.edges
-        assert [tuple(e) for e in listed.edges] == [(0, 1, 0.5), (0, 4, 1.0), (1, 3, 0.25), (2, 4, -0.0)]
+        assert listed.edges == ((0, 1, 0.5), (0, 4, 1.0), (1, 3, 0.25), (2, 4, -0.0))
         save_network(listed, tmp_path / "listed.json")
         save_network(turned, tmp_path / "turned.json")
         assert (tmp_path / "turned.json").read_bytes() == (tmp_path / "listed.json").read_bytes()
@@ -604,24 +614,18 @@ class TestDenseAdjacency:
 
 class TestEdgeColumns:
     def test_loads_generators_and_evaluation_make_no_edge_records(self, tmp_path, monkeypatch):
-        """A network keeps its edges as columns: loading a file and
-        generating a network construct no `WeightedEdge`, and `relatedness`
-        and `evaluate_pairs` never read `net.edges`, which builds one record
-        per edge on each read."""
+        """A network keeps each edge once, in its adjacency: loading a file,
+        generating a network, `relatedness` and `evaluate_pairs` never read
+        `net.edges`, which builds one triple per edge on each read."""
         path = tmp_path / "net.json"
         save_network(generate_network(30, 0.2, 7), path)
-        counts = {"made": 0, "read": 0}
-        post_init, edges = WeightedEdge.__post_init__, SemanticNetwork.edges
-
-        def counted_post_init(record):
-            counts["made"] += 1
-            post_init(record)
+        reads = []
+        edges = SemanticNetwork.edges
 
         def counted_edges(net):
-            counts["read"] += 1
+            reads.append(net)
             return edges.fget(net)
 
-        monkeypatch.setattr(WeightedEdge, "__post_init__", counted_post_init)
         monkeypatch.setattr(SemanticNetwork, "edges", property(counted_edges))
         net = load_network(path)
         generated = generate_network(30, 0.2, 7)
@@ -629,10 +633,9 @@ class TestEdgeColumns:
         relatedness(net, 0, 1, sp, gp)
         pairs = [PairJudgment("c0", "c1", 0.2), PairJudgment("c2", "c3", 0.9), PairJudgment("c0", "c3", 0.5)]
         evaluate_pairs(generated, pairs, sp, None)
-        assert counts == {"made": 0, "read": 0}
-        # The counters see what they count.
-        records = net.edges
-        assert counts == {"made": len(records), "read": 1} and records
+        assert reads == []
+        # The counter sees what it counts.
+        assert net.edges and reads == [net]
 
     def test_equal_and_hash_equal_on_nodes_and_weighted_edges(self, tmp_path):
         """Two loads of one file are equal and hash equal; one weight moved
@@ -654,14 +657,15 @@ class TestEdgeColumns:
         assert other.edges == first.edges
 
     def test_build_reads_any_one_pass_iterable_of_triples(self):
-        """Plain tuples from a generator build the network that the same
-        edges as records give, and its faults carry the edge index."""
+        """Triples from a generator build the network that the same triples
+        in a list give, a network's own `edges` build it again, and its
+        faults carry the edge index."""
         nodes = [ConceptNode(id=k, label=f"c{k}") for k in range(4)]
         triples = [(0, 1, 0.5), (2, 1, 1), (3, 0, 0.25)]
         built = build_network(nodes, (t for t in triples))
-        assert built == build_network(nodes, [WeightedEdge(*t) for t in triples])
-        assert [tuple(e) for e in built.edges] == [(0, 1, 0.5), (0, 3, 0.25), (1, 2, 1.0)]
-        assert all(type(e.weight) is float for e in built.edges)
+        assert built == build_network(nodes, triples) == build_network(list(built.nodes), built.edges)
+        assert built.edges == ((0, 1, 0.5), (0, 3, 0.25), (1, 2, 1.0))
+        assert all(type(e) is tuple and type(e[2]) is float for e in built.edges)
         with pytest.raises(ValidationError, match=r"^edges\[1\]: edge \(2, 2\): self-loop$"):
             build_network(nodes, iter([(0, 1, 0.5), (2, 2, 0.5)]))
         with pytest.raises(ValidationError, match=r"^edges\[0\]: edge \(0, 1\): weight True is not a number$"):

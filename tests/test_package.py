@@ -20,7 +20,7 @@ from semgame.errors import ValidationError
 from semgame.evaluate import EvalReport, utilization
 from semgame.game import GameParams
 from semgame.generate import generate_network
-from semgame.network import PairJudgment, WeightedEdge
+from semgame.network import PairJudgment, build_network
 from semgame.spreading import SpreadParams, seed_state
 
 REPO = Path(__file__).resolve().parents[1]
@@ -179,6 +179,7 @@ def _real_inputs():
     """(id, message prefix, call) for every real-valued field or function
     argument of the package; the call passes its one argument there."""
     net = generate_network(5, 0.5, 1)
+    nodes = list(net.nodes)
     cobweb = CobwebParams(0.1, 0.1, 0.1)
     pairs = (("a", "b", 0.5, 0.5), ("c", "d", 0.2, 0.3))
     return [
@@ -190,7 +191,7 @@ def _real_inputs():
         ("GameParams.screen_threshold", "screen_threshold", lambda v: GameParams(screen_threshold=v)),
         ("GameParams.delta", "delta", lambda v: GameParams(delta=v)),
         ("GameParams.budget", "budget", lambda v: GameParams(budget=v)),
-        ("WeightedEdge.weight", "edge (0, 1): weight", lambda v: WeightedEdge(0, 1, v)),
+        ("build_network.weight", "edges[0]: edge (0, 1): weight", lambda v: build_network(nodes, [(0, 1, v)])),
         ("PairJudgment.human_score", "pair (a, b): score", lambda v: PairJudgment("a", "b", v)),
         ("CobwebParams.r", "r", lambda v: CobwebParams(v, 0.1, 0.1)),
         ("CobwebParams.demand_slope", "demand_slope", lambda v: CobwebParams(0.1, v, 0.1)),

@@ -8,7 +8,9 @@ scale with the budget the way the CLI sets them.
 import dataclasses
 import itertools
 import math
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +21,7 @@ from semgame.errors import ValidationError
 from semgame.evaluate import _all_met, _utilization_initial, evaluate_pairs, load_balance, relatedness, run_pipeline
 from semgame.game import GameParams, Strategy, rescale_to_budget, run_game, verify_nash
 from semgame.generate import complete_network, generate_network
-from semgame.network import ConceptNode, PairJudgment, WeightedEdge, build_network
+from semgame.network import ConceptNode, PairJudgment, build_network, load_network, save_network
 from semgame.spreading import ActivationState, SpreadParams, _Held, run_spread, seed_state, step
 
 from conftest import first_round
@@ -68,7 +70,7 @@ def test_relabelling_leaves_final_energies_unchanged(case, data):
     perm = data.draw(st.permutations(range(net.n)))
     relabelled = build_network(
         [ConceptNode(perm[nd.id], nd.label) for nd in net.nodes],
-        [WeightedEdge(perm[e.a], perm[e.b], e.weight) for e in net.edges],
+        [(perm[a], perm[b], w) for a, b, w in net.edges],
     )
     held = run_pipeline(net, {source: sp.budget}, sp, gp).final.held
     moved = run_pipeline(relabelled, {perm[source]: sp.budget}, sp, gp).final.held
@@ -111,11 +113,11 @@ def scattered_networks(draw, weight=WEIGHTS):
     pairs = list(itertools.combinations(range(n), 2))
     edges = [(a, b, draw(weight)) for a, b in pairs if draw(st.booleans())]
     nodes = [ConceptNode(ids[k], f"c{k}") for k in draw(st.permutations(range(n)))]
-    records = [
-        WeightedEdge(ids[b], ids[a], w) if draw(st.booleans()) else WeightedEdge(ids[a], ids[b], w)
+    triples = [
+        (ids[b], ids[a], w) if draw(st.booleans()) else (ids[a], ids[b], w)
         for a, b, w in draw(st.permutations(edges))
     ]
-    return build_network(nodes, records), ids, edges
+    return build_network(nodes, triples), ids, edges
 
 
 # -0.0 is a valid weight and a valid held value (both compare >= 0.0);
@@ -259,7 +261,7 @@ def test_game_equals_the_oracle_without_participants_and_on_mixed_rounds():
     ids = [-7, 4, 31]
     net = build_network(
         [ConceptNode(nid, f"c{k}") for k, nid in enumerate(ids)],
-        [WeightedEdge(ids[a], ids[b], w) for a, b, w in edges],
+        [(ids[a], ids[b], w) for a, b, w in edges],
     )
     held = [0.0, 0.0, 5.0]
     params = GameParams(budget=100.0, screen_threshold=10.0)
@@ -324,9 +326,7 @@ def test_view_backed_states_run_as_their_dict_copies_bit_for_bit(case, data):
 def test_order_preserving_relabel_leaves_the_pipeline_bit_identical(case, data):
     """Renaming the ids to 0..n-1 in the same order changes no float operation."""
     net, ids, edges = case
-    dense = build_network(
-        [ConceptNode(k, f"c{k}") for k in range(len(ids))], [WeightedEdge(a, b, w) for a, b, w in edges]
-    )
+    dense = build_network([ConceptNode(k, f"c{k}") for k in range(len(ids))], edges)
     source = data.draw(st.integers(0, len(ids) - 1))
     budget = data.draw(st.sampled_from([1.0, 100.0]))
     sp, gp = SpreadParams(budget=budget), GameParams(budget=budget)
@@ -335,6 +335,47 @@ def test_order_preserving_relabel_leaves_the_pipeline_bit_identical(case, data):
     assert scattered.rounds == contiguous.rounds
     for a, b in zip((scattered.initial, scattered.final), (contiguous.initial, contiguous.final)):
         assert [a.held[nid].hex() for nid in ids] == [v.hex() for v in b.held.values()]
+
+
+# A node id or label of a type a caller may pass by mistake: bools, floats
+# (integral ones among them), strs and None, besides ints.
+ANY_VALUE = st.one_of(
+    st.integers(), st.booleans(), st.integers(-3, 3).map(float), st.floats(), st.text(max_size=3), st.none()
+)
+
+
+@st.composite
+def any_typed_nodes(draw):
+    """(node (id, label) pairs, edges as (a, b, weight) triples over those
+    ids): distinct int ids and str labels, but for at most one id or label
+    of any type."""
+    ids = draw(st.lists(st.integers(), min_size=1, max_size=6, unique=True))
+    entries = [[nid, draw(st.text(min_size=1, max_size=4))] for nid in ids]
+    if draw(st.booleans()):
+        draw(st.sampled_from(entries))[draw(st.integers(0, 1))] = draw(ANY_VALUE)
+    pairs = itertools.combinations(range(len(entries)), 2)
+    edges = [(entries[x][0], entries[y][0], draw(WEIGHTS)) for x, y in pairs if draw(st.booleans())]
+    return entries, edges
+
+
+@SETTINGS
+@given(any_typed_nodes())
+def test_a_network_that_builds_saves_a_file_that_loads_back_equal(case):
+    """Nodes and edges are either refused with a ValidationError or make a
+    network whose saved file loads back equal, with the same ids, each an
+    int: the build accepts no id or label that the file format cannot hold."""
+    entries, edges = case
+    try:
+        net = build_network([ConceptNode(nid, label) for nid, label in entries], edges)
+    except ValidationError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.json")
+        save_network(net, path)
+        back = load_network(path)
+    assert back == net
+    assert back.node_ids() == net.node_ids()
+    assert all(type(nid) is int for nid in net.node_ids())
 
 
 def _finite(lo: float, hi: float):

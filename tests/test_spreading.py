@@ -12,7 +12,7 @@ import pytest
 from semgame.errors import ValidationError
 from semgame.game import GameOutcome, GameParams, RoundRecord, rescale_to_budget, run_game, verify_nash
 from semgame.generate import complete_network, generate_network
-from semgame.network import ConceptNode, WeightedEdge, build_network
+from semgame.network import ConceptNode, build_network
 from semgame.spreading import (
     ActivationState,
     SpreadParams,
@@ -365,8 +365,7 @@ class TestHeldView:
         seed_state, step, rescale_to_budget and each game round build on it."""
         ids = (-7, 2, 9, 30, 31)
         nodes = [ConceptNode(nid, f"c{nid}") for nid in reversed(ids)]
-        edges = [WeightedEdge(9, -7, 0.6), WeightedEdge(2, 9, 0.3), WeightedEdge(30, 2, 0.9),
-                 WeightedEdge(9, 31, 0.45)]
+        edges = [(9, -7, 0.6), (2, 9, 0.3), (30, 2, 0.9), (9, 31, 0.45)]
         net = build_network(nodes, edges)
         assert net.node_ids() == ids
         seeded = seed_state(net, {9: 0.75})
