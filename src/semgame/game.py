@@ -192,12 +192,13 @@ def rescale_to_budget(state: ActivationState, budget: float) -> ActivationState:
     view = type(held) is _Held
     ids = None if view else sorted(held)
     values = held.values() if view else [held[nid] for nid in ids]
-    if min(values, default=0.0) < 0.0:
+    # A marked view holds no negative (see spreading._Held).
+    if not (view and held._bounded) and min(values, default=0.0) < 0.0:
         raise ValidationError("negative energy in activation state")
     scaled = _rescale(values, budget)
     if scaled is values:
         return state
-    rescaled = _Held(held._ids, tuple(scaled)) if view else dict(zip(ids, scaled))
+    rescaled = _Held(held._ids, tuple(scaled), bounded=held._bounded) if view else dict(zip(ids, scaled))
     return ActivationState(state.t, rescaled, state.activated)
 
 
@@ -266,7 +267,9 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     and no other id, and activate only nodes it holds; any other is
     rejected before round 1.
     """
-    values, activated = _held_list(net, initial)
+    values, firing = _held_list(net, initial)
+    # A list, not a full frontier's range, so that round 1 can compare it.
+    activated = list(firing)
     _check_within_budget(initial.held.values(), params.budget, "initial energy")
 
     ids = net.node_ids()
@@ -287,7 +290,7 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
             # ascending, so equal lists are equal sets, and a steady game
             # keeps one activated frozenset instead of one per round.
             shared = state.activated if accepted == activated else frozenset([ids[k] for k in accepted])
-            state = ActivationState(state.t + 1, _Held(ids, new_values), shared)
+            state = ActivationState(state.t + 1, _Held(ids, new_values, bounded=True), shared)
             activated = accepted
         round_cost = cost(values, new_values)
         history.append(RoundRecord(state, utilities, round_cost))

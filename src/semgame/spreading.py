@@ -17,6 +17,13 @@ the next step reads without a copy; `dict(state.held.items())` gives a
 mutable or JSON-ready copy. One view type serves every state and every
 game round's utilities: it holds ascending ids and their values, and
 finds an id by bisecting its own ids.
+
+A state is checked where it enters. A view the package builds from
+values it has already bounded (a seed, a step, a rescale, a game round)
+carries a private mark, and a step or a game reads a marked view over
+its network's own ids with no re-check. Any other state, a dict or a
+view a caller builds, pickles or copies, is checked in full on every
+entry.
 """
 
 from __future__ import annotations
@@ -58,12 +65,17 @@ class _Held(Mapping):
     values by their position. It finds an id by bisecting its own ids,
     so it adds no index to them: a state's view holds its network's
     `node_ids()`, and a screened round's utilities only the participants'
-    ids. `values()` is the tuple; `items()` is a dict built from it."""
+    ids. `values()` is the tuple; `items()` is a dict built from it.
 
-    __slots__ = ("_ids", "_values")
+    `_bounded` marks a view the package built from values it has
+    already found finite and non-negative, one per id; `_held_list`
+    reads such a view without a re-check. Only the package sets it, and
+    a pickled or copied view comes back unmarked."""
 
-    def __init__(self, ids: tuple[int, ...], values: tuple[float, ...]) -> None:
-        self._ids, self._values = ids, values
+    __slots__ = ("_ids", "_values", "_bounded")
+
+    def __init__(self, ids: tuple[int, ...], values: tuple[float, ...], bounded: bool = False) -> None:
+        self._ids, self._values, self._bounded = ids, values, bounded
 
     def __getitem__(self, nid: int) -> float:
         ids = self._ids
@@ -93,6 +105,7 @@ class _Held(Mapping):
 
     def __reduce__(self) -> tuple:
         # Protocols 0 and 1 cannot rebuild a slotted object on their own.
+        # The mark stays behind: only the package vouches for a view.
         return _Held, (self._ids, self._values)
 
 
@@ -157,7 +170,7 @@ def seed_state(net: SemanticNetwork, sources: Mapping[int, float]) -> Activation
             raise ValidationError(f"source id {nid} not in network")
         _check_real(f"source {nid}: energy", energy, 0, math.inf)
     ids = net.node_ids()
-    held = _Held(ids, tuple([float(sources.get(nid, 0.0)) for nid in ids]))
+    held = _Held(ids, tuple([float(sources.get(nid, 0.0)) for nid in ids]), bounded=True)
     return ActivationState(0, held, frozenset(sources))
 
 
@@ -174,31 +187,34 @@ def _left_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _held_list(net: SemanticNetwork, state: ActivationState) -> tuple[Sequence[float], list[int]]:
+def _held_list(net: SemanticNetwork, state: ActivationState) -> tuple[Sequence[float], Sequence[int]]:
     """`state.held` by dense position (entry k is node `net.node_ids()[k]`)
     and the activated nodes' positions, ascending.
 
     A read-only view over this network's own ids, as every package-built
     state holds, is read as its values tuple with no copy; any other
-    mapping by a subscript per id. Either read, one length check, a
-    C-level min() and sum() find every fault check_state names; only
-    then does it run, to raise naming the fault. (Finite values whose
-    total overflows are valid.) When `activated` is the network's
-    `_id_set`, the firing positions are all of them: the reads have
-    already found held to hold exactly the network's ids.
+    mapping by a subscript per id. A marked view (see `_Held`) over
+    these ids is taken as it is. Any other read gets one length check, a C-level min() and
+    sum(), which find every fault check_state names; only then does it
+    run, to raise naming the fault. (Finite values whose total overflows
+    are valid.) When `activated` is the network's `_id_set`, the firing
+    positions are all of them, as a `range`: the reads have already
+    found held to hold exactly the network's ids.
     """
     held, ids, positions = state.held, net.node_ids(), net._positions
+    view = type(held) is _Held and held._ids is ids
     try:
-        values = held._values if type(held) is _Held and held._ids is ids else [held[nid] for nid in ids]
+        values = held._values if view else [held[nid] for nid in ids]
         if state.activated is net._id_set:
-            firing = list(range(len(ids)))
+            firing = range(len(ids))
         else:
             firing = sorted([positions[nid] for nid in state.activated])
     except KeyError:
         values = firing = None
-    # min() misses a NaN after the first position; sum() carries it.
-    if values is None or len(values) != len(held) or not (
-        min(values, default=0.0) >= 0.0 and math.isfinite(sum(values))
+    # A marked view was bounded where it was built. On any other, min()
+    # misses a NaN after the first position; sum() carries it.
+    if values is None or not (view and held._bounded) and (
+        len(values) != len(held) or not (min(values, default=0.0) >= 0.0 and math.isfinite(sum(values)))
     ):
         check_state(net, state)
     return values, firing
@@ -265,7 +281,7 @@ def step(net: SemanticNetwork, state: ActivationState, params: SpreadParams) -> 
         raise ValidationError(f"spreading overflowed to a non-finite total at step {state.t + 1}")
     fired = [nid for nid, v, old in zip(ids, new, values) if v >= threshold and v != old]
     activated = net._id_set if len(fired) == len(ids) else frozenset(fired)
-    return ActivationState(state.t + 1, _Held(ids, tuple(new)), activated)
+    return ActivationState(state.t + 1, _Held(ids, tuple(new), bounded=True), activated)
 
 
 def iter_spread(

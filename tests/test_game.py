@@ -342,6 +342,17 @@ class TestRunGame:
         for before, after in zip(states, states[1:]):
             assert (before.activated is after.activated) is (before.activated == after.activated)
 
+    def test_round_one_shares_a_full_initial_activated_set(self):
+        """A first round that accepts every node keeps the initial state's
+        activated set when that is the network's own all-ids set, as a
+        spread whose whole network fires leaves it: the full frontier the
+        entry check reads is compared as a list of every position."""
+        net, initial, params = unit_budget_game(400, 10, 0)
+        assert initial.activated is net._id_set
+        record = run_game(net, initial, params).history[0]
+        assert list(record.strategies.values()) == [Strategy.ACCEPT] * net.n
+        assert record.state.activated is net._id_set
+
     def test_round_records_keep_about_two_id_keyed_dicts(self):
         """Per round, a finished game keeps the held values and the realized
         utilities and little more: under three n-entry id -> float dicts,

@@ -22,7 +22,16 @@ from semgame.evaluate import _all_met, _utilization_initial, evaluate_pairs, loa
 from semgame.game import GameParams, Strategy, rescale_to_budget, run_game, verify_nash
 from semgame.generate import complete_network, generate_network
 from semgame.network import ConceptNode, PairJudgment, build_network, load_network, save_network
-from semgame.spreading import ActivationState, SpreadParams, _Held, run_spread, seed_state, step
+from semgame.spreading import (
+    ActivationState,
+    SpreadParams,
+    _Held,
+    check_state,
+    iter_spread,
+    run_spread,
+    seed_state,
+    step,
+)
 
 from conftest import first_round
 from oracles import cobweb_oracle, game_oracle, round_oracle, step_oracle
@@ -49,6 +58,24 @@ def test_every_round_holds_the_budget(case):
         values = list(state.held.values())
         assert all(math.isfinite(v) and v >= 0.0 for v in values)
         assert math.isclose(sum(values), gp.budget, rel_tol=1e-9)
+
+
+@SETTINGS
+@given(cases(), st.sampled_from([0.0, 1e-4, 1e-2]))
+def test_every_marked_state_is_sound(case, screen):
+    """A step or a game reads a view marked as bounded with no re-check,
+    so every state the package marks must pass check_state and hold
+    exactly the network's ids: each state of a spread, its rescaled
+    final and each round's state, with and without screening."""
+    net, sp, gp, source = case
+    gp = dataclasses.replace(gp, screen_threshold=screen * gp.budget)
+    spread = list(iter_spread(net, {source: sp.budget}, sp))
+    rescaled = rescale_to_budget(spread[-1], gp.budget)
+    outcome = run_game(net, rescaled, gp)
+    for state in (*spread, rescaled, *(rec.state for rec in outcome.history)):
+        assert type(state.held) is _Held and state.held._bounded
+        assert state.held._ids is net.node_ids()
+        check_state(net, state)
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 """Spreading activation: per-edge transfer, stepping, full runs, the held view."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -9,7 +10,9 @@ import tracemalloc
 
 import pytest
 
+from semgame import game, spreading
 from semgame.errors import ValidationError
+from semgame.evaluate import run_pipeline
 from semgame.game import GameOutcome, GameParams, RoundRecord, rescale_to_budget, run_game, verify_nash
 from semgame.generate import complete_network, generate_network
 from semgame.network import ConceptNode, build_network
@@ -444,13 +447,59 @@ class TestHeldView:
             if started:
                 tracemalloc.stop()
 
+    def test_the_mark_never_leaves_the_package(self):
+        """Every package-built view is marked as bounded; one that goes
+        through pickle (every protocol), copy.copy or copy.deepcopy comes
+        back equal and unmarked, so the next step checks it in full."""
+        _, states = self.package_states()
+        for state in states:
+            held = state.held
+            assert held._bounded
+            copies = [pickle.loads(pickle.dumps(held, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.copy(held), copy.deepcopy(held), copy.deepcopy(state).held]
+            for other in copies:
+                assert type(other) is _Held and other == held and not other._bounded
+
+    def test_only_states_a_caller_builds_are_checked_again(self, monkeypatch):
+        """Counted on the module-global min() of spreading and game: a
+        spread and a pipeline on a generated network make no call, since
+        every state they read was bounded where it was built. A dict-held
+        state and a hand-built view make one per step, and one per
+        rescale_to_budget and run_game."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return min(*args, **kwargs)
+
+        for module in (spreading, game):
+            monkeypatch.setattr(module, "min", counting, raising=False)
+        net = generate_network(200, 0.05, 0)
+        sp, gp = SpreadParams(), GameParams()
+        run_spread(net, {0: 100.0}, sp)
+        run_pipeline(net, {0: 100.0}, sp, gp)
+        assert calls == []
+        seeded = seed_state(net, {0: 100.0})
+        for held in (dict(seeded.held.items()), _Held(net.node_ids(), seeded.held.values())):
+            state = dataclasses.replace(seeded, held=held)
+            calls.clear()
+            for k in range(1, 4):
+                step(net, state, sp)
+                assert len(calls) == k
+            rescale_to_budget(state, sp.budget)
+            run_game(net, state, gp)
+            assert len(calls) == 5
+
     def test_checks_fire_on_views(self):
-        """A view holding a negative, NaN or inf value, or a view over
-        another network with a node fewer or one more, raises what
-        check_state names from step and from run_game, with a partial or
-        the network's own all-ids activated set: the min/sum validation
-        runs on views as on dicts."""
+        """Views a caller builds are checked in full: a view holding a
+        negative, NaN or inf value, or a view over another network with a
+        node fewer or one more, raises what check_state names from step and
+        from run_game, with a partial or the network's own all-ids
+        activated set. So does a bad view that was marked and then
+        pickled or copied, and a package-built state whose view is replaced
+        by a bad hand-built one."""
         net = quick_net(5, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 0.1), (3, 4, 0.9)])
+        seeded = seed_state(net, {0: 0.2})
         cases = []
         for position, bad, message in (
             (3, -1.0, "^negative energy in activation state$"),
@@ -462,17 +511,21 @@ class TestHeldView:
             values = [0.2] * 5
             values[position] = bad
             cases.append((_Held(net.node_ids(), tuple(values)), message))
+            marked = _Held(net.node_ids(), tuple(values), bounded=True)
+            for round_trip in (pickle.loads(pickle.dumps(marked)), copy.copy(marked), copy.deepcopy(marked)):
+                cases.append((round_trip, message))
         for other, message in ((4, r"^state holds no value for 1 node\(s\): 4$"),
                                (6, "^state holds unknown node id 5$")):
             cases.append((seed_state(quick_net(other, [(0, 1, 0.5)]), {0: 0.2}).held, message))
         for held, message in cases:
             assert type(held) is _Held
             for activated in (frozenset({0}), net._id_set):
-                state = ActivationState(0, held, activated)
-                with pytest.raises(ValidationError, match=message):
-                    step(net, state, SpreadParams(budget=1.0))
-                with pytest.raises(ValidationError, match=message):
-                    run_game(net, state, GameParams(budget=1.0))
+                for state in (ActivationState(0, held, activated),
+                              dataclasses.replace(seeded, held=held, activated=activated)):
+                    with pytest.raises(ValidationError, match=message):
+                        step(net, state, SpreadParams(budget=1.0))
+                    with pytest.raises(ValidationError, match=message):
+                        run_game(net, state, GameParams(budget=1.0))
 
 
 class TestSpreadingProperties:
