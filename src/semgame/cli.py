@@ -13,6 +13,7 @@ import csv
 import json
 import random
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .baselines import CobwebParams, run_cobweb
@@ -93,7 +94,7 @@ def _write_summary(out_dir: Path, payload: dict) -> None:
     (out_dir / "summary.json").write_text(text, encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -108,11 +109,12 @@ def _cmd_spread(args) -> tuple[dict, dict]:
     net = load_network(args.network)
     sp = _spread_params(args)
     sources = _resolve_sources(net, args.source, args.budget)
-    rows: list[list] = []
-    # Only the step in hand is kept; a trace keeps each step's rows.
+    # Only the step in hand is kept; a trace keeps each step's state.
+    states = []
     for final in iter_spread(net, sources, sp):
         if args.trace:
-            rows.extend([final.t, nid, v] for nid, v in final.held.items())
+            states.append(final)
+    rows = ([s.t, nid, v] for s in states for nid, v in s.held.items())
     tables = {"trace.csv": (["step", "node", "held"], rows)} if args.trace else {}
     summary = {
         "network": str(args.network),
@@ -125,6 +127,18 @@ def _cmd_spread(args) -> tuple[dict, dict]:
     return summary, tables
 
 
+def _game_rows(history) -> Iterator[list]:
+    """Each round's trace rows, made only as they are written."""
+    for index, rec in enumerate(history, 1):
+        # Read once per record: each read builds the dict anew. The
+        # utilities are copied through items(), which zips the view's
+        # tuples, so no node's lookup bisects the view's ids.
+        strategies, utilities = rec.strategies, dict(rec.utilities.items())
+        for nid, v in rec.state.held.items():
+            yield [index, nid, v, strategies[nid].value if nid in strategies else "",
+                   utilities.get(nid, ""), rec.cost]
+
+
 def _cmd_game(args) -> tuple[dict, dict]:
     net = load_network(args.network)
     sp = _spread_params(args)
@@ -133,19 +147,8 @@ def _cmd_game(args) -> tuple[dict, dict]:
     outcome = run_pipeline(net, sources, sp, gp)
     tables = {}
     if args.trace:
-        rows = []
-        for index, rec in enumerate(outcome.history, 1):
-            # Read once per record: each read builds the dict anew. The
-            # utilities are copied through items(), which zips the view's
-            # tuples, so no node's lookup bisects the view's ids.
-            strategies, utilities = rec.strategies, dict(rec.utilities.items())
-            rows.extend(
-                [index, nid, v,
-                 strategies[nid].value if nid in strategies else "",
-                 utilities.get(nid, ""), rec.cost]
-                for nid, v in rec.state.held.items()
-            )
-        tables["trace.csv"] = (["round", "node", "held", "strategy", "utility", "round_cost"], rows)
+        header = ["round", "node", "held", "strategy", "utility", "round_cost"]
+        tables["trace.csv"] = (header, _game_rows(outcome.history))
     summary = {
         "network": str(args.network),
         "sources": {str(k): v for k, v in sorted(sources.items())},

@@ -19,11 +19,13 @@ the state, the realized utilities and the cost. The utilities are a
 tuple in participant order behind a `_Held` view too, over the
 participants' ids, which are the network's own when every node takes
 part; `dict(rec.utilities.items())` copies it. Strategies are read off
-the utilities, and a round that accepts the set the state before it
-activated shares that state's frozenset. The outcome reads
-its round count off the history; see `GameOutcome` for why its final
-state is still stored. `verify_nash` is a replay check: it plays a
-final round's offer again through `_offer` and compares.
+the utilities. A round names its activated set as a spreading step
+does: the network's all-ids frozenset when every node accepted, the
+frozenset of the state before it when a partial set equals that set,
+else a new one. The outcome reads its round count off the history; see
+`GameOutcome` for why its final state is still stored. `verify_nash` is
+a replay check: it plays a final round's offer again through `_offer`
+and compares.
 """
 
 from __future__ import annotations
@@ -267,9 +269,7 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
     and no other id, and activate only nodes it holds; any other is
     rejected before round 1.
     """
-    values, firing = _held_list(net, initial)
-    # A list, not a full frontier's range, so that round 1 can compare it.
-    activated = list(firing)
+    values = _held_list(net, initial)[0]
     _check_within_budget(initial.held.values(), params.budget, "initial energy")
 
     ids = net.node_ids()
@@ -286,12 +286,13 @@ def run_game(net: SemanticNetwork, initial: ActivationState, params: GameParams)
             new_values = tuple(_rescale(committed, params.budget))
             # Free the round's n-entry lists; the record keeps only the tuple.
             del offered, committed
-            # `activated` is `state.activated` by position. Both lists are
-            # ascending, so equal lists are equal sets, and a steady game
-            # keeps one activated frozenset instead of one per round.
-            shared = state.activated if accepted == activated else frozenset([ids[k] for k in accepted])
-            state = ActivationState(state.t + 1, _Held(ids, new_values, bounded=True), shared)
-            activated = accepted
+            # `step`'s rule, and a partial set equal to the state's before
+            # is that set, so a steady game keeps one frozenset. A full set
+            # is never compared: frozenset == has no identity shortcut.
+            activated = net._id_set if len(accepted) == len(ids) else frozenset([ids[k] for k in accepted])
+            if activated is not net._id_set and activated == state.activated:
+                activated = state.activated
+            state = ActivationState(state.t + 1, _Held(ids, new_values, bounded=True), activated)
         round_cost = cost(values, new_values)
         history.append(RoundRecord(state, utilities, round_cost))
         values = new_values
@@ -308,8 +309,11 @@ def verify_nash(net: SemanticNetwork, outcome: GameOutcome, params: GameParams) 
 
     Each round plays the stage game's dominant-strategy profile, so this
     holds on any outcome `run_game` produced with these params. The
-    entering state is validated as run_game validates an initial state.
+    entering state is validated as run_game validates an initial state,
+    and an outcome with no round raises.
     """
+    if not outcome.history:
+        raise ValidationError("verify_nash: the outcome's history holds no round")
     pre = outcome.initial if outcome.rounds == 1 else outcome.history[-2].state
     return _offer(net, _held_list(net, pre)[0], params)[2] == outcome.history[-1].utilities
 

@@ -18,12 +18,12 @@ mutable or JSON-ready copy. One view type serves every state and every
 game round's utilities: it holds ascending ids and their values, and
 finds an id by bisecting its own ids.
 
-A state is checked where it enters. A view the package builds from
-values it has already bounded (a seed, a step, a rescale, a game round)
-carries a private mark, and a step or a game reads a marked view over
-its network's own ids with no re-check. Any other state, a dict or a
-view a caller builds, pickles or copies, is checked in full on every
-entry.
+A state gets into a step or a game one of two ways. A view the package
+builds from values it has already bounded (a seed, a step, a rescale, a
+game round) carries a private mark, and a marked view over the
+network's own ids, with an activated set the network holds, is read
+with no re-check. Any other state, a dict or a view a caller builds,
+pickles or copies, goes to `check_state` on every entry.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class _Held(Mapping):
 
     `_bounded` marks a view the package built from values it has
     already found finite and non-negative, one per id; `_held_list`
-    reads such a view without a re-check. Only the package sets it, and
-    a pickled or copied view comes back unmarked."""
+    reads it with no re-check, and any other state through `check_state`.
+    Only the package sets it; a pickled or copied view comes back unmarked."""
 
     __slots__ = ("_ids", "_values", "_bounded")
 
@@ -191,33 +191,25 @@ def _held_list(net: SemanticNetwork, state: ActivationState) -> tuple[Sequence[f
     """`state.held` by dense position (entry k is node `net.node_ids()[k]`)
     and the activated nodes' positions, ascending.
 
-    A read-only view over this network's own ids, as every package-built
-    state holds, is read as its values tuple with no copy; any other
-    mapping by a subscript per id. A marked view (see `_Held`) over
-    these ids is taken as it is. Any other read gets one length check, a C-level min() and
-    sum(), which find every fault check_state names; only then does it
-    run, to raise naming the fault. (Finite values whose total overflows
-    are valid.) When `activated` is the network's `_id_set`, the firing
-    positions are all of them, as a `range`: the reads have already
-    found held to hold exactly the network's ids.
+    A marked view (see `_Held`) over this network's own ids, with an
+    activated set the network holds, is read as it is: its values tuple,
+    with no copy. Any other state first goes to check_state, which
+    raises naming its fault, and is then read by a subscript per id (a
+    view over these ids by its tuple). When `activated` is the network's
+    `_id_set`, the firing positions are all of them, as a `range`.
     """
     held, ids, positions = state.held, net.node_ids(), net._positions
     view = type(held) is _Held and held._ids is ids
-    try:
-        values = held._values if view else [held[nid] for nid in ids]
-        if state.activated is net._id_set:
-            firing = range(len(ids))
-        else:
-            firing = sorted([positions[nid] for nid in state.activated])
-    except KeyError:
-        values = firing = None
-    # A marked view was bounded where it was built. On any other, min()
-    # misses a NaN after the first position; sum() carries it.
-    if values is None or not (view and held._bounded) and (
-        len(values) != len(held) or not (min(values, default=0.0) >= 0.0 and math.isfinite(sum(values)))
-    ):
+    if not (view and held._bounded):
         check_state(net, state)
-    return values, firing
+    values = held._values if view else [held[nid] for nid in ids]
+    if state.activated is net._id_set:
+        return values, range(len(ids))
+    try:
+        return values, sorted([positions[nid] for nid in state.activated])
+    except KeyError:  # only a marked view gets here unchecked
+        check_state(net, state)
+        raise
 
 
 def _spread_once(

@@ -345,8 +345,8 @@ class TestRunGame:
     def test_round_one_shares_a_full_initial_activated_set(self):
         """A first round that accepts every node keeps the initial state's
         activated set when that is the network's own all-ids set, as a
-        spread whose whole network fires leaves it: the full frontier the
-        entry check reads is compared as a list of every position."""
+        spread whose whole network fires leaves it: a round in which every
+        node accepts holds that set, as a step in which every node fires."""
         net, initial, params = unit_budget_game(400, 10, 0)
         assert initial.activated is net._id_set
         record = run_game(net, initial, params).history[0]
@@ -592,6 +592,15 @@ class TestVerifyNash:
         fewer = {nid: u for nid, u in last.utilities.items() if nid != first}
         history = (*outcome.history[:-1], dataclasses.replace(last, utilities=fewer))
         assert not verify_nash(net, dataclasses.replace(outcome, history=history), params)
+
+    def test_outcome_without_rounds_rejected(self):
+        """An outcome whose history holds no round has no final round to
+        replay: a ValidationError naming the empty history, not an IndexError."""
+        net = generate_network(5, 0.5, 0)
+        state = seed_state(net, {0: 1.0})
+        outcome = GameOutcome(state, True, (), state)
+        with pytest.raises(ValidationError, match="^verify_nash: the outcome's history holds no round$"):
+            verify_nash(net, outcome, GameParams(budget=1.0))
 
     def test_negative_or_unheld_activated_state_rejected(self, monkeypatch):
         """The state that entered the final round is validated before its

@@ -66,16 +66,23 @@ def test_every_marked_state_is_sound(case, screen):
     """A step or a game reads a view marked as bounded with no re-check,
     so every state the package marks must pass check_state and hold
     exactly the network's ids: each state of a spread, its rescaled
-    final and each round's state, with and without screening."""
+    final and each round's state, with and without screening, and each
+    round of a game played from a rescaled seed, whose activated set is
+    partial. A step or a round activates the network's own all-ids set
+    exactly when every node fired or accepted."""
     net, sp, gp, source = case
     gp = dataclasses.replace(gp, screen_threshold=screen * gp.budget)
     spread = list(iter_spread(net, {source: sp.budget}, sp))
     rescaled = rescale_to_budget(spread[-1], gp.budget)
-    outcome = run_game(net, rescaled, gp)
-    for state in (*spread, rescaled, *(rec.state for rec in outcome.history)):
+    seeded = rescale_to_budget(seed_state(net, {source: sp.budget}), gp.budget)
+    assert len(seeded.activated) < net.n
+    rounds = [rec.state for initial in (rescaled, seeded) for rec in run_game(net, initial, gp).history]
+    for state in (*spread, rescaled, seeded, *rounds):
         assert type(state.held) is _Held and state.held._bounded
         assert state.held._ids is net.node_ids()
         check_state(net, state)
+    for state in (*spread[1:], *rounds):
+        assert (state.activated is net._id_set) is (len(state.activated) == net.n)
 
 
 @SETTINGS

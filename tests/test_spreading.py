@@ -20,6 +20,7 @@ from semgame.spreading import (
     ActivationState,
     SpreadParams,
     _Held,
+    check_state,
     iter_spread,
     run_spread,
     seed_state,
@@ -461,34 +462,40 @@ class TestHeldView:
                 assert type(other) is _Held and other == held and not other._bounded
 
     def test_only_states_a_caller_builds_are_checked_again(self, monkeypatch):
-        """Counted on the module-global min() of spreading and game: a
-        spread and a pipeline on a generated network make no call, since
-        every state they read was bounded where it was built. A dict-held
-        state and a hand-built view make one per step, and one per
-        rescale_to_budget and run_game."""
-        calls = []
+        """Counted on check_state and on game's module-global min(): a
+        spread, a pipeline and its verify_nash on a generated network make
+        no call, since every state they read is a view marked where it was
+        built. A dict-held state and a hand-built view make one check_state
+        call per step and one per run_game, and rescale_to_budget one min()."""
+        checks, mins = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
+        def counting_check(*args):
+            checks.append(args)
+            return check_state(*args)
+
+        def counting_min(*args, **kwargs):
+            mins.append(args)
             return min(*args, **kwargs)
 
-        for module in (spreading, game):
-            monkeypatch.setattr(module, "min", counting, raising=False)
+        monkeypatch.setattr(spreading, "check_state", counting_check)
+        monkeypatch.setattr(game, "min", counting_min, raising=False)
         net = generate_network(200, 0.05, 0)
         sp, gp = SpreadParams(), GameParams()
         run_spread(net, {0: 100.0}, sp)
-        run_pipeline(net, {0: 100.0}, sp, gp)
-        assert calls == []
+        assert verify_nash(net, run_pipeline(net, {0: 100.0}, sp, gp), gp)
+        assert checks == [] and mins == []
         seeded = seed_state(net, {0: 100.0})
         for held in (dict(seeded.held.items()), _Held(net.node_ids(), seeded.held.values())):
             state = dataclasses.replace(seeded, held=held)
-            calls.clear()
+            checks.clear()
+            mins.clear()
             for k in range(1, 4):
                 step(net, state, sp)
-                assert len(calls) == k
-            rescale_to_budget(state, sp.budget)
+                assert len(checks) == k
             run_game(net, state, gp)
-            assert len(calls) == 5
+            assert len(checks) == 4 and mins == []
+            rescale_to_budget(state, sp.budget)
+            assert len(checks) == 4 and len(mins) == 1
 
     def test_checks_fire_on_views(self):
         """Views a caller builds are checked in full: a view holding a
@@ -578,6 +585,4 @@ class TestSpreadingProperties:
         net = quick_net(2, [(0, 1, 0.5)])
         bad = ActivationState(0, {5: 1.0}, frozenset({5}))
         with pytest.raises(ValidationError, match="unknown node"):
-            from semgame.spreading import check_state
-
             check_state(net, bad)
